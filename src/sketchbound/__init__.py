@@ -35,7 +35,6 @@ from .experiments import (
     EmpiricalStats,
     SweepConfig,
     SweepRow,
-    TrialRecord,
     empirical_error,
     emit,
     load_rows,
@@ -54,7 +53,6 @@ from .linalg import (
     orthonormal_basis,
     pseudo_inverse,
     psd_order,
-    psd_sqrt,
     read_matrix_market,
     spectral_norm,
     svd,
@@ -76,12 +74,10 @@ from .sketching import (
     GaussianSketch,
     RsvdSketch,
     SeededStream,
-    read_sketch_descriptor,
     rsvd_distribution,
     rsvd_sketch,
     sample,
     standard_gaussian,
-    write_sketch_descriptor,
 )
 
 __version__ = '0.1.0'

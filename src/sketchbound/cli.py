@@ -16,23 +16,14 @@ import argparse
 import json
 import sys
 
-from . import expectation, experiments, rsvd
+from . import experiments
 from .linalg import read_matrix_market, svd, write_matrix_market
 from .sketching import GaussianSketch, RsvdSketch, rsvd_distribution
 
-_RSVD_VARIANTS = {
-    'cor_frobenius': rsvd.frobenius_bound,
-    'cor_spectral': rsvd.spectral_bound,
-    'cor_spectral_improved': rsvd.improved_spectral_bound,
-}
-_THM_VARIANTS = {
-    'thm3': expectation.expected_frobenius_gap_bound,
-    'thm3_squared': expectation.expected_frobenius_gap_sq_bound,
-    'thm4': expectation.expected_spectral_gap_bound,
-    'thm5': expectation.expected_spectral_tail_bound,
-}
-_HMT_VARIANTS = ('hmt_frobenius', 'hmt_spectral', 'hmt_power')
-_ALL_VARIANTS = tuple(_RSVD_VARIANTS) + tuple(_THM_VARIANTS) + _HMT_VARIANTS
+# the evaluator's own dispatch tables, bound here under the names that
+# perfbench/spans.py wraps in place
+_RSVD_VARIANTS = experiments.RSVD_VARIANTS
+_THM_VARIANTS = experiments.THEOREM_VARIANTS
 
 
 def _build_parser():
@@ -53,8 +44,8 @@ def _build_parser():
     bounds.add_argument('--k', type=int, required=True)
     bounds.add_argument('--p', type=int, required=True)
     bounds.add_argument('--q', type=int, default=0)
-    bounds.add_argument('--variant', default=','.join(_ALL_VARIANTS),
-                        help='comma-separated list among: ' + ', '.join(_ALL_VARIANTS))
+    bounds.add_argument('--variant', default=','.join(experiments.VARIANTS),
+                        help='comma-separated list among: ' + ', '.join(experiments.VARIANTS))
     bounds.add_argument('--mean', help='Matrix Market file with the sketch mean (thm variants)')
     bounds.add_argument('--cov', help='Matrix Market file with the sketch covariance (thm variants)')
     bounds.add_argument('--out', help='write the JSON report here instead of stdout')
@@ -94,7 +85,7 @@ def _cmd_gen_matrix(args):
 def _cmd_bounds(args):
     a, factors = _load_problem(args)
     variants = [v.strip() for v in args.variant.split(',') if v.strip()]
-    unknown = set(variants) - set(_ALL_VARIANTS)
+    unknown = set(variants) - set(experiments.VARIANTS)
     if unknown:
         raise ValueError(f'unknown variants: {sorted(unknown)}')
     if (args.mean is None) != (args.cov is None):
@@ -106,27 +97,10 @@ def _cmd_bounds(args):
         sketch = GaussianSketch.from_moments(mean, cov)
         if sketch.shape[1] != args.p:
             raise ValueError(f'sketch mean has {sketch.shape[1]} columns, expected p={args.p}')
-    report = {'k': args.k, 'p': args.p, 'q': args.q, 'variants': {}}
-    profile = None
-    for name in variants:
-        if name in _RSVD_VARIANTS:
-            if profile is None:
-                profile = rsvd.SpectrumProfile.from_spectrum(factors.sigma, args.k, args.p, args.q)
-            result = _RSVD_VARIANTS[name](profile)
-            report['variants'][name] = {'bound': result.bound, **result.constants}
-        elif name in _THM_VARIANTS:
-            thm_sketch = sketch
-            if thm_sketch is None:
-                thm_sketch = rsvd_distribution(factors, args.q, args.p)
-            result = _THM_VARIANTS[name](factors, thm_sketch, args.k, args.p)
-            report['variants'][name] = {'bound': result.bound, 'mean_term': result.mean_term,
-                                        **result.constants}
-        elif name == 'hmt_frobenius':
-            report['variants'][name] = {'bound': rsvd.hmt_frobenius(factors.sigma, args.k, args.p)}
-        elif name == 'hmt_spectral':
-            report['variants'][name] = {'bound': rsvd.hmt_spectral(factors.sigma, args.k, args.p)}
-        elif name == 'hmt_power':
-            report['variants'][name] = {'bound': rsvd.hmt_power(factors.sigma, args.k, args.p, args.q)}
+    elif any(name in _THM_VARIANTS for name in variants):
+        sketch = rsvd_distribution(factors, args.q, args.p)
+    report = {'k': args.k, 'p': args.p, 'q': args.q,
+              'variants': experiments.evaluate_bounds(variants, factors, args.k, args.p, args.q, sketch)}
     payload = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, 'w') as handle:

@@ -57,6 +57,21 @@ class AngleOperators:
     sine_sigma: np.ndarray
 
 
+def _check_head_rank(omega_head, w, rank_tol=RANK_TOL):
+    """Raise :class:`RankDeficiencyError` unless ``omega_head``, the head
+    block of the sketch ``w``, has full numerical row rank."""
+    s_head = np.linalg.svd(omega_head, compute_uv=False)
+    # the scale guard catches head blocks that vanish outright, which a
+    # purely relative test on round-off noise would miss
+    degenerate = s_head[0] <= rank_tol * float(np.linalg.norm(w))
+    if degenerate or s_head[-1] <= rank_tol * s_head[0]:
+        raise RankDeficiencyError(
+            f'head block of the sketch is row-rank deficient: '
+            f'smallest singular value {s_head[-1]:.3e} (largest {s_head[0]:.3e})',
+            smallest_singular_value=float(s_head[-1]),
+        )
+
+
 def angle_operators(factors: SvdFactors, z, k, mean=None, rank_tol=RANK_TOL) -> AngleOperators:
     """Tangent and sine operators of Z (optionally centered) at target rank k.
 
@@ -74,16 +89,7 @@ def angle_operators(factors: SvdFactors, z, k, mean=None, rank_tol=RANK_TOL) -> 
     w = z - _as_matrix(mean, 'mean') if mean is not None else z
     omega_head = factors.left_head(k).T @ w
     omega_tail = factors.left_tail(k).T @ w
-    s_head = np.linalg.svd(omega_head, compute_uv=False)
-    # the scale guard catches head blocks that vanish outright, which a
-    # purely relative test on round-off noise would miss
-    degenerate = s_head[0] <= rank_tol * float(np.linalg.norm(w))
-    if degenerate or s_head[-1] <= rank_tol * s_head[0]:
-        raise RankDeficiencyError(
-            f'head block of the sketch is row-rank deficient: '
-            f'smallest singular value {s_head[-1]:.3e} (largest {s_head[0]:.3e})',
-            smallest_singular_value=float(s_head[-1]),
-        )
+    _check_head_rank(omega_head, w, rank_tol)
     tangent = omega_tail @ pseudo_inverse(omega_head)
     p_fac, t_sigma, q_fac_t = np.linalg.svd(tangent, full_matrices=False)
     s_sigma = phi(t_sigma)

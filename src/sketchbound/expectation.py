@@ -33,7 +33,6 @@ from .linalg import (
     _as_matrix,
     _symmetrize,
     frobenius_norm,
-    psd_sqrt,
     spectral_norm,
 )
 from .sketching import GaussianSketch
@@ -62,8 +61,8 @@ class ProjectedCovariance:
 
     ``conditional`` is the Schur complement
     ``tail - cross head^{-1} cross^T``, i.e. the covariance of the tail block
-    given the head block.  The explicit PSD square root is materialized
-    lazily; the bound formulas only need its trace and top eigenvalue.
+    given the head block.  The bound formulas only need its trace and top
+    eigenvalue.
     """
 
     head: np.ndarray
@@ -75,10 +74,6 @@ class ProjectedCovariance:
     def solve_head(self, rhs):
         """Apply ``head^{-1}`` through the cached Cholesky factor."""
         return scipy.linalg.cho_solve(self._head_cho, rhs)
-
-    @cached_property
-    def conditional_sqrt(self):
-        return psd_sqrt(self.conditional)
 
     @cached_property
     def conditional_trace(self):

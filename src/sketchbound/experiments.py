@@ -3,8 +3,12 @@ errors, and reproducible parameter sweeps emitted as CSV/JSON.
 
 Residual norms are evaluated in the left singular basis: for any unitarily
 invariant norm, ``||(I - pi(Z)) A|| = ||(I - pi(U^T Z)) Sigma||``, so each
-trial reduces to a QR factorization of the rotated sketch plus small Gram
-computations; no dense projector is ever formed.
+trial reduces to an SVD of the rotated sketch plus small Gram computations;
+no dense projector is ever formed.
+
+The bound variants are defined here once, in three tables split by calling
+convention, and :func:`evaluate_bounds` serves both the sweeps and the
+``sketchbound bounds`` command.
 """
 
 from __future__ import annotations
@@ -21,16 +25,24 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import expectation, rsvd
-from .linalg import RANK_TOL, SvdFactors, _as_matrix
-from .sketching import GaussianSketch, RsvdSketch, SeededStream, sample, standard_gaussian
+from .deterministic import _check_head_rank
+from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _as_matrix
+from .sketching import (
+    GaussianSketch,
+    RsvdSketch,
+    SeededStream,
+    rsvd_distribution,
+    sample,
+    standard_gaussian,
+)
 
 __all__ = [
     'EmpiricalStats',
     'SweepConfig',
     'SweepRow',
-    'TrialRecord',
     'empirical_error',
     'emit',
+    'evaluate_bounds',
     'load_rows',
     'run_sweep',
     'synthetic_matrix',
@@ -67,34 +79,20 @@ def synthetic_matrix(n, seed):
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Residuals of one Monte Carlo trial in one norm."""
-
-    trial_index: int
-    k: int
-    p: int
-    q: int | None
-    norm: str
-    metric_value: float
-    residual_full: float
-    residual_deflated: float
-
-
-@dataclass(frozen=True)
 class EmpiricalStats:
-    """Sample statistics of the per-trial metric values."""
+    """Sample statistics of the per-trial metric values (a float64 array)."""
 
     mean: float
     std: float
-    records: tuple
+    values: np.ndarray
     excluded_trials: int
 
     @property
     def trials(self):
-        return len(self.records)
+        return self.values.size
 
     def standard_error(self):
-        return self.std / math.sqrt(max(len(self.records), 1))
+        return self.std / math.sqrt(max(self.values.size, 1))
 
 
 def _gram_top_eigenvalue(diag_sq, b):
@@ -173,8 +171,9 @@ def _deflation_constant(sigma, k, which):
     return math.sqrt(float(np.sum(sigma[k:] ** 2)))
 
 
-def _collect_records(a, factors, sketch, k, trials, norms, metrics, seed, stream_offset=0):
-    """Run trials once and build records for every requested (norm, metric).
+def _collect_residuals(a, factors, sketch, k, trials, norms, seed, stream_offset=0):
+    """Run trials once; per norm, a ``(kept, 2)`` array of full and
+    projected-tail residuals, one row per kept trial.
 
     Trials whose rotated head block fails the row-rank check are excluded and
     counted; the hypothesis holds with probability one, so exclusions flag
@@ -182,45 +181,32 @@ def _collect_records(a, factors, sketch, k, trials, norms, metrics, seed, stream
     """
     u_full = factors.left()
     sigma = factors.sigma
-    if isinstance(sketch, GaussianSketch):
-        q_value = None
-        rotated_mean = u_full.T @ sketch.mean if np.any(sketch.mean) else None
-        p = sketch.shape[1]
-    else:
-        q_value = sketch.q
-        rotated_mean = None
-        p = sketch.p
-    records = {(which, metric): [] for which in norms for metric in metrics}
-    excluded = 0
+    gaussian = isinstance(sketch, GaussianSketch)
+    rotated_mean = u_full.T @ sketch.mean if gaussian and np.any(sketch.mean) else None
+    residuals = {which: np.empty((trials, 2)) for which in norms}
+    kept = 0
     for t in range(trials):
         stream = SeededStream(seed, stream_offset + t)
-        z = sample(sketch, stream) if isinstance(sketch, GaussianSketch) else sketch.draw(a, stream)
+        z = sample(sketch, stream) if gaussian else sketch.draw(a, stream)
         w = u_full.T @ z
         head = w[:k] - rotated_mean[:k] if rotated_mean is not None else w[:k]
-        s_head = np.linalg.svd(head, compute_uv=False)
-        degenerate = s_head[0] <= RANK_TOL * float(np.linalg.norm(w))
-        if degenerate or s_head[-1] <= RANK_TOL * s_head[0]:
-            excluded += 1
+        try:
+            _check_head_rank(head, w)
+        except RankDeficiencyError:
             continue
-        residuals = _trial_residuals(w, sigma, k, norms)
-        for which in norms:
-            full, tail_projected = residuals[which]
-            for metric in metrics:
-                deflated = tail_projected if metric == 'general' else _deflation_constant(sigma, k, which)
-                records[(which, metric)].append(TrialRecord(
-                    trial_index=t, k=k, p=p, q=q_value, norm=which,
-                    metric_value=full - deflated,
-                    residual_full=full,
-                    residual_deflated=deflated,
-                ))
-    return records, excluded
+        for which, pair in _trial_residuals(w, sigma, k, norms).items():
+            residuals[which][kept] = pair
+        kept += 1
+    return {which: values[:kept] for which, values in residuals.items()}, trials - kept
 
 
-def _stats_from_records(recs, excluded):
-    values = np.array([r.metric_value for r in recs])
+def _stats(residuals, sigma, k, which, metric, excluded):
+    """Statistics of ``full - deflated``, the residual minus its tail reference."""
+    full, tail_projected = residuals[:, 0], residuals[:, 1]
+    values = full - (tail_projected if metric == 'general' else _deflation_constant(sigma, k, which))
     mean = float(np.mean(values)) if values.size else math.nan
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-    return EmpiricalStats(mean=mean, std=std, records=tuple(recs), excluded_trials=excluded)
+    return EmpiricalStats(mean=mean, std=std, values=values, excluded_trials=excluded)
 
 
 def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='general', seed=0):
@@ -237,17 +223,57 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
     if trials < 1:
         raise ValueError('trials must be positive')
-    records, excluded = _collect_records(a, factors, sketch, k, trials, (norm,), (metric,), seed)
+    residuals, excluded = _collect_residuals(a, factors, sketch, k, trials, (norm,), seed)
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
-    return _stats_from_records(records[(norm, metric)], excluded)
+    return _stats(residuals[norm], factors.sigma, k, norm, metric, excluded)
 
 
-_DEFAULT_VARIANTS = (
-    'cor_frobenius', 'cor_spectral', 'cor_spectral_improved',
-    'hmt_frobenius', 'hmt_spectral', 'hmt_power',
-)
-_THM_VARIANTS = ('thm3', 'thm3_squared', 'thm4', 'thm5')
+# Bound variants, one table per calling convention. Every evaluation looks its
+# function up in these dicts, so rebinding an entry (perfbench/spans.py does,
+# to trace it) reroutes every caller; the first two therefore hold the bound
+# functions themselves.
+RSVD_VARIANTS = {
+    'cor_frobenius': rsvd.frobenius_bound,
+    'cor_spectral': rsvd.spectral_bound,
+    'cor_spectral_improved': rsvd.improved_spectral_bound,
+}
+THEOREM_VARIANTS = {
+    'thm3': expectation.expected_frobenius_gap_bound,
+    'thm3_squared': expectation.expected_frobenius_gap_sq_bound,
+    'thm4': expectation.expected_spectral_gap_bound,
+    'thm5': expectation.expected_spectral_tail_bound,
+}
+# adapters to one signature; they look the baselines up on rsvd at each call
+HMT_VARIANTS = {
+    'hmt_frobenius': lambda sigma, k, p, q: rsvd.hmt_frobenius(sigma, k, p),
+    'hmt_spectral': lambda sigma, k, p, q: rsvd.hmt_spectral(sigma, k, p),
+    'hmt_power': lambda sigma, k, p, q: rsvd.hmt_power(sigma, k, p, q),
+}
+VARIANTS = tuple(RSVD_VARIANTS) + tuple(THEOREM_VARIANTS) + tuple(HMT_VARIANTS)
+
+
+def evaluate_bounds(variants, factors, k, p, q, sketch=None):
+    """Report of each named variant, ``{name: {'bound': ..., constants...}}``.
+
+    The closed forms and the HMT baselines depend on ``factors.sigma`` only.
+    The theorem variants evaluate ``sketch``, a :class:`GaussianSketch`
+    expressed against ``factors``; it is needed only when one is named.
+    """
+    reports = {}
+    profile = None
+    for name in variants:
+        if name in RSVD_VARIANTS:
+            if profile is None:
+                profile = rsvd.SpectrumProfile.from_spectrum(factors.sigma, k, p, q)
+            result = RSVD_VARIANTS[name](profile)
+            reports[name] = {'bound': result.bound, **result.constants}
+        elif name in THEOREM_VARIANTS:
+            result = THEOREM_VARIANTS[name](factors, sketch, k, p)
+            reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
+        else:
+            reports[name] = {'bound': HMT_VARIANTS[name](factors.sigma, k, p, q)}
+    return reports
 
 
 @dataclass(frozen=True)
@@ -262,7 +288,7 @@ class SweepConfig:
     seed: int = 0
     norm_list: tuple = NORMS
     metric: str = 'general'
-    bound_variants: tuple = _DEFAULT_VARIANTS
+    bound_variants: tuple = tuple(RSVD_VARIANTS) + tuple(HMT_VARIANTS)
     output_path: str | None = None
     output_format: str = 'csv'
     m: int | None = None
@@ -279,7 +305,7 @@ class SweepConfig:
             raise ValueError(f'metric must be one of {METRICS}')
         if any(norm not in NORMS for norm in self.norm_list):
             raise ValueError(f'norms must be among {NORMS}')
-        unknown = set(self.bound_variants) - set(_DEFAULT_VARIANTS) - set(_THM_VARIANTS)
+        unknown = set(self.bound_variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f'unknown bound variants: {sorted(unknown)}')
         if self.m is not None and self.m != self.n:
@@ -313,52 +339,6 @@ class SweepRow:
     bounds: dict
 
 
-def _diagonal_rsvd_sketch(sigma, n, q, p):
-    """RSVD sketch distribution expressed in the left singular basis."""
-    lam = np.zeros(n)
-    lam[:sigma.size] = sigma ** (4 * q + 2)
-    rank = int(np.sum(sigma > 0))
-    return GaussianSketch(
-        mean=np.zeros((n, p)),
-        covariance=np.diag(lam),
-        cov_sqrt=np.diag(np.sqrt(lam)),
-        rank=rank,
-        min_nonzero_eigenvalue=float(sigma[rank - 1] ** (4 * q + 2)) if rank else 0.0,
-    )
-
-
-def _evaluate_bounds(variants, factors, diag_factors, k, p, q):
-    sigma = factors.sigma
-    values = {}
-    profile = None
-    for variant in variants:
-        if variant.startswith('cor_'):
-            if profile is None:
-                profile = rsvd.SpectrumProfile.from_spectrum(sigma, k, p, q)
-            fn = {
-                'cor_frobenius': rsvd.frobenius_bound,
-                'cor_spectral': rsvd.spectral_bound,
-                'cor_spectral_improved': rsvd.improved_spectral_bound,
-            }[variant]
-            values[variant] = fn(profile).bound
-        elif variant == 'hmt_frobenius':
-            values[variant] = rsvd.hmt_frobenius(sigma, k, p)
-        elif variant == 'hmt_spectral':
-            values[variant] = rsvd.hmt_spectral(sigma, k, p)
-        elif variant == 'hmt_power':
-            values[variant] = rsvd.hmt_power(sigma, k, p, q)
-        else:
-            sketch = _diagonal_rsvd_sketch(sigma, diag_factors.rows, q, p)
-            fn = {
-                'thm3': expectation.expected_frobenius_gap_bound,
-                'thm3_squared': expectation.expected_frobenius_gap_sq_bound,
-                'thm4': expectation.expected_spectral_gap_bound,
-                'thm5': expectation.expected_spectral_tail_bound,
-            }[variant]
-            values[variant] = fn(diag_factors, sketch, k, p).bound
-    return values
-
-
 def run_sweep(config: SweepConfig):
     """Evaluate bounds and empirical statistics over the configured grid.
 
@@ -366,10 +346,11 @@ def run_sweep(config: SweepConfig):
     function of the config, so identical configs give identical rows.
     """
     a, factors = synthetic_matrix(config.n, config.seed)
-    diag_factors = None
-    if any(v in _THM_VARIANTS for v in config.bound_variants):
+    # the theorem variants see the RSVD sketch in the left singular basis
+    basis_factors = None
+    if any(name in THEOREM_VARIANTS for name in config.bound_variants):
         eye = np.eye(config.n)
-        diag_factors = SvdFactors(eye, factors.sigma, eye.copy())
+        basis_factors = SvdFactors(eye, factors.sigma, eye)
     rows = []
     cells = [
         (k, q, rho)
@@ -382,16 +363,20 @@ def run_sweep(config: SweepConfig):
         if k > p - 2 or p > factors.rank():
             logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
             continue
-        bounds = _evaluate_bounds(config.bound_variants, factors, diag_factors, k, p, q)
-        records, excluded = _collect_records(
-            a, factors, RsvdSketch(q=q, p=p), k, config.trials,
-            config.norm_list, (config.metric,), config.seed,
+        if basis_factors is None:
+            reports = evaluate_bounds(config.bound_variants, factors, k, p, q)
+        else:
+            sketch = rsvd_distribution(basis_factors, q, p)
+            reports = evaluate_bounds(config.bound_variants, basis_factors, k, p, q, sketch)
+        bounds = {name: report['bound'] for name, report in reports.items()}
+        residuals, excluded = _collect_residuals(
+            a, factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
             stream_offset=cell_index * config.trials,
         )
         if excluded:
             logger.warning('cell k=%d p=%d q=%d: %d trials excluded', k, p, q, excluded)
         for which in sorted(config.norm_list):
-            stats = _stats_from_records(records[(which, config.metric)], excluded)
+            stats = _stats(residuals[which], factors.sigma, k, which, config.metric, excluded)
             rows.append(SweepRow(
                 k=k, p=p, oversampling=rho, q=q, norm=which, metric=config.metric,
                 empirical_mean=stats.mean, empirical_std=stats.std, bounds=dict(bounds),

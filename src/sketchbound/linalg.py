@@ -28,7 +28,6 @@ __all__ = [
     'orthonormal_basis',
     'pseudo_inverse',
     'psd_order',
-    'psd_sqrt',
     'read_matrix_market',
     'spectral_norm',
     'svd',
@@ -139,14 +138,6 @@ class SvdFactors:
         self._check_k(k)
         return self.left()[:, k:]
 
-    def right_head(self, k):
-        self._check_k(k)
-        return self._v[:, :k]
-
-    def right_tail(self, k):
-        self._check_k(k)
-        return self.right()[:, k:]
-
     def sigma_head(self, k):
         self._check_k(k)
         return self.sigma[:k]
@@ -160,18 +151,10 @@ class SvdFactors:
         self._check_k(k)
         return float(self.sigma[k]) if k < self.sigma.size else 0.0
 
-    def head_matrix(self, k):
-        """Best rank-k approximation assembled from the factors."""
-        return (self.left_head(k) * self.sigma_head(k)) @ self.right_head(k).T
-
     def tail_matrix(self, k):
         """Residual factor: the reconstruction minus its rank-k head."""
         r = min(self.rows, self.cols)
         return (self._u[:, k:r] * self.sigma[k:r]) @ self._v[:, k:r].T
-
-    def reconstruct(self):
-        r = min(self.rows, self.cols)
-        return (self._u[:, :r] * self.sigma[:r]) @ self._v[:, :r].T
 
 
 def svd(a) -> SvdFactors:
@@ -218,28 +201,6 @@ def pseudo_inverse(m, tol=PINV_TOL):
     """Moore-Penrose inverse; singular values below ``tol * sigma_max`` are dropped."""
     m = _as_matrix(m, 'M')
     return np.linalg.pinv(m, rcond=tol)
-
-
-def psd_sqrt(c, tol=None):
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in ``[-tol, 0)`` are clipped to zero; anything below ``-tol``
-    raises.  ``tol`` defaults to ``1e-10 * ||C||_2``.
-    """
-    c = _as_matrix(c, 'C')
-    if c.shape[0] != c.shape[1]:
-        raise ValueError(f'C must be square, got {c.shape}')
-    c = _symmetrize(c, 'C')
-    w, vec = np.linalg.eigh(c)
-    if tol is None:
-        tol = 1e-10 * max(abs(w[0]), abs(w[-1]))
-    if w[0] < -tol:
-        raise NotPositiveSemidefiniteError(
-            f'matrix has eigenvalue {w[0]:.6e} below -{tol:.3e}',
-            offending_eigenvalue=float(w[0]),
-        )
-    root = (vec * np.sqrt(np.clip(w, 0.0, None))) @ vec.T
-    return 0.5 * (root + root.T)
 
 
 def spectral_norm(m) -> float:

@@ -11,31 +11,21 @@ indices give statistically independent streams.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-from .linalg import (
-    NotPositiveSemidefiniteError,
-    _as_matrix,
-    _symmetrize,
-    read_matrix_market,
-    write_matrix_market,
-)
+from .linalg import NotPositiveSemidefiniteError, _as_matrix, _symmetrize
 
 __all__ = [
     'GaussianSketch',
     'RsvdSketch',
     'SeededStream',
-    'read_sketch_descriptor',
     'rsvd_distribution',
     'rsvd_sketch',
     'sample',
     'standard_gaussian',
-    'write_sketch_descriptor',
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -56,9 +46,6 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         key = (self.stream_index << 64) | (self.master_seed & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, index) -> 'SeededStream':
-        return SeededStream(self.master_seed, index)
 
 
 def standard_gaussian(rows, cols, stream: SeededStream):
@@ -173,30 +160,3 @@ class RsvdSketch:
     def draw(self, a, stream: SeededStream):
         return rsvd_sketch(a, self.q, self.p, stream)
 
-
-def write_sketch_descriptor(path, sketch: GaussianSketch, seed):
-    """Serialize a sketch to JSON referencing Matrix Market files.
-
-    The mean and covariance are written next to the descriptor as
-    ``<stem>.mean.mtx`` and ``<stem>.cov.mtx``.
-    """
-    path = pathlib.Path(path)
-    mean_path = path.with_name(path.stem + '.mean.mtx')
-    cov_path = path.with_name(path.stem + '.cov.mtx')
-    write_matrix_market(mean_path, sketch.mean)
-    write_matrix_market(cov_path, sketch.covariance)
-    descriptor = {
-        'mean_path': mean_path.name,
-        'covariance_path': cov_path.name,
-        'seed': int(seed),
-    }
-    path.write_text(json.dumps(descriptor, indent=2) + '\n')
-
-
-def read_sketch_descriptor(path):
-    """Load a sketch descriptor; returns ``(GaussianSketch, SeededStream)``."""
-    path = pathlib.Path(path)
-    descriptor = json.loads(path.read_text())
-    mean = read_matrix_market(path.parent / descriptor['mean_path'])
-    cov = read_matrix_market(path.parent / descriptor['covariance_path'])
-    return GaussianSketch.from_moments(mean, cov), SeededStream(int(descriptor['seed']))

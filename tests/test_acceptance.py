@@ -30,8 +30,7 @@ from sketchbound.expectation import (
 )
 from sketchbound.experiments import (
     SweepConfig,
-    _collect_records,
-    _diagonal_rsvd_sketch,
+    _collect_residuals,
     emit,
     run_sweep,
     synthetic_matrix,
@@ -86,24 +85,20 @@ def _synthetic_problem():
 
 
 @functools.cache
-def _sweep_records():
-    """General-metric records for k in {5, 15} over the oversampling grid."""
+def _sweep_residuals():
+    """Full and projected-tail residuals for k in {5, 15} over the oversampling grid."""
     a, factors = _synthetic_problem()
     cells = {}
     excluded_total = 0
     cell_list = [(k, rho) for k in (5, 15) for rho in RHO_GRID]
     for cell_index, (k, rho) in enumerate(cell_list):
-        records, excluded = _collect_records(
+        residuals, excluded = _collect_residuals(
             a, factors, RsvdSketch(q=0, p=k + rho), k, TRIALS,
-            ('spectral', 'frobenius'), ('general',), ACC_SEED,
+            ('spectral', 'frobenius'), ACC_SEED,
             stream_offset=cell_index * TRIALS,
         )
         excluded_total += excluded
-        cells[(k, rho)] = {
-            which: np.array([(r.residual_full, r.residual_deflated)
-                             for r in records[(which, 'general')]])
-            for which in ('spectral', 'frobenius')
-        }
+        cells[(k, rho)] = residuals
     return cells, excluded_total
 
 
@@ -219,7 +214,7 @@ def test_criterion_04_tangent_moments_end_to_end():
 def test_criterion_05_oversampling_sweep_domination():
     with _Timer() as timer:
         _, factors = _synthetic_problem()
-        cells, excluded_total = _sweep_records()
+        cells, excluded_total = _sweep_residuals()
         sigma = factors.sigma
         eye = np.eye(SYNTHETIC_N)
         diag_factors = SvdFactors(eye, sigma, eye.copy())
@@ -239,7 +234,7 @@ def test_criterion_05_oversampling_sweep_domination():
                 ok = ok and mean_f <= bound_f + 3 * se_f and mean_s <= bound_s + 3 * se_s
                 worst_slack = min(worst_slack, bound_f - mean_f, bound_s - mean_s)
                 if k == 15 and rho in (2, 100):
-                    sketch = _diagonal_rsvd_sketch(sigma, SYNTHETIC_N, 0, p)
+                    sketch = rsvd_distribution(diag_factors, 0, p)
                     bound_sq = expected_frobenius_gap_sq_bound(diag_factors, sketch, k, p).bound
                     mean_sq, se_sq = _mean_se(data_f[:, 0] ** 2 - data_f[:, 1] ** 2)
                     ok = ok and mean_sq <= bound_sq + 3 * se_sq
@@ -261,7 +256,7 @@ def test_criterion_06_numeric_anchor():
         k = 20
         values = {}
         for p in (32, 102):
-            sketch = _diagonal_rsvd_sketch(sigma, SYNTHETIC_N, 0, p)
+            sketch = rsvd_distribution(diag_factors, 0, p)
             report = expected_frobenius_gap_sq_bound(diag_factors, sketch, k, p)
             values[p] = report.bound
             # closed-form assembly must agree
@@ -277,7 +272,7 @@ def test_criterion_06_numeric_anchor():
 def test_criterion_07_comparison_ordering():
     with _Timer() as timer:
         _, factors = _synthetic_problem()
-        cells, _ = _sweep_records()
+        cells, _ = _sweep_residuals()
         sigma = factors.sigma
         k = 15
         ok = True

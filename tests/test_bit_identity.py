@@ -1,0 +1,77 @@
+"""Bit-identity guard: every bound value of ``sketchbound bounds`` and of the
+bound columns of ``run_sweep``, compared as ``float.hex`` with a reference.
+
+``data/bound_values.json`` holds the values of a reference commit. Recapture
+it only when bound values are meant to change, from the root of a checkout:
+
+    PYTHONPATH=src python3 tests/test_bit_identity.py
+"""
+
+import functools
+import json
+import os
+import tempfile
+
+from sketchbound import cli, experiments
+
+PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'data', 'bound_values.json')
+CLI_CASES = ((3, 8, 0), (5, 20, 1), (10, 40, 2))
+ALL_VARIANTS = (
+    'cor_frobenius', 'cor_spectral', 'cor_spectral_improved',
+    'thm3', 'thm3_squared', 'thm4', 'thm5',
+    'hmt_frobenius', 'hmt_spectral', 'hmt_power',
+)
+
+
+def _hexed(value):
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    return value
+
+
+@functools.cache
+def bound_values():
+    """Every variant's report from the CLI and every bound column of a sweep."""
+    reports = {}
+    with tempfile.TemporaryDirectory() as directory:
+        out = os.path.join(directory, 'report.json')
+        for k, p, q in CLI_CASES:
+            argv = ['bounds', '--synthetic-n', '60', '--seed', '3',
+                    '--k', str(k), '--p', str(p), '--q', str(q), '--out', out]
+            if cli.main(argv) != 0:
+                raise RuntimeError(f'bounds request {argv} failed')
+            with open(out) as handle:
+                reports[f'k{k}-p{p}-q{q}'] = _hexed(json.load(handle)['variants'])
+    # bound columns depend on the spectrum only, so one trial and one norm suffice
+    config = experiments.SweepConfig(
+        n=60, k_list=(3, 5), oversampling_list=(2, 7, 20), q_list=(0, 1), trials=1, seed=3,
+        norm_list=('frobenius',), bound_variants=ALL_VARIANTS,
+    )
+    sweep = {f'k{row.k}-p{row.p}-q{row.q}': _hexed(row.bounds) for row in experiments.run_sweep(config)}
+    return {'bounds': reports, 'sweep': sweep}
+
+
+def _reference():
+    with open(PATH) as handle:
+        return json.load(handle)
+
+
+def test_cli_bound_values_unchanged():
+    got, want = bound_values()['bounds'], _reference()['bounds']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # the key order too
+
+
+def test_sweep_bound_columns_unchanged():
+    got, want = bound_values()['sweep'], _reference()['sweep']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+if __name__ == '__main__':
+    os.makedirs(os.path.dirname(PATH), exist_ok=True)
+    with open(PATH, 'w') as handle:
+        json.dump(bound_values(), handle, indent=1)
+        handle.write('\n')

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from sketchbound import cli
 from sketchbound.cli import main
 from sketchbound.experiments import synthetic_matrix
 from sketchbound.linalg import read_matrix_market, write_matrix_market
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound
+from sketchbound.sketching import rsvd_distribution
 
 
 def run_cli(*argv):
@@ -60,6 +62,18 @@ class TestBounds:
         report = json.loads(capsys.readouterr().out)
         assert {'thm3', 'thm4', 'thm5'} == set(report['variants'])
         assert report['variants']['thm5']['c_hat_k'] <= report['variants']['thm4']['c_k'] + 1e-12
+
+    def test_zero_mean_theorem_sketch_built_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rsvd_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(cli, 'rsvd_distribution', counting)
+        assert run_cli('bounds', '--synthetic-n', '60', '--k', '3', '--p', '8') == 0
+        assert len(calls) == 1
+        assert {'thm3', 'thm3_squared', 'thm4', 'thm5'} <= set(json.loads(capsys.readouterr().out)['variants'])
 
     def test_unknown_variant_is_precondition_error(self):
         assert run_cli('bounds', '--synthetic-n', '30', '--k', '2', '--p', '6',

@@ -124,7 +124,7 @@ class TestResidualGap:
             gap = residual_gap_squared(a, f, z, k, 'frobenius')
             assert gap >= 0.0
             q = orthonormal_basis(z)
-            head = f.head_matrix(k)
+            head = a - f.tail_matrix(k)
             head_term = np.linalg.norm(head - q @ (q.T @ head)) ** 2
             assert gap == pytest.approx(head_term, rel=1e-9, abs=1e-12)
 

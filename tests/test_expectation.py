@@ -41,8 +41,8 @@ class TestProjectCovariance:
         assert np.allclose(pc.conditional, np.eye(9), atol=1e-12)
 
     def test_gram_covariance_decouples(self):
-        f = random_factors(1)
-        a = f.reconstruct()
+        a = np.random.default_rng(1).standard_normal((12, 9))
+        f = svd(a)
         pc = project_covariance(a @ a.T, f, 4)
         assert np.allclose(pc.head, np.diag(f.sigma[:4] ** 2), atol=1e-10)
         assert np.max(np.abs(pc.cross)) < 1e-10
@@ -67,8 +67,6 @@ class TestProjectCovariance:
             pc = project_covariance(c, f, 4)
             w = np.linalg.eigvalsh(pc.conditional)
             assert w[0] >= -1e-10 * np.linalg.norm(c, 2)
-            root = pc.conditional_sqrt
-            assert np.linalg.norm(root @ root - pc.conditional, 2) <= 1e-9 * max(np.linalg.norm(c, 2), 1e-30)
 
     def test_singular_head_raises(self):
         f = random_factors(4)
@@ -249,8 +247,8 @@ class TestMeanShiftTerm:
 
     def test_monte_carlo_inequality(self):
         n, m, k, p, draws = 12, 8, 2, 5, 1000
-        f = random_factors(40, n=n, m=m)
-        a_head = f.head_matrix(k)
+        a = np.random.default_rng(40).standard_normal((n, m))
+        a_head = a - svd(a).tail_matrix(k)
         cov = random_psd(41, n) + 0.2 * np.eye(n)
         mean = 0.1 * np.random.default_rng(42).standard_normal((n, p))
         sk = GaussianSketch.from_moments(mean, cov)

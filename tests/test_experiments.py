@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sketchbound.deterministic import angle_operators
 from sketchbound.experiments import (
     SweepConfig,
     emit,
@@ -11,9 +12,9 @@ from sketchbound.experiments import (
     run_sweep,
     synthetic_matrix,
 )
-from sketchbound.linalg import SvdFactors, svd
+from sketchbound.linalg import RankDeficiencyError, SvdFactors, orthonormal_basis, svd
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound, spectral_bound
-from sketchbound.sketching import GaussianSketch, RsvdSketch, rsvd_distribution
+from sketchbound.sketching import GaussianSketch, RsvdSketch, SeededStream, rsvd_distribution, rsvd_sketch
 
 
 class TestSyntheticMatrix:
@@ -69,16 +70,29 @@ class TestEmpiricalError:
         for which in ('spectral', 'frobenius'):
             stats = empirical_error(a, f, RsvdSketch(q=0, p=10), k=4, trials=25,
                                     norm=which, metric='general', seed=8)
-            for record in stats.records:
-                assert record.metric_value >= -1e-12
+            assert stats.values.dtype == np.float64 and stats.values.size == stats.trials == 25
+            assert np.all(stats.values >= -1e-12)
 
     def test_old_metric_uses_tail_norm(self):
         a, f = synthetic_matrix(40, seed=9)
         stats = empirical_error(a, f, RsvdSketch(q=0, p=12), k=3, trials=5,
                                 norm='spectral', metric='old', seed=10)
-        for record in stats.records:
-            assert record.residual_deflated == pytest.approx(f.sigma[3])
-            assert record.metric_value == pytest.approx(record.residual_full - f.sigma[3])
+        # trial t draws from SeededStream(seed, t)
+        full = []
+        for t in range(5):
+            q = orthonormal_basis(rsvd_sketch(a, 0, 12, SeededStream(10, t)))
+            full.append(np.linalg.norm(a - q @ (q.T @ a), 2))
+        assert stats.values == pytest.approx(np.array(full) - f.sigma[3], abs=1e-10)
+
+    def test_rank_deficient_head_excludes_every_trial(self):
+        a, f = rank_deficient_problem()
+        k, p = 5, 7  # the head block has a zero row: rank(A) = 4 < k
+        for which in ('spectral', 'frobenius'):
+            stats = empirical_error(a, f, RsvdSketch(q=0, p=p), k, trials=6, norm=which, seed=3)
+            assert stats.trials == 0
+            assert stats.excluded_trials == 6
+        with pytest.raises(RankDeficiencyError):
+            angle_operators(f, rsvd_sketch(a, 0, p, SeededStream(3, 0)), k)
 
     def test_deterministic_given_seed(self):
         a, f = synthetic_matrix(30, seed=11)

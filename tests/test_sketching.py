@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,10 @@ from sketchbound.sketching import (
     GaussianSketch,
     RsvdSketch,
     SeededStream,
-    read_sketch_descriptor,
     rsvd_distribution,
     rsvd_sketch,
     sample,
     standard_gaussian,
-    write_sketch_descriptor,
 )
 
 # one-sided normal quantile at 1.96
@@ -31,10 +27,6 @@ class TestSeededStream:
         g1 = standard_gaussian(6, 5, SeededStream(1, 0))
         g2 = standard_gaussian(6, 5, SeededStream(1, 1))
         assert not np.array_equal(g1, g2)
-
-    def test_substream(self):
-        s = SeededStream(5)
-        assert s.substream(3) == SeededStream(5, 3)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
@@ -182,16 +174,3 @@ class TestRsvdDistribution:
         # normal quantile for two-sided 1e-3 Bonferroni over 15 unique entries
         assert np.max(z_scores) < 4.1
 
-
-class TestDescriptors:
-    def test_round_trip(self, tmp_path):
-        b = np.random.default_rng(10).standard_normal((4, 4))
-        sk = GaussianSketch.from_moments(np.ones((4, 2)), b @ b.T)
-        path = tmp_path / 'sketch.json'
-        write_sketch_descriptor(path, sk, seed=42)
-        desc = json.loads(path.read_text())
-        assert set(desc) == {'mean_path', 'covariance_path', 'seed'}
-        loaded, stream = read_sketch_descriptor(path)
-        assert stream == SeededStream(42)
-        assert np.allclose(loaded.mean, sk.mean, atol=1e-14)
-        assert np.allclose(loaded.covariance, sk.covariance, atol=1e-12)
