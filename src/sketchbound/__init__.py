@@ -29,6 +29,7 @@ from .expectation import (
     expected_spectral_tail_bound,
     mean_shift_term,
     project_covariance,
+    project_sketch,
     tangent_norm_constants,
 )
 from .experiments import (

@@ -51,6 +51,7 @@ __all__ = [
     'expected_spectral_tail_bound',
     'mean_shift_term',
     'project_covariance',
+    'project_sketch',
     'tangent_norm_constants',
 ]
 
@@ -261,7 +262,13 @@ class ExpectationBoundReport:
         return asdict(self)
 
 
-def _validate_and_project(factors: SvdFactors, sketch: GaussianSketch, k, p):
+def project_sketch(factors: SvdFactors, sketch: GaussianSketch, k, p) -> ProjectedCovariance:
+    """Validate a bound request and project its sketch covariance.
+
+    Every theorem variant of one ``(factors, sketch, k, p)`` request needs the
+    same projection, so it can be built once and passed to each of them as
+    their optional ``projection``; without it, each variant builds its own.
+    """
     # The derivation assumes p <= min(rank(A), rank(C)) so that the sketch is
     # full column rank with probability one, but the bound values themselves
     # only need the projected head block to be nonsingular (checked below)
@@ -274,17 +281,17 @@ def _validate_and_project(factors: SvdFactors, sketch: GaussianSketch, k, p):
     return project_covariance(sketch.covariance, factors, k)
 
 
-def expected_frobenius_gap_bound(factors, sketch, k, p) -> ExpectationBoundReport:
+def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Expectation bound on the Frobenius residual gap (unsquared metric)."""
-    pc = _validate_and_project(factors, sketch, k, p)
+    pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     return _frobenius_report(pc, factors, sketch, k, p, squared=False)
 
 
-def expected_frobenius_gap_sq_bound(factors, sketch, k, p) -> ExpectationBoundReport:
+def expected_frobenius_gap_sq_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Tighter bound on the squared Frobenius gap; centered sketches only."""
     if np.any(sketch.mean):
         raise ValueError('the squared-gap bound requires a zero-mean sketch')
-    pc = _validate_and_project(factors, sketch, k, p)
+    pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     return _frobenius_report(pc, factors, sketch, k, p, squared=True)
 
 
@@ -308,9 +315,9 @@ def _frobenius_report(pc, factors, sketch, k, p, squared):
     )
 
 
-def expected_spectral_gap_bound(factors, sketch, k, p) -> ExpectationBoundReport:
+def expected_spectral_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Expectation bound on the spectral residual gap."""
-    pc = _validate_and_project(factors, sketch, k, p)
+    pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     sig_head = factors.sigma_head(k)
     c_k = tangent_norm_constants(pc, np.diag(sig_head), p).total_spectral
     d_k = tangent_norm_constants(pc, np.eye(k), p).total_spectral
@@ -323,13 +330,13 @@ def expected_spectral_gap_bound(factors, sketch, k, p) -> ExpectationBoundReport
     )
 
 
-def expected_spectral_tail_bound(factors, sketch, k, p) -> ExpectationBoundReport:
+def expected_spectral_tail_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Improved spectral bound on ``E||(I - pi(Z)) A||_2 - sigma_{k+1}``.
 
     Uses the deflated head spectrum; its identity-weighted constant equals
     the one of the plain spectral bound.
     """
-    pc = _validate_and_project(factors, sketch, k, p)
+    pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     sig_head = factors.sigma_head(k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(sig_head**2 - s_next**2, 0.0, None))

@@ -13,6 +13,7 @@ convention, and :func:`evaluate_bounds` serves both the sweeps and the
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -258,10 +259,11 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
 
     The closed forms and the HMT baselines depend on ``factors.sigma`` only.
     The theorem variants evaluate ``sketch``, a :class:`GaussianSketch`
-    expressed against ``factors``; it is needed only when one is named.
+    expressed against ``factors``; it is needed only when one is named, and
+    its projected covariance is built once for all of them.
     """
     reports = {}
-    profile = None
+    profile = projection = None
     for name in variants:
         if name in RSVD_VARIANTS:
             if profile is None:
@@ -269,7 +271,12 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
             result = RSVD_VARIANTS[name](profile)
             reports[name] = {'bound': result.bound, **result.constants}
         elif name in THEOREM_VARIANTS:
-            result = THEOREM_VARIANTS[name](factors, sketch, k, p)
+            if projection is None:
+                # a request the projection rejects is left to the variant,
+                # which raises the error its own checks meet first
+                with contextlib.suppress(ValueError):
+                    projection = expectation.project_sketch(factors, sketch, k, p)
+            result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
             reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
         else:
             reports[name] = {'bound': HMT_VARIANTS[name](factors.sigma, k, p, q)}

@@ -142,10 +142,6 @@ class SvdFactors:
         self._check_k(k)
         return self.sigma[:k]
 
-    def sigma_tail(self, k):
-        self._check_k(k)
-        return self.sigma[k:]
-
     def next_sigma(self, k):
         """``sigma[k]`` in 0-based terms, i.e. the (k+1)-th singular value; 0 past the end."""
         self._check_k(k)

@@ -40,6 +40,9 @@ class SeededStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        # outside [0, 2**64) the 64-bit key would alias another seed's stream
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError(f'master_seed must be in [0, 2**64), got {self.master_seed}')
         if not 0 <= self.stream_index <= _MASK64:
             raise ValueError('stream_index must fit in 64 bits')
 

@@ -12,10 +12,15 @@ import json
 import os
 import tempfile
 
+import numpy as np
+
 from sketchbound import cli, experiments
+from sketchbound.linalg import write_matrix_market
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'data', 'bound_values.json')
 CLI_CASES = ((3, 8, 0), (5, 20, 1), (10, 40, 2))
+# a --mean/--cov request: nonzero mean, dense covariance unrelated to A's basis
+MEAN_COV_CASE = (5, 20, 1)
 ALL_VARIANTS = (
     'cor_frobenius', 'cor_spectral', 'cor_spectral_improved',
     'thm3', 'thm3_squared', 'thm4', 'thm5',
@@ -31,6 +36,18 @@ def _hexed(value):
     return value
 
 
+def _mean_cov_files(directory, n, p):
+    """Matrix Market files of a small nonzero mean and a dense well-conditioned
+    covariance, built without BLAS so their bits do not depend on its threads."""
+    rng = np.random.default_rng(20221020)
+    b = rng.standard_normal((n, n))
+    cov = np.einsum('ik,jk->ij', b, b) / n + 1e-3 * np.eye(n)
+    paths = os.path.join(directory, 'mean.mtx'), os.path.join(directory, 'cov.mtx')
+    write_matrix_market(paths[0], 0.05 * rng.standard_normal((n, p)))
+    write_matrix_market(paths[1], cov)
+    return paths
+
+
 @functools.cache
 def bound_values():
     """Every variant's report from the CLI and every bound column of a sweep."""
@@ -44,6 +61,15 @@ def bound_values():
                 raise RuntimeError(f'bounds request {argv} failed')
             with open(out) as handle:
                 reports[f'k{k}-p{p}-q{q}'] = _hexed(json.load(handle)['variants'])
+        k, p, q = MEAN_COV_CASE
+        mean, cov = _mean_cov_files(directory, 60, p)
+        argv = ['bounds', '--synthetic-n', '60', '--seed', '3',
+                '--k', str(k), '--p', str(p), '--q', str(q), '--mean', mean, '--cov', cov,
+                '--variant', ','.join(v for v in ALL_VARIANTS if v != 'thm3_squared'), '--out', out]
+        if cli.main(argv) != 0:
+            raise RuntimeError(f'bounds request {argv} failed')
+        with open(out) as handle:
+            reports[f'k{k}-p{p}-q{q}-meancov'] = _hexed(json.load(handle)['variants'])
     # bound columns depend on the spectrum only, so one trial and one norm suffice
     config = experiments.SweepConfig(
         n=60, k_list=(3, 5), oversampling_list=(2, 7, 20), q_list=(0, 1), trials=1, seed=3,

@@ -5,7 +5,7 @@ import pytest
 
 from sketchbound import cli
 from sketchbound.cli import main
-from sketchbound.experiments import synthetic_matrix
+from sketchbound.experiments import VARIANTS, synthetic_matrix
 from sketchbound.linalg import read_matrix_market, write_matrix_market
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound
 from sketchbound.sketching import rsvd_distribution
@@ -13,6 +13,16 @@ from sketchbound.sketching import rsvd_distribution
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def mean_cov_args(tmp_path, n, p, mean_scale):
+    """``--mean``/``--cov`` arguments for a dense covariance and a scaled mean."""
+    rng = np.random.default_rng(5)
+    b = rng.standard_normal((n, n))
+    mean_path, cov_path = tmp_path / 'mean.mtx', tmp_path / 'cov.mtx'
+    write_matrix_market(mean_path, mean_scale * rng.standard_normal((n, p)))
+    write_matrix_market(cov_path, b @ b.T / n + 1e-3 * np.eye(n))
+    return ('--mean', str(mean_path), '--cov', str(cov_path))
 
 
 class TestGenMatrix:
@@ -63,7 +73,7 @@ class TestBounds:
         assert {'thm3', 'thm4', 'thm5'} == set(report['variants'])
         assert report['variants']['thm5']['c_hat_k'] <= report['variants']['thm4']['c_k'] + 1e-12
 
-    def test_zero_mean_theorem_sketch_built_once(self, monkeypatch, capsys):
+    def test_zero_mean_theorem_sketch_built_once(self, monkeypatch, projection_calls, capsys):
         calls = []
 
         def counting(*args, **kwargs):
@@ -73,7 +83,28 @@ class TestBounds:
         monkeypatch.setattr(cli, 'rsvd_distribution', counting)
         assert run_cli('bounds', '--synthetic-n', '60', '--k', '3', '--p', '8') == 0
         assert len(calls) == 1
-        assert {'thm3', 'thm3_squared', 'thm4', 'thm5'} <= set(json.loads(capsys.readouterr().out)['variants'])
+        assert len(projection_calls) == 1  # shared by the four theorem variants
+        assert list(json.loads(capsys.readouterr().out)['variants']) == list(VARIANTS)
+
+    def test_mean_cov_theorem_variants_project_covariance_once(self, tmp_path, projection_calls, capsys):
+        assert run_cli('bounds', '--synthetic-n', '60', '--k', '3', '--p', '8',
+                       '--variant', 'thm3,thm4,thm5', *mean_cov_args(tmp_path, 60, 8, 0.05)) == 0
+        assert list(json.loads(capsys.readouterr().out)['variants']) == ['thm3', 'thm4', 'thm5']
+        assert len(projection_calls) == 1
+
+    @pytest.mark.parametrize('mean_scale, omitted', [(0.05, ['thm3_squared']), (0.0, [])])
+    def test_moments_default_variants(self, tmp_path, capsys, mean_scale, omitted):
+        # the squared-gap bound is left out of the default list for a nonzero mean only
+        assert run_cli('bounds', '--synthetic-n', '60', '--k', '3', '--p', '8',
+                       *mean_cov_args(tmp_path, 60, 8, mean_scale)) == 0
+        report = json.loads(capsys.readouterr().out)['variants']
+        assert list(report) == [v for v in VARIANTS if v not in omitted]
+        assert (report['thm3']['mean_term'] > 0) == bool(mean_scale)
+
+    def test_nonzero_mean_named_squared_gap_variant_fails(self, tmp_path, capsys):
+        assert run_cli('bounds', '--synthetic-n', '60', '--k', '3', '--p', '8',
+                       '--variant', 'thm3,thm3_squared', *mean_cov_args(tmp_path, 60, 8, 0.05)) == 2
+        assert 'the squared-gap bound requires a zero-mean sketch' in capsys.readouterr().err
 
     def test_unknown_variant_is_precondition_error(self):
         assert run_cli('bounds', '--synthetic-n', '30', '--k', '2', '--p', '6',
@@ -123,6 +154,11 @@ class TestEmpirical:
         assert stats['excluded_trials'] == 0
         assert stats['mean'] > 0
         assert stats['std'] >= 0
+
+    def test_negative_seed_is_precondition_error(self, capsys):
+        assert run_cli('empirical', '--synthetic-n', '30', '--k', '3', '--p', '8',
+                       '--trials', '2', '--seed', '-1') == 2
+        assert 'master_seed' in capsys.readouterr().err
 
     def test_deterministic_across_runs(self, capsys):
         args = ('empirical', '--synthetic-n', '25', '--k', '2', '--p', '6',

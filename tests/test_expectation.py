@@ -15,8 +15,10 @@ from sketchbound.expectation import (
     expected_spectral_tail_bound,
     mean_shift_term,
     project_covariance,
+    project_sketch,
     tangent_norm_constants,
 )
+from sketchbound.experiments import evaluate_bounds
 from sketchbound.linalg import RankDeficiencyError, SvdFactors, svd
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound, spectral_bound
 from sketchbound.sketching import GaussianSketch, SeededStream, rsvd_distribution, standard_gaussian
@@ -338,6 +340,25 @@ class TestTheoremBounds:
             expected_frobenius_gap_bound(f, sketch, 3, 4)  # k > p - 2
         with pytest.raises(ValueError):
             expected_frobenius_gap_bound(f, sketch, 1, 5)  # p mismatch
+
+    def test_shared_projection_gives_identical_reports(self):
+        f = random_factors(85, n=14, m=10)
+        k, p = 3, 6
+        sketch = GaussianSketch.from_moments(0.1 * np.ones((14, p)), random_psd(86, 14) + 0.05 * np.eye(14))
+        pc = project_sketch(f, sketch, k, p)
+        for fn in (expected_frobenius_gap_bound, expected_spectral_gap_bound, expected_spectral_tail_bound):
+            assert fn(f, sketch, k, p, pc) == fn(f, sketch, k, p)
+
+    def test_shared_projection_keeps_each_variants_first_error(self):
+        f = random_factors(87)
+        sketch = GaussianSketch.from_moments(np.ones((12, 5)), np.eye(12))
+        with pytest.raises(ValueError, match='zero-mean'):
+            evaluate_bounds(['thm3_squared', 'thm3'], f, 4, 5, 0, sketch)  # k > p - 2 too
+        with pytest.raises(ValueError, match='1 <= k <= p - 2'):
+            evaluate_bounds(['thm3', 'thm3_squared'], f, 4, 5, 0, sketch)
+        singular = GaussianSketch.from_moments(np.zeros((12, 5)), np.diag([1.0, 0.0] * 6))
+        with pytest.raises(RankDeficiencyError):
+            evaluate_bounds(['thm4'], SvdFactors(np.eye(12, 9), f.sigma, np.eye(9)), 2, 5, 0, singular)
 
     def test_report_serialization_keys(self):
         f = random_factors(84)

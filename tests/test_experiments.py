@@ -5,6 +5,7 @@ import pytest
 
 from sketchbound.deterministic import angle_operators
 from sketchbound.experiments import (
+    VARIANTS,
     SweepConfig,
     emit,
     empirical_error,
@@ -184,6 +185,13 @@ class TestRunSweep:
         row = run_sweep(config)[0]
         assert row.bounds['thm3'] == pytest.approx(row.bounds['cor_frobenius'], rel=1e-10)
         assert row.bounds['thm4'] == pytest.approx(row.bounds['cor_spectral'], rel=1e-10)
+
+    def test_theorem_variants_project_covariance_once_per_cell(self, projection_calls):
+        config = small_config(n=60, k_list=(3, 5), oversampling_list=(4, 8), q_list=(0,),
+                              norm_list=('frobenius',), trials=1, bound_variants=VARIANTS)
+        rows = run_sweep(config)
+        assert len(rows) == 4
+        assert len(projection_calls) == 4
 
     def test_improved_spectral_column_never_looser(self):
         config = small_config(q_list=(0, 1), oversampling_list=(4, 8),

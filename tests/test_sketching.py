@@ -32,6 +32,17 @@ class TestSeededStream:
         with pytest.raises(ValueError):
             SeededStream(1, -2)
 
+    def test_master_seed_outside_64_bits_rejected(self):
+        # -1 and 2**64 + 5 would alias the streams of 2**64 - 1 and 5
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match='master_seed'):
+                SeededStream(seed)
+
+    def test_largest_master_seed_draws(self):
+        g = standard_gaussian(4, 3, SeededStream(2**64 - 1, 2))
+        assert np.array_equal(g, standard_gaussian(4, 3, SeededStream(2**64 - 1, 2)))
+        assert not np.array_equal(g, standard_gaussian(4, 3, SeededStream(0, 2)))
+
 
 class TestStandardGaussian:
     def test_moments_of_pooled_entries(self):
