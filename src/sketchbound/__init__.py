@@ -19,12 +19,10 @@ from .expectation import (
     ExpectationBoundReport,
     ProjectedCovariance,
     TangentMomentConstants,
-    conditional_mean_map,
     expect_pinv_norms,
     expect_product_norms,
     expected_frobenius_gap_bound,
     expected_frobenius_gap_sq_bound,
-    expected_sine_norms,
     expected_spectral_gap_bound,
     expected_spectral_tail_bound,
     mean_shift_term,

@@ -9,6 +9,11 @@ bounded through the tangent operator ``T = Omega_tail Omega_head^+`` and the
 sine operator ``S = (I + T T^T)^{-1/2} T``, whose singular values are the
 tangents and sines of the canonical angles between ``range(Z Omega_head^+)``
 and the dominant left singular subspace.
+
+The gap itself is evaluated in the left singular basis: with ``Q`` an
+orthonormal basis of ``U^T Z``, the residual ``(I - pi(Z)) A`` has the Gram
+matrix ``Sigma^2 - B^T B`` for ``B = Q^T Sigma`` (Halko, Martinsson & Tropp
+2011), so no dense residual of ``A`` is ever formed.
 """
 
 from __future__ import annotations
@@ -97,14 +102,38 @@ def angle_operators(factors: SvdFactors, z, k, mean=None, rank_tol=RANK_TOL) -> 
     return AngleOperators(tangent, sine, np.atleast_1d(t_sigma), np.atleast_1d(s_sigma))
 
 
+def _rotated_basis_product(factors: SvdFactors, z):
+    """``B = Q[:r]^T Sigma`` (p x r) for an orthonormal basis Q of ``U^T Z``.
+
+    ``(I - pi(Z)) A`` has the Gram matrix ``Sigma^2 - B^T B`` in the right
+    singular basis, and its restriction to a trailing block is that of the
+    same residual of the tail ``A_tail``.
+    """
+    q = orthonormal_basis(factors.left().T @ z)
+    return q[:factors.sigma.size].T * factors.sigma
+
+
+def _top_eigenvalue(gram):
+    """Largest eigenvalue of a symmetric matrix; 0 for an empty one."""
+    return float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+
+
 def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
-    """``||(I - pi(Z)) A||^2 - ||(I - pi(Z)) A_tail||^2`` in the requested norm."""
-    a = _as_matrix(a, 'A')
-    q = orthonormal_basis(z)
-    tail = factors.tail_matrix(k)
-    resid_full = a - q @ (q.T @ a)
-    resid_tail = tail - q @ (q.T @ tail)
-    return matrix_norm(resid_full, which) ** 2 - matrix_norm(resid_tail, which) ** 2
+    """``||(I - pi(Z)) A||^2 - ||(I - pi(Z)) A_tail||^2`` in the requested norm.
+
+    The gap is computed from ``factors``, which must be the SVD of ``a``;
+    ``a`` itself is only validated.
+    """
+    _as_matrix(a, 'A')
+    sig_head = factors.sigma_head(k)
+    b = _rotated_basis_product(factors, z)
+    if which == 'frobenius':
+        # the residual norms split over head and tail columns; the tail cancels
+        return float(np.sum(sig_head**2) - np.sum(b[:, :k] ** 2))
+    if which == 'spectral':
+        gram = np.diag(factors.sigma**2) - b.T @ b
+        return _top_eigenvalue(gram) - _top_eigenvalue(gram[k:, k:])
+    raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
 
 
 @dataclass(frozen=True)
@@ -150,18 +179,18 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     """Sharper spectral bound on ``||(I - pi(Z)) A||_2^2 - sigma_{k+1}^2``.
 
     Uses the deflated head spectrum ``(Sigma_head^2 - sigma_{k+1}^2 I)^{1/2}``
-    in place of ``Sigma_head``.
+    in place of ``Sigma_head``. As in :func:`residual_gap_squared`, the gap is
+    computed from ``factors``, which must be the SVD of ``a``.
     """
-    a = _as_matrix(a, 'A')
+    _as_matrix(a, 'A')
     ops = angle_operators(factors, z, k)
     sig_head = factors.sigma_head(k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(sig_head**2 - s_next**2, 0.0, None))
-    bound_sine = float(ops.sine_sigma[0]) ** 2 * float(deflated[0]) ** 2 if deflated.size else 0.0
+    bound_sine = _operator_norms(ops.sine_sigma, 'spectral') ** 2 * float(deflated[0]) ** 2
     bound_tangent = matrix_norm(ops.tangent * deflated[None, :], 'spectral') ** 2
-    q = orthonormal_basis(z)
-    resid_full = a - q @ (q.T @ a)
-    lhs = matrix_norm(resid_full, 'spectral') ** 2 - s_next**2
+    b = _rotated_basis_product(factors, z)
+    lhs = _top_eigenvalue(np.diag(factors.sigma**2) - b.T @ b) - s_next**2
     return DeterministicBoundReport(
         norm='spectral',
         k=k,

@@ -41,12 +41,10 @@ __all__ = [
     'ExpectationBoundReport',
     'ProjectedCovariance',
     'TangentMomentConstants',
-    'conditional_mean_map',
     'expect_pinv_norms',
     'expect_product_norms',
     'expected_frobenius_gap_bound',
     'expected_frobenius_gap_sq_bound',
-    'expected_sine_norms',
     'expected_spectral_gap_bound',
     'expected_spectral_tail_bound',
     'mean_shift_term',
@@ -114,11 +112,6 @@ def project_covariance(c, factors: SvdFactors, k, rank_tol=RANK_TOL) -> Projecte
     conditional = tail - cross @ scipy.linalg.cho_solve(head_cho, cross.T)
     conditional = 0.5 * (conditional + conditional.T)
     return ProjectedCovariance(head, cross, tail, conditional, head_cho)
-
-
-def conditional_mean_map(pc: ProjectedCovariance, omega_head):
-    """Mean of the tail block given the head block: ``cross head^{-1} omega_head``."""
-    return pc.cross @ pc.solve_head(_as_matrix(omega_head, 'omega_head'))
 
 
 def expect_product_norms(mean, covariance, n_mat):
@@ -223,13 +216,6 @@ def tangent_norm_constants(pc: ProjectedCovariance, n_mat, p) -> TangentMomentCo
         total_spectral=dep_spectral + sampling_spectral,
         total_frobenius_sq=dep_frobenius**2 + sampling_frobenius**2,
     )
-
-
-def expected_sine_norms(constants: TangentMomentConstants, k):
-    """Bounds on ``E ||S||_2`` and ``E ||S||_F`` from identity-weighted constants."""
-    spectral = phi(constants.total_spectral)
-    frobenius = math.sqrt(k) * phi(math.sqrt(constants.total_frobenius_sq / k))
-    return spectral, frobenius
 
 
 def mean_shift_term(sketch: GaussianSketch, head_norm, p) -> float:

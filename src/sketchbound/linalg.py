@@ -91,7 +91,6 @@ class SvdFactors:
         self._v = np.asarray(v, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
-        self._v_full = self._v if self._v.shape[0] == self._v.shape[1] else None
         if np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
             raise ValueError('singular values must be non-negative and sorted descending')
 
@@ -120,12 +119,6 @@ class SvdFactors:
             self._u_full = self._complete(self._u)
         return self._u_full
 
-    def right(self):
-        """Full orthogonal right factor."""
-        if self._v_full is None:
-            self._v_full = self._complete(self._v)
-        return self._v_full
-
     def _check_k(self, k):
         if not 1 <= k <= self.sigma.size:
             raise ValueError(f'target rank k={k} outside [1, {self.sigma.size}]')
@@ -146,11 +139,6 @@ class SvdFactors:
         """``sigma[k]`` in 0-based terms, i.e. the (k+1)-th singular value; 0 past the end."""
         self._check_k(k)
         return float(self.sigma[k]) if k < self.sigma.size else 0.0
-
-    def tail_matrix(self, k):
-        """Residual factor: the reconstruction minus its rank-k head."""
-        r = min(self.rows, self.cols)
-        return (self._u[:, k:r] * self.sigma[k:r]) @ self._v[:, k:r].T
 
 
 def svd(a) -> SvdFactors:

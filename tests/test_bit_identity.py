@@ -1,5 +1,6 @@
-"""Bit-identity guard: every bound value of ``sketchbound bounds`` and of the
-bound columns of ``run_sweep``, compared as ``float.hex`` with a reference.
+"""Bit-identity guard: every bound value of ``sketchbound bounds``, of the
+bound columns of ``run_sweep`` and of the per-sample deterministic bounds,
+compared as ``float.hex`` with a reference.
 
 ``data/bound_values.json`` holds the values of a reference commit. Recapture
 it only when bound values are meant to change, from the root of a checkout:
@@ -14,13 +15,17 @@ import tempfile
 
 import numpy as np
 
-from sketchbound import cli, experiments
-from sketchbound.linalg import write_matrix_market
+from sketchbound import cli, deterministic, experiments
+from sketchbound.linalg import svd, write_matrix_market
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'data', 'bound_values.json')
 CLI_CASES = ((3, 8, 0), (5, 20, 1), (10, 40, 2))
 # a --mean/--cov request: nonzero mean, dense covariance unrelated to A's basis
 MEAN_COV_CASE = (5, 20, 1)
+# (rows, cols, k) of the tall, wide and square deterministic instances; each
+# is sketched with q = 0 and q = 1 power passes
+DET_SHAPES = ((30, 20, 4), (20, 30, 6), (24, 24, 5))
+DET_SKETCH_COLUMNS = 9
 ALL_VARIANTS = (
     'cor_frobenius', 'cor_spectral', 'cor_spectral_improved',
     'thm3', 'thm3_squared', 'thm4', 'thm5',
@@ -46,6 +51,37 @@ def _mean_cov_files(directory, n, p):
     write_matrix_market(paths[0], 0.05 * rng.standard_normal((n, p)))
     write_matrix_market(paths[1], cov)
     return paths
+
+
+def _deterministic_instance(rows, cols, q):
+    """A with decaying column scales and ``Z = (A A^T)^q A G``, built without
+    BLAS so their bits do not depend on its threads."""
+    rng = np.random.default_rng([rows, cols, q])
+    a = rng.standard_normal((rows, cols)) / np.arange(1, cols + 1)
+    z = np.einsum('ij,jk->ik', a, rng.standard_normal((cols, DET_SKETCH_COLUMNS)))
+    for _ in range(q):
+        z = np.einsum('ij,jk->ik', a, np.einsum('ji,jk->ik', a, z))
+    return a, z
+
+
+def deterministic_bound_values():
+    """``bound_sine``, ``bound_tangent`` and ``bound`` of the three per-sample
+    reports of each instance; ``lhs_gap`` moves at round-off and is left out."""
+    values = {}
+    for rows, cols, k in DET_SHAPES:
+        for q in (0, 1):
+            a, z = _deterministic_instance(rows, cols, q)
+            factors = svd(a)
+            reports = (
+                deterministic.sine_tangent_gap_bound(a, factors, z, k, 'frobenius'),
+                deterministic.sine_tangent_gap_bound(a, factors, z, k, 'spectral'),
+                deterministic.deflated_spectral_gap_bound(a, factors, z, k),
+            )
+            values[f'{rows}x{cols}-k{k}-q{q}'] = [
+                {key: getattr(r, key).hex() for key in ('bound_sine', 'bound_tangent', 'bound')}
+                for r in reports
+            ]
+    return values
 
 
 @functools.cache
@@ -76,7 +112,7 @@ def bound_values():
         norm_list=('frobenius',), bound_variants=ALL_VARIANTS,
     )
     sweep = {f'k{row.k}-p{row.p}-q{row.q}': _hexed(row.bounds) for row in experiments.run_sweep(config)}
-    return {'bounds': reports, 'sweep': sweep}
+    return {'bounds': reports, 'sweep': sweep, 'deterministic': deterministic_bound_values()}
 
 
 def _reference():
@@ -92,6 +128,12 @@ def test_cli_bound_values_unchanged():
 
 def test_sweep_bound_columns_unchanged():
     got, want = bound_values()['sweep'], _reference()['sweep']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_deterministic_bound_values_unchanged():
+    got, want = bound_values()['deterministic'], _reference()['deterministic']
     assert got == want
     assert json.dumps(got) == json.dumps(want)
 

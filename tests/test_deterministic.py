@@ -124,7 +124,7 @@ class TestResidualGap:
             gap = residual_gap_squared(a, f, z, k, 'frobenius')
             assert gap >= 0.0
             q = orthonormal_basis(z)
-            head = a - f.tail_matrix(k)
+            head = f.left_head(k) @ (f.left_head(k).T @ a)
             head_term = np.linalg.norm(head - q @ (q.T @ head)) ** 2
             assert gap == pytest.approx(head_term, rel=1e-9, abs=1e-12)
 
@@ -191,6 +191,17 @@ class TestDeflatedSpectralBound:
             plain = sine_tangent_gap_bound(a, f, z, 3, 'spectral')
             assert deflated.bound <= plain.bound + 1e-12
             assert deflated.lhs_gap <= deflated.bound + 1e-9
+
+    def test_target_rank_equal_to_rows(self):
+        # no tail subspace is left, so the sine spectrum is empty
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 6))
+        f = svd(a)
+        z = rng.standard_normal((6, 6))
+        rep = deflated_spectral_gap_bound(a, f, z, 6)
+        plain = sine_tangent_gap_bound(a, f, z, 6, 'spectral')
+        assert rep.bound == plain.bound == 0.0
+        assert abs(rep.lhs_gap) < 1e-9
 
 
 class TestOrderingChain:

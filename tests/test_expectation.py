@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from sketchbound.expectation import (
-    TangentMomentConstants,
-    conditional_mean_map,
     expect_pinv_norms,
     expect_product_norms,
     expected_frobenius_gap_bound,
     expected_frobenius_gap_sq_bound,
-    expected_sine_norms,
     expected_spectral_gap_bound,
     expected_spectral_tail_bound,
     mean_shift_term,
@@ -76,23 +73,6 @@ class TestProjectCovariance:
         c = tail @ tail.T  # covariance supported on the tail subspace
         with pytest.raises(RankDeficiencyError):
             project_covariance(c, f, 3)
-
-
-class TestConditionalMeanMap:
-    def test_zero_cross_block(self):
-        f = random_factors(5)
-        pc = project_covariance(np.eye(12), f, 3)
-        omega = np.random.default_rng(0).standard_normal((3, 6))
-        assert np.max(np.abs(conditional_mean_map(pc, omega))) < 1e-12
-
-    def test_identity_head(self):
-        # hand case: cross = (1 0; 0 0 ...), head = diag(2, 1) -> map = (0.5 0) omega
-        f = SvdFactors(np.eye(3), np.array([3.0, 2.0, 1.0]), np.eye(3))
-        c = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
-        pc = project_covariance(c, f, 2)
-        omega = np.arange(4.0).reshape(2, 2)
-        expected = np.array([[0.5, 0.0]]) @ omega
-        assert np.allclose(conditional_mean_map(pc, omega), expected, atol=1e-12)
 
 
 class TestExpectProductNorms:
@@ -198,35 +178,6 @@ class TestTangentNormConstants:
         assert vals_sp.mean() <= consts.total_spectral
 
 
-class TestExpectedSineNorms:
-    def test_vanishing_constants(self):
-        consts = TangentMomentConstants(0, 0, 0, 0, 0.0, 0.0)
-        assert expected_sine_norms(consts, 4) == (0.0, 0.0)
-
-    def test_spectral_saturates(self):
-        consts = TangentMomentConstants(0, 0, 0, 0, 1e9, 1e18)
-        spectral, frobenius = expected_sine_norms(consts, 4)
-        assert spectral == pytest.approx(1.0, abs=1e-9)
-        assert frobenius <= 2.0 + 1e-12
-    def test_monte_carlo_spectral_domination(self):
-        n, m, k, p, draws = 14, 9, 3, 7, 300
-        f = random_factors(30, n=n, m=m)
-        c = random_psd(31, n) + 0.1 * np.eye(n)
-        pc = project_covariance(c, f, k)
-        consts = tangent_norm_constants(pc, np.eye(k), p)
-        spectral_bound_value, _ = expected_sine_norms(consts, k)
-        root = np.linalg.cholesky(c)
-        rot = f.left().T @ root
-        rng = np.random.default_rng(32)
-        sines = np.empty(draws)
-        for t in range(draws):
-            w = rot @ rng.standard_normal((n, p))
-            tangent = w[k:] @ np.linalg.pinv(w[:k])
-            top = np.linalg.norm(tangent, 2)
-            sines[t] = top / math.sqrt(1.0 + top * top)
-        assert sines.mean() <= spectral_bound_value
-
-
 class TestMeanShiftTerm:
     def _sketch(self, mean, rank, lam_min):
         n = mean.shape[0]
@@ -250,7 +201,8 @@ class TestMeanShiftTerm:
     def test_monte_carlo_inequality(self):
         n, m, k, p, draws = 12, 8, 2, 5, 1000
         a = np.random.default_rng(40).standard_normal((n, m))
-        a_head = a - svd(a).tail_matrix(k)
+        u_head = svd(a).left_head(k)
+        a_head = u_head @ (u_head.T @ a)
         cov = random_psd(41, n) + 0.2 * np.eye(n)
         mean = 0.1 * np.random.default_rng(42).standard_normal((n, p))
         sk = GaussianSketch.from_moments(mean, cov)

@@ -28,8 +28,9 @@ class TestSyntheticMatrix:
 
     def test_factors_are_orthogonal(self):
         n = 80
-        _, f = synthetic_matrix(n, seed=1)
-        for q in (f.left(), f.right()):
+        a, f = synthetic_matrix(n, seed=1)
+        # every singular value is positive, so A^T U = V Sigma gives V back
+        for q in (f.left(), a.T @ f.left() / f.sigma):
             assert np.linalg.norm(q.T @ q - np.eye(n)) < 1e-12 * n
 
     def test_factors_match_an_independent_svd(self):

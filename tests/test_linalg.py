@@ -49,12 +49,14 @@ class TestSvd:
         f = svd(a)
         n, m = shape
         assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
-        u, v = f.left(), f.right()
+        r = min(n, m)
+        u, u_thin = f.left(), f.left_head(r)
+        # a Gaussian A has full rank, so A^T U_thin = V Sigma gives the thin V back
+        v = a.T @ u_thin / f.sigma
         tol = 1e-12 * max(shape)
         assert np.max(np.abs(u.T @ u - np.eye(n))) < tol
-        assert np.max(np.abs(v.T @ v - np.eye(m))) < tol
-        # the residual past rank 0 is the whole reconstruction
-        rel = np.linalg.norm(f.tail_matrix(0) - a, 2) / np.linalg.norm(a, 2)
+        assert np.max(np.abs(v.T @ v - np.eye(r))) < tol
+        rel = np.linalg.norm((u_thin * f.sigma) @ v.T - a, 2) / np.linalg.norm(a, 2)
         assert rel < 1e-10
 
     def test_partition_accessors(self):
@@ -63,9 +65,10 @@ class TestSvd:
         k = 2
         assert f.left_head(k).shape == (8, 2)
         assert f.left_tail(k).shape == (8, 6)
-        head = (f.left_head(k) * f.sigma_head(k)) @ f.right()[:, :k].T
-        approx = head + f.tail_matrix(k)
-        assert np.allclose(approx, a, atol=1e-12)
+        head, tail = f.left_head(k).T @ a, f.left_tail(k).T @ a
+        assert np.allclose(np.linalg.svd(head, compute_uv=False), f.sigma_head(k), atol=1e-12)
+        assert np.linalg.norm(tail) == pytest.approx(np.linalg.norm(f.sigma[k:]), rel=1e-12)
+        assert np.allclose(f.left_head(k) @ head + f.left_tail(k) @ tail, a, atol=1e-12)
         assert f.next_sigma(5) == 0.0
         with pytest.raises(ValueError):
             f.left_head(0)
