@@ -61,7 +61,6 @@ from .rsvd import (
     RsvdBoundReport,
     SpectrumProfile,
     frobenius_bound,
-    gamma_ratios,
     hmt_frobenius,
     hmt_power,
     hmt_spectral,

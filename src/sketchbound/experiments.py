@@ -4,7 +4,9 @@ errors, and reproducible parameter sweeps emitted as CSV/JSON.
 Residual norms are evaluated in the left singular basis: for any unitarily
 invariant norm, ``||(I - pi(Z)) A|| = ||(I - pi(U^T Z)) Sigma||``, so each
 trial reduces to an SVD of the rotated sketch plus small Gram computations;
-no dense projector is ever formed.
+no dense projector is ever formed.  Randomized-SVD trials are drawn in that
+basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
+``R = diag(sigma) V^T``, so no trial forms ``A G`` or multiplies by ``U^T``.
 
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
@@ -172,24 +174,28 @@ def _deflation_constant(sigma, k, which):
     return math.sqrt(float(np.sum(sigma[k:] ** 2)))
 
 
-def _collect_residuals(a, factors, sketch, k, trials, norms, seed, stream_offset=0):
+def _collect_residuals(factors, sketch, k, trials, norms, seed, stream_offset=0):
     """Run trials once; per norm, a ``(kept, 2)`` array of full and
     projected-tail residuals, one row per kept trial.
 
+    An :class:`RsvdSketch` is drawn from ``factors.rotated()``, already in the
+    left singular basis; a :class:`GaussianSketch` is sampled, then rotated.
     Trials whose rotated head block fails the row-rank check are excluded and
     counted; the hypothesis holds with probability one, so exclusions flag
     numerical degeneracy rather than expected behavior.
     """
-    u_full = factors.left()
     sigma = factors.sigma
     gaussian = isinstance(sketch, GaussianSketch)
+    if gaussian:
+        u_full = factors.left()
+    else:
+        rotated = factors.rotated()
     rotated_mean = u_full.T @ sketch.mean if gaussian and np.any(sketch.mean) else None
     residuals = {which: np.empty((trials, 2)) for which in norms}
     kept = 0
     for t in range(trials):
         stream = SeededStream(seed, stream_offset + t)
-        z = sample(sketch, stream) if gaussian else sketch.draw(a, stream)
-        w = u_full.T @ z
+        w = u_full.T @ sample(sketch, stream) if gaussian else sketch.draw(rotated, stream)
         head = w[:k] - rotated_mean[:k] if rotated_mean is not None else w[:k]
         try:
             _check_head_rank(head, w)
@@ -213,18 +219,23 @@ def _stats(residuals, sigma, k, which, metric, excluded):
 def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='general', seed=0):
     """Monte Carlo estimate of the residual error metric.
 
+    ``factors`` must be the SVD of ``a``: the residuals are evaluated from
+    the factors alone, so only the shapes of the two are checked to agree.
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
-    an :class:`RsvdSketch` (drawn as ``(A A^T)^q A G``).  Deterministic given
-    ``seed``: trial ``t`` consumes the stream ``SeededStream(seed, t)``.
+    an :class:`RsvdSketch` (``(A A^T)^q A G``, drawn in the left singular
+    basis as ``Sigma^(2q+1) V^T G``).  Deterministic given ``seed``: trial
+    ``t`` consumes the stream ``SeededStream(seed, t)``.
     """
     a = _as_matrix(a, 'A')
+    if a.shape != (factors.rows, factors.cols):
+        raise ValueError(f'A has shape {a.shape}, but its factors are {factors.rows}x{factors.cols}')
     if norm not in NORMS:
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
     if metric not in METRICS:
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
     if trials < 1:
         raise ValueError('trials must be positive')
-    residuals, excluded = _collect_residuals(a, factors, sketch, k, trials, (norm,), seed)
+    residuals, excluded = _collect_residuals(factors, sketch, k, trials, (norm,), seed)
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
     return _stats(residuals[norm], factors.sigma, k, norm, metric, excluded)
@@ -352,7 +363,8 @@ def run_sweep(config: SweepConfig):
     Rows are sorted by ``(k, q, p, norm)``; the whole sweep is a pure
     function of the config, so identical configs give identical rows.
     """
-    a, factors = synthetic_matrix(config.n, config.seed)
+    # the trials are drawn from the factors, so the dense matrix is not kept
+    factors = synthetic_matrix(config.n, config.seed)[1]
     # the theorem variants see the RSVD sketch in the left singular basis
     basis_factors = None
     if any(name in THEOREM_VARIANTS for name in config.bound_variants):
@@ -377,7 +389,7 @@ def run_sweep(config: SweepConfig):
             reports = evaluate_bounds(config.bound_variants, basis_factors, k, p, q, sketch)
         bounds = {name: report['bound'] for name, report in reports.items()}
         residuals, excluded = _collect_residuals(
-            a, factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
+            factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
             stream_offset=cell_index * config.trials,
         )
         if excluded:

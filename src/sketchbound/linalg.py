@@ -119,6 +119,10 @@ class SvdFactors:
             self._u_full = self._complete(self._u)
         return self._u_full
 
+    def rotated(self):
+        """``diag(sigma) V^T``: ``U^T A`` without its structurally zero rows."""
+        return self.sigma[:, None] * self._v.T
+
     def _check_k(self, k):
         if not 1 <= k <= self.sigma.size:
             raise ValueError(f'target rank k={k} outside [1, {self.sigma.size}]')

@@ -20,7 +20,6 @@ __all__ = [
     'RsvdBoundReport',
     'SpectrumProfile',
     'frobenius_bound',
-    'gamma_ratios',
     'hmt_frobenius',
     'hmt_power',
     'hmt_spectral',
@@ -28,20 +27,6 @@ __all__ = [
     'peak_index',
     'spectral_bound',
 ]
-
-
-def gamma_ratios(sigma, k):
-    """Singular value ratios ``sigma[k] / sigma[i]`` (0-based) over the spectrum."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 1 or sigma.size < 1:
-        raise ValueError('sigma must be a non-empty vector')
-    if not 1 <= k < sigma.size:
-        raise ValueError(f'need 1 <= k <= len(sigma) - 1, got k={k}')
-    if np.any(sigma <= 0):
-        raise ValueError('sigma must be positive within the declared rank')
-    if np.any(np.diff(sigma) > 0):
-        raise ValueError('sigma must be sorted descending')
-    return sigma[k] / sigma
 
 
 @dataclass(frozen=True)
@@ -80,15 +65,6 @@ class SpectrumProfile:
         if sigma.size and sigma[0] > 0:
             sigma[sigma <= tol * sigma[0]] = 0.0
         return cls(sigma, k, p, q)
-
-    @property
-    def oversampling(self):
-        return self.p - self.k
-
-    @property
-    def gamma(self):
-        support = self.sigma[self.sigma > 0]
-        return gamma_ratios(support, self.k) if self.k < support.size else np.zeros(support.size)
 
     def head(self):
         return self.sigma[:self.k]

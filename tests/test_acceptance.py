@@ -87,13 +87,13 @@ def _synthetic_problem():
 @functools.cache
 def _sweep_residuals():
     """Full and projected-tail residuals for k in {5, 15} over the oversampling grid."""
-    a, factors = _synthetic_problem()
+    _, factors = _synthetic_problem()
     cells = {}
     excluded_total = 0
     cell_list = [(k, rho) for k in (5, 15) for rho in RHO_GRID]
     for cell_index, (k, rho) in enumerate(cell_list):
         residuals, excluded = _collect_residuals(
-            a, factors, RsvdSketch(q=0, p=k + rho), k, TRIALS,
+            factors, RsvdSketch(q=0, p=k + rho), k, TRIALS,
             ('spectral', 'frobenius'), ACC_SEED,
             stream_offset=cell_index * TRIALS,
         )

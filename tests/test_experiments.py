@@ -96,6 +96,24 @@ class TestEmpiricalError:
         with pytest.raises(RankDeficiencyError):
             angle_operators(f, rsvd_sketch(a, 0, p, SeededStream(3, 0)), k)
 
+    def test_factors_must_match_the_shape_of_a(self):
+        a, f = rank_deficient_problem()
+        for wrong in (a.T, a[:-1], a[:, :-1]):
+            with pytest.raises(ValueError, match='factors'):
+                empirical_error(wrong, f, RsvdSketch(q=0, p=5), 2, 3)
+
+    def test_rsvd_trials_never_complete_the_left_factor(self, monkeypatch):
+        a = np.random.default_rng(21).standard_normal((30, 12))
+        f = svd(a)  # tall: U is 30x12, so left() would append a null space
+
+        def left(self):
+            raise AssertionError('the RSVD path completed the left factor')
+
+        monkeypatch.setattr(SvdFactors, 'left', left)
+        for which in ('spectral', 'frobenius'):
+            stats = empirical_error(a, f, RsvdSketch(q=1, p=8), 3, trials=4, norm=which, seed=22)
+            assert stats.trials == 4
+
     def test_deterministic_given_seed(self):
         a, f = synthetic_matrix(30, seed=11)
         kwargs = dict(norm='frobenius', metric='general', seed=12)

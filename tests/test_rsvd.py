@@ -7,7 +7,6 @@ from sketchbound.deterministic import phi
 from sketchbound.rsvd import (
     SpectrumProfile,
     frobenius_bound,
-    gamma_ratios,
     hmt_frobenius,
     hmt_power,
     hmt_spectral,
@@ -23,26 +22,6 @@ def random_profile(seed, m=14, k=3, p=8, q=1):
     return SpectrumProfile(sigma, k, p, q)
 
 
-class TestGammaRatios:
-    def test_two_values(self):
-        assert np.allclose(gamma_ratios(np.array([2.0, 1.0]), 1), [0.5, 1.0])
-
-    def test_pivot_is_one(self):
-        g = gamma_ratios(np.array([9.0, 4.0, 2.0, 1.0]), 2)
-        assert g[2] == 1.0
-
-    def test_three_values(self):
-        assert np.allclose(gamma_ratios(np.array([4.0, 2.0, 1.0]), 1), [0.5, 1.0, 2.0])
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            gamma_ratios(np.array([2.0, 1.0]), 2)
-        with pytest.raises(ValueError):
-            gamma_ratios(np.array([2.0, 0.0]), 1)
-        with pytest.raises(ValueError):
-            gamma_ratios(np.array([1.0, 2.0]), 1)
-
-
 class TestProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,13 +35,6 @@ class TestProfile:
         sigma = np.array([2.0, 1.0, 0.5, 1e-14])
         profile = SpectrumProfile.from_spectrum(sigma, 1, 3, 0)
         assert profile.positive_tail().size == 2
-        assert profile.oversampling == 2
-
-    def test_gamma_accessor(self):
-        profile = SpectrumProfile(np.array([4.0, 2.0, 1.0, 0.5]), 1, 3, 0)
-        assert np.allclose(profile.gamma, [0.5, 1.0, 2.0, 4.0])
-        exact = SpectrumProfile(np.array([4.0, 2.0, 0.0, 0.0]), 2, 4, 0)
-        assert np.array_equal(exact.gamma, [0.0, 0.0])
 
 
 class TestFrobeniusBound:
