@@ -7,6 +7,8 @@ trial reduces to an SVD of the rotated sketch plus small Gram computations;
 no dense projector is ever formed.  Randomized-SVD trials are drawn in that
 basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
 ``R = diag(sigma) V^T``, so no trial forms ``A G`` or multiplies by ``U^T``.
+A sweep builds its synthetic problem in that basis too: it draws ``V`` and
+never ``U``, and never assembles the dense ``A``.
 
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
@@ -59,26 +61,34 @@ METRICS = ('general', 'old')
 _DENSE_GRAM_LIMIT = 600
 
 
-def synthetic_matrix(n, seed):
+def _haar_orthogonal(n, stream):
+    """Haar-uniform n x n orthogonal matrix: QR of a standard Gaussian matrix
+    with its ``R`` diagonal sign-fixed."""
+    q, r = np.linalg.qr(standard_gaussian(n, n, stream))
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def synthetic_matrix(n, seed, *, left_basis=False):
     """Square test matrix with ten unit singular values and a ``j^(-1/2)`` tail.
 
-    The singular vector factors are drawn Haar-uniformly (QR of standard
-    Gaussian matrices with sign-fixed diagonal); the exact factors are
-    returned alongside the assembled matrix.
+    The singular vector factors are drawn Haar-uniformly, ``U`` from stream
+    index 0 and ``V`` from index 1; the exact factors are returned alongside
+    the assembled matrix.  With ``left_basis`` the problem is built in its
+    left singular basis instead: ``U`` is the identity, stream 0 is never
+    read, and the matrix returned is ``factors.rotated()``, i.e.
+    ``U^T A = diag(sigma) V^T`` with the same ``sigma`` and ``V`` bits.
     """
     if n < 11:
         raise ValueError('need n >= 11 for the synthetic spectrum')
-    qs = []
-    for index in (0, 1):
-        g = standard_gaussian(n, n, SeededStream(seed, index))
-        q, r = np.linalg.qr(g)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        qs.append(q * signs)
-    u, v = qs
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
-    a = (u * sigma) @ v.T
-    return a, SvdFactors(u, sigma, v)
+    v = _haar_orthogonal(n, SeededStream(seed, 1))
+    if left_basis:
+        factors = SvdFactors(np.eye(n), sigma, v)
+        return factors.rotated(), factors
+    u = _haar_orthogonal(n, SeededStream(seed, 0))
+    return (u * sigma) @ v.T, SvdFactors(u, sigma, v)
 
 
 @dataclass(frozen=True)
@@ -363,13 +373,11 @@ def run_sweep(config: SweepConfig):
     Rows are sorted by ``(k, q, p, norm)``; the whole sweep is a pure
     function of the config, so identical configs give identical rows.
     """
-    # the trials are drawn from the factors, so the dense matrix is not kept
-    factors = synthetic_matrix(config.n, config.seed)[1]
-    # the theorem variants see the RSVD sketch in the left singular basis
-    basis_factors = None
-    if any(name in THEOREM_VARIANTS for name in config.bound_variants):
-        eye = np.eye(config.n)
-        basis_factors = SvdFactors(eye, factors.sigma, eye)
+    # every residual and bound depends on A only through U^T A, so the problem
+    # is built in its left singular basis and one factors object serves both
+    # the trials and the theorem variants
+    factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
+    theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
     rows = []
     cells = [
         (k, q, rho)
@@ -382,11 +390,8 @@ def run_sweep(config: SweepConfig):
         if k > p - 2 or p > factors.rank():
             logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
             continue
-        if basis_factors is None:
-            reports = evaluate_bounds(config.bound_variants, factors, k, p, q)
-        else:
-            sketch = rsvd_distribution(basis_factors, q, p)
-            reports = evaluate_bounds(config.bound_variants, basis_factors, k, p, q, sketch)
+        sketch = rsvd_distribution(factors, q, p) if theorems else None
+        reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
         bounds = {name: report['bound'] for name, report in reports.items()}
         residuals, excluded = _collect_residuals(
             factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,

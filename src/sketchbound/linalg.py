@@ -83,7 +83,7 @@ class SvdFactors:
     """Thin SVD ``A = U diag(sigma) V^T`` with head/tail partition accessors.
 
     ``u`` and ``v`` are stored thin; the orthonormal complement needed by the
-    tail accessors is appended lazily and cached.
+    tail accessors is appended lazily and cached, as is the rotated matrix.
     """
 
     def __init__(self, u, sigma, v):
@@ -91,6 +91,7 @@ class SvdFactors:
         self._v = np.asarray(v, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
+        self._rotated = None
         if np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
             raise ValueError('singular values must be non-negative and sorted descending')
 
@@ -121,7 +122,9 @@ class SvdFactors:
 
     def rotated(self):
         """``diag(sigma) V^T``: ``U^T A`` without its structurally zero rows."""
-        return self.sigma[:, None] * self._v.T
+        if self._rotated is None:
+            self._rotated = self.sigma[:, None] * self._v.T
+        return self._rotated
 
     def _check_k(self, k):
         if not 1 <= k <= self.sigma.size:

@@ -5,13 +5,16 @@ construction: a Philox counter-based generator keyed by
 ``(master_seed, stream_index)`` produces 53-bit uniforms in the open unit
 interval, which are mapped to normal variates through the inverse normal CDF
 (``scipy.special.ndtri``).  Identical ``(master_seed, stream_index)`` pairs
-therefore reproduce identical samples bit for bit, and distinct stream
-indices give statistically independent streams.
+therefore reproduce identical samples bit for bit.  Distinct indices give
+distinct Philox keys, but the callers share one index space: the synthetic
+matrix reads indices 0 and 1 (a sweep's, only 1) and trial ``t`` of a Monte
+Carlo run reads index ``offset + t``, so the first trials reuse the matrix's
+streams and are not independent of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -60,20 +63,28 @@ def standard_gaussian(rows, cols, stream: SeededStream):
     return ndtri(u)
 
 
-@dataclass
 class GaussianSketch:
     """Matrix Gaussian distribution ``Z ~ N(mean, covariance)`` per column.
 
-    ``cov_sqrt`` caches the PSD square root of the covariance, ``rank`` its
+    ``cov_sqrt`` is the PSD square root of the covariance, ``rank`` its
     numerical rank and ``min_nonzero_eigenvalue`` the smallest retained
-    eigenvalue (0.0 for a zero covariance).
+    eigenvalue (0.0 for a zero covariance).  The root may be passed as a
+    zero-argument callable; it is then formed on first read and cached, so a
+    sketch that is never sampled never forms it.
     """
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    cov_sqrt: np.ndarray = field(repr=False)
-    rank: int
-    min_nonzero_eigenvalue: float
+    def __init__(self, mean, covariance, cov_sqrt, rank, min_nonzero_eigenvalue):
+        self.mean = mean
+        self.covariance = covariance
+        self._cov_sqrt = cov_sqrt
+        self.rank = rank
+        self.min_nonzero_eigenvalue = min_nonzero_eigenvalue
+
+    @property
+    def cov_sqrt(self):
+        if callable(self._cov_sqrt):
+            self._cov_sqrt = self._cov_sqrt()
+        return self._cov_sqrt
 
     @property
     def shape(self):
@@ -100,8 +111,13 @@ class GaussianSketch:
         retained = w > eig_rank_tol * top if top > 0 else np.zeros_like(w, dtype=bool)
         rank = int(np.sum(retained))
         lam_min = float(np.min(w[retained])) if rank else 0.0
-        root = (vec * np.sqrt(w)) @ vec.T
-        return cls(mean, covariance, 0.5 * (root + root.T), rank, lam_min)
+
+        def cov_sqrt():
+            # only sampling reads the root, so its n^3 product waits for it
+            root = (vec * np.sqrt(w)) @ vec.T
+            return 0.5 * (root + root.T)
+
+        return cls(mean, covariance, cov_sqrt, rank, lam_min)
 
 
 def sample(sketch: GaussianSketch, stream: SeededStream):

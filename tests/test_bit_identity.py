@@ -1,6 +1,7 @@
 """Bit-identity guard: every bound value of ``sketchbound bounds``, of the
 bound columns of ``run_sweep`` and of the per-sample deterministic bounds,
-compared as ``float.hex`` with a reference.
+and the empirical columns of a sweep, compared as ``float.hex`` with a
+reference.
 
 ``data/bound_values.json`` holds the values of a reference commit. Recapture
 it only when bound values are meant to change, from the root of a checkout:
@@ -84,6 +85,19 @@ def deterministic_bound_values():
     return values
 
 
+def sweep_empirical_values():
+    """``empirical_mean`` and ``empirical_std`` of every row of a small sweep
+    over both norms and q up to 2, with enough trials for a nonzero spread."""
+    config = experiments.SweepConfig(
+        n=60, k_list=(3, 5), oversampling_list=(2, 7, 20), q_list=(0, 1, 2), trials=4, seed=3,
+        bound_variants=('hmt_frobenius',),
+    )
+    return {
+        f'k{row.k}-p{row.p}-q{row.q}-{row.norm}': [row.empirical_mean.hex(), row.empirical_std.hex()]
+        for row in experiments.run_sweep(config)
+    }
+
+
 @functools.cache
 def bound_values():
     """Every variant's report from the CLI and every bound column of a sweep."""
@@ -112,7 +126,10 @@ def bound_values():
         norm_list=('frobenius',), bound_variants=ALL_VARIANTS,
     )
     sweep = {f'k{row.k}-p{row.p}-q{row.q}': _hexed(row.bounds) for row in experiments.run_sweep(config)}
-    return {'bounds': reports, 'sweep': sweep, 'deterministic': deterministic_bound_values()}
+    return {
+        'sweep_empirical': sweep_empirical_values(),
+        'bounds': reports, 'sweep': sweep, 'deterministic': deterministic_bound_values(),
+    }
 
 
 def _reference():
@@ -128,6 +145,12 @@ def test_cli_bound_values_unchanged():
 
 def test_sweep_bound_columns_unchanged():
     got, want = bound_values()['sweep'], _reference()['sweep']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_sweep_empirical_columns_unchanged():
+    got, want = bound_values()['sweep_empirical'], _reference()['sweep_empirical']
     assert got == want
     assert json.dumps(got) == json.dumps(want)
 

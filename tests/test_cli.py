@@ -8,7 +8,7 @@ from sketchbound.cli import main
 from sketchbound.experiments import VARIANTS, synthetic_matrix
 from sketchbound.linalg import read_matrix_market, write_matrix_market
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound
-from sketchbound.sketching import rsvd_distribution
+from sketchbound.sketching import GaussianSketch, rsvd_distribution
 
 
 def run_cli(*argv):
@@ -91,6 +91,20 @@ class TestBounds:
                        '--variant', 'thm3,thm4,thm5', *mean_cov_args(tmp_path, 60, 8, 0.05)) == 0
         assert list(json.loads(capsys.readouterr().out)['variants']) == ['thm3', 'thm4', 'thm5']
         assert len(projection_calls) == 1
+
+    def test_mean_cov_request_never_forms_the_root(self, tmp_path, monkeypatch, capsys):
+        built = []
+        from_moments = GaussianSketch.from_moments
+
+        def recording(cls, *args, **kwargs):
+            built.append(from_moments(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(GaussianSketch, 'from_moments', classmethod(recording))
+        assert run_cli('bounds', '--synthetic-n', '60', '--seed', '3', '--k', '4', '--p', '8',
+                       *mean_cov_args(tmp_path, 60, 8, 0.05)) == 0
+        [sketch] = built
+        assert callable(sketch._cov_sqrt)  # the deferred root was never formed
 
     @pytest.mark.parametrize('mean_scale, omitted', [(0.05, ['thm3_squared']), (0.0, [])])
     def test_moments_default_variants(self, tmp_path, capsys, mean_scale, omitted):

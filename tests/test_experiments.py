@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from sketchbound import experiments
 from sketchbound.deterministic import angle_operators
 from sketchbound.experiments import (
     VARIANTS,
@@ -48,6 +50,53 @@ class TestSyntheticMatrix:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             synthetic_matrix(10, seed=0)
+
+    def test_left_basis_shares_sigma_and_v_bits(self):
+        a, f = synthetic_matrix(40, seed=3)
+        rotated, g = synthetic_matrix(40, seed=3, left_basis=True)
+        assert np.array_equal(g.sigma, f.sigma)
+        assert np.array_equal(g._v, f._v)
+        assert np.array_equal(g.left(), np.eye(40))
+        assert rotated is g.rotated()
+        assert np.array_equal(rotated, f.rotated())
+        assert np.max(np.abs(rotated - f.left().T @ a)) < 1e-13 * 40
+
+
+class TestGramTopEigenvalue:
+    @staticmethod
+    def problem(m, seed):
+        rng = np.random.default_rng(seed)
+        diag_sq = np.sort(rng.uniform(0.1, 1.0, m))[::-1] ** 2
+        b = rng.standard_normal((6, m)) * np.sqrt(diag_sq) / 3
+        return diag_sq, b
+
+    def test_arpack_error_falls_back_to_dense(self, monkeypatch):
+        m = experiments._DENSE_GRAM_LIMIT + 1
+        diag_sq, b = self.problem(m, 30)
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', failing)
+        dense = float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1])
+        assert experiments._gram_top_eigenvalue(diag_sq, b) == max(dense, 0.0)
+
+    def test_arpack_and_dense_branches_agree_above_the_limit(self, monkeypatch):
+        m = experiments._DENSE_GRAM_LIMIT + 1
+        diag_sq, b = self.problem(m, 31)
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', counting)
+        arpack = experiments._gram_top_eigenvalue(diag_sq, b)
+        monkeypatch.setattr(experiments, '_DENSE_GRAM_LIMIT', m)
+        dense = experiments._gram_top_eigenvalue(diag_sq, b)
+        assert len(calls) == 1
+        assert arpack == pytest.approx(dense, rel=1e-9)
 
 
 def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
@@ -211,6 +260,42 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert len(rows) == 4
         assert len(projection_calls) == 4
+
+    def test_builds_the_problem_in_the_left_basis(self, monkeypatch):
+        # the problem build is the only draw through this binding and the only
+        # QR; every trial draws through sketching.standard_gaussian instead
+        indices, qr_shapes = [], []
+        gaussian, qr = experiments.standard_gaussian, np.linalg.qr
+
+        def recording_gaussian(rows, cols, stream):
+            indices.append(stream.stream_index)
+            return gaussian(rows, cols, stream)
+
+        def recording_qr(a, *args, **kwargs):
+            qr_shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, 'standard_gaussian', recording_gaussian)
+        monkeypatch.setattr(np.linalg, 'qr', recording_qr)
+        config = small_config(n=40, bound_variants=VARIANTS)
+        rows = run_sweep(config)
+        assert len(rows) == 8
+        assert indices == [1]
+        assert qr_shapes == [(40, 40)]
+
+    def test_one_rotated_matrix_per_sweep(self, monkeypatch):
+        returned = []
+        original = SvdFactors.rotated
+
+        def recording(self):
+            returned.append(original(self))
+            return returned[-1]
+
+        monkeypatch.setattr(SvdFactors, 'rotated', recording)
+        rows = run_sweep(small_config(bound_variants=VARIANTS))
+        # the problem build, then one read per cell
+        assert len(returned) == 1 + len(rows) // 2
+        assert all(r is returned[0] for r in returned)
 
     def test_improved_spectral_column_never_looser(self):
         config = small_config(q_list=(0, 1), oversampling_list=(4, 8),

@@ -73,6 +73,13 @@ class TestSvd:
         with pytest.raises(ValueError):
             f.left_head(0)
 
+    def test_rotated_is_cached(self):
+        a = np.random.default_rng(3).standard_normal((7, 5))
+        f = svd(a)
+        rotated = f.rotated()
+        assert f.rotated() is rotated
+        assert np.array_equal(rotated, f.sigma[:, None] * f._v.T)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))

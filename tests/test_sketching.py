@@ -73,6 +73,15 @@ class TestGaussianSketch:
         assert sk.min_nonzero_eigenvalue == pytest.approx(1.0)
         assert np.linalg.norm(sk.cov_sqrt @ sk.cov_sqrt - cov, 2) < 1e-9 * 4.0
 
+    def test_lazy_root_matches_eager_formula_bits(self):
+        b = np.random.default_rng(4).standard_normal((9, 9))
+        cov = b @ b.T
+        sk = GaussianSketch.from_moments(np.zeros((9, 2)), cov)
+        w, vec = np.linalg.eigh(0.5 * (cov + cov.T))
+        root = (vec * np.sqrt(np.clip(w, 0.0, None))) @ vec.T
+        assert np.array_equal(sk.cov_sqrt, 0.5 * (root + root.T))
+        assert sk.cov_sqrt is sk.cov_sqrt
+
     def test_zero_covariance_sample_is_mean(self):
         mean = np.arange(6.0).reshape(3, 2)
         sk = GaussianSketch.from_moments(mean, np.zeros((3, 3)))
