@@ -68,11 +68,11 @@ def _build_parser():
     return parser
 
 
-def _load_problem(args):
+def _load_problem(args, left_basis=False):
     if args.matrix is not None:
         a = read_matrix_market(args.matrix)
         return a, svd(a)
-    return experiments.synthetic_matrix(args.synthetic_n, args.seed)
+    return experiments.synthetic_matrix(args.synthetic_n, args.seed, left_basis=left_basis)
 
 
 def _cmd_gen_matrix(args):
@@ -125,7 +125,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_empirical(args):
-    a, factors = _load_problem(args)
+    # residuals depend on A only through U^T A, so a synthetic problem is
+    # built in its left singular basis; bounds keep the real U
+    a, factors = _load_problem(args, left_basis=True)
     stats = experiments.empirical_error(
         a, factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,
         norm=args.norm, metric=args.metric, seed=args.seed,

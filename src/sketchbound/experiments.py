@@ -10,6 +10,14 @@ basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
 A sweep builds its synthetic problem in that basis too: it draws ``V`` and
 never ``U``, and never assembles the dense ``A``.
 
+A sweep's cells are independent: each trial reads the stream keyed by its
+cell's grid position and its own number.  When BLAS is pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``, recommended for sweeps), the Monte Carlo trials
+of different cells run concurrently, one thread per available CPU, and the
+output is byte-identical for any number of threads.  With multi-threaded
+BLAS the cells run one at a time: its threads already keep the cores busy,
+and concurrent calls into it were measured slower.
+
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
 ``sketchbound bounds`` command.
@@ -23,11 +31,14 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
+from numpy.linalg import _umath_linalg
 
 from . import expectation, rsvd
 from .deterministic import _check_head_rank
@@ -63,11 +74,22 @@ _DENSE_GRAM_LIMIT = 600
 
 def _haar_orthogonal(n, stream):
     """Haar-uniform n x n orthogonal matrix: QR of a standard Gaussian matrix
-    with its ``R`` diagonal sign-fixed."""
-    q, r = np.linalg.qr(standard_gaussian(n, n, stream))
-    signs = np.sign(np.diag(r))
+    with its ``R`` diagonal sign-fixed.
+
+    The drawn matrix is factored in place by the two LAPACK steps that
+    ``np.linalg.qr`` runs on float64 input (numpy's private gufuncs, under
+    their numpy >= 2.1 names), so Q has the same bits without numpy's copy of
+    the input or its ``triu`` copy of ``R``.
+    """
+    a = standard_gaussian(n, n, stream)
+    with np.errstate(invalid='raise'):
+        # a keeps R on and above its diagonal, the Householder vectors below
+        tau = _umath_linalg.qr_r_raw(a, signature='d->d')
+        q = _umath_linalg.qr_reduced(a, tau, signature='dd->d')
+    signs = np.sign(np.diag(a))
     signs[signs == 0] = 1.0
-    return q * signs
+    q *= signs
+    return q
 
 
 def synthetic_matrix(n, seed, *, left_basis=False):
@@ -199,13 +221,17 @@ def _collect_residuals(factors, sketch, k, trials, norms, seed, stream_offset=0)
     if gaussian:
         u_full = factors.left()
     else:
-        rotated = factors.rotated()
+        # validated once here, so the per-trial draws skip the check
+        rotated = _as_matrix(factors.rotated(), 'the rotated matrix')
     rotated_mean = u_full.T @ sketch.mean if gaussian and np.any(sketch.mean) else None
     residuals = {which: np.empty((trials, 2)) for which in norms}
     kept = 0
     for t in range(trials):
         stream = SeededStream(seed, stream_offset + t)
-        w = u_full.T @ sample(sketch, stream) if gaussian else sketch.draw(rotated, stream)
+        if gaussian:
+            w = u_full.T @ sample(sketch, stream)
+        else:
+            w = sketch.draw(rotated, stream, check_finite=False)
         head = w[:k] - rotated_mean[:k] if rotated_mean is not None else w[:k]
         try:
             _check_head_rank(head, w)
@@ -367,43 +393,127 @@ class SweepRow:
     bounds: dict
 
 
+# the variables the bundled OpenBLAS reads its thread count from, in order
+_BLAS_THREAD_VARIABLES = ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')
+
+
+def _sweep_workers():
+    """Threads for a sweep's Monte Carlo cells: every CPU this process may run
+    on when BLAS is pinned to one thread, else one.
+
+    A multi-threaded OpenBLAS already keeps the cores busy, and concurrent
+    calls into it were measured slower, so only single-threaded BLAS gets
+    more than one worker.  The thread count is read as OpenBLAS reads it:
+    the first positive value among its variables, else one thread per CPU.
+    """
+    blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']
+    if 'openblas' not in blas or not hasattr(os, 'sched_getaffinity'):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    threads = cpus
+    for name in _BLAS_THREAD_VARIABLES:
+        # parsed like C's atoi: leading digits, and a value below 1 means unset
+        match = re.match(r'\s*[+-]?\d+', os.environ.get(name, ''))
+        if match and int(match.group()) > 0:
+            threads = int(match.group())
+            break
+    return cpus if threads == 1 else 1
+
+
+def _map_cells(work, count, workers):
+    """``[work(i) for i in range(count)]``, computed by the calling thread and
+    ``workers - 1`` helper threads that take indices from one shared counter.
+
+    The first exception raised stops the other threads from taking more
+    indices and is re-raised here once all of them have stopped.
+    """
+    results = [None] * count
+    indices = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failures = []
+
+    def drain():
+        while not stop.is_set():
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = work(i)
+
+    def helper():
+        try:
+            drain()
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=helper) for _ in range(min(workers, count) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 def run_sweep(config: SweepConfig):
     """Evaluate bounds and empirical statistics over the configured grid.
 
     Rows are sorted by ``(k, q, p, norm)``; the whole sweep is a pure
-    function of the config, so identical configs give identical rows.
+    function of the config, so identical configs give identical rows.  The
+    bounds are evaluated in the calling thread, one cell at a time; then the
+    cells' Monte Carlo trials are shared among the threads the BLAS setup
+    allows (see the module docstring), and the rows are assembled in cell
+    order.
     """
     # every residual and bound depends on A only through U^T A, so the problem
     # is built in its left singular basis and one factors object serves both
     # the trials and the theorem variants
     factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
     theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
-    rows = []
-    cells = [
+    grid = [
         (k, q, rho)
         for k in sorted(config.k_list)
         for q in sorted(config.q_list)
         for rho in sorted(config.oversampling_list)
     ]
-    for cell_index, (k, q, rho) in enumerate(cells):
+    cells, bounds = [], []
+    for cell_index, (k, q, rho) in enumerate(grid):
         p = k + rho
         if k > p - 2 or p > factors.rank():
             logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
             continue
+        # before any trial runs, and the sketch dropped at once, so a cell's
+        # n x n theorem matrices never add to the trials' memory or the next cell's
         sketch = rsvd_distribution(factors, q, p) if theorems else None
         reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
-        bounds = {name: report['bound'] for name, report in reports.items()}
-        residuals, excluded = _collect_residuals(
+        del sketch
+        bounds.append({name: report['bound'] for name, report in reports.items()})
+        cells.append((cell_index, k, q, rho, p))
+
+    def cell_trials(i):
+        cell_index, k, q, _, p = cells[i]
+        return _collect_residuals(
             factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
             stream_offset=cell_index * config.trials,
         )
+
+    trials = _map_cells(cell_trials, len(cells), _sweep_workers())
+    rows = []
+    for (_, k, q, rho, p), cell_bound, (residuals, excluded) in zip(cells, bounds, trials):
         if excluded:
             logger.warning('cell k=%d p=%d q=%d: %d trials excluded', k, p, q, excluded)
         for which in sorted(config.norm_list):
             stats = _stats(residuals[which], factors.sigma, k, which, config.metric, excluded)
             rows.append(SweepRow(
                 k=k, p=p, oversampling=rho, q=q, norm=which, metric=config.metric,
-                empirical_mean=stats.mean, empirical_std=stats.std, bounds=dict(bounds),
+                empirical_mean=stats.mean, empirical_std=stats.std, bounds=dict(cell_bound),
             ))
     return rows
 

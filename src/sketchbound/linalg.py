@@ -62,11 +62,11 @@ class NotPositiveSemidefiniteError(ValueError):
         self.offending_eigenvalue = offending_eigenvalue
 
 
-def _as_matrix(a, name='matrix'):
+def _as_matrix(a, name='matrix', check_finite=True):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f'{name} must be 2-D with at least one row and column, got shape {a.shape}')
-    if not np.all(np.isfinite(a)):
+    if check_finite and not np.all(np.isfinite(a)):
         raise ValueError(f'{name} contains non-finite entries')
     return a
 

@@ -7,9 +7,9 @@ interval, which are mapped to normal variates through the inverse normal CDF
 (``scipy.special.ndtri``).  Identical ``(master_seed, stream_index)`` pairs
 therefore reproduce identical samples bit for bit.  Distinct indices give
 distinct Philox keys, but the callers share one index space: the synthetic
-matrix reads indices 0 and 1 (a sweep's, only 1) and trial ``t`` of a Monte
-Carlo run reads index ``offset + t``, so the first trials reuse the matrix's
-streams and are not independent of it.
+matrix reads indices 0 and 1 (only 1 when built in its left singular basis)
+and trial ``t`` of a Monte Carlo run reads index ``offset + t``, so the first
+trials reuse the matrix's streams and are not independent of it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def standard_gaussian(rows, cols, stream: SeededStream):
         raise ValueError('rows and cols must be positive')
     gen = stream.generator()
     u = gen.integers(1, _TWO53, size=(rows, cols)) / _TWO53
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 class GaussianSketch:
@@ -126,9 +126,13 @@ def sample(sketch: GaussianSketch, stream: SeededStream):
     return sketch.mean + sketch.cov_sqrt @ standard_gaussian(n, p, stream)
 
 
-def rsvd_sketch(a, q, p, stream: SeededStream):
-    """Randomized-SVD sketch ``Z = (A A^T)^q A G`` with G standard Gaussian."""
-    a = _as_matrix(a, 'A')
+def rsvd_sketch(a, q, p, stream: SeededStream, *, check_finite=True):
+    """Randomized-SVD sketch ``Z = (A A^T)^q A G`` with G standard Gaussian.
+
+    ``check_finite=False`` skips the scan of ``A`` for non-finite entries; a
+    caller drawing many sketches from one matrix checks it once instead.
+    """
+    a = _as_matrix(a, 'A', check_finite)
     if q < 0:
         raise ValueError('q must be non-negative')
     z = a @ standard_gaussian(a.shape[1], p, stream)
@@ -176,6 +180,6 @@ class RsvdSketch:
         if self.q < 0 or self.p < 1:
             raise ValueError('need q >= 0 and p >= 1')
 
-    def draw(self, a, stream: SeededStream):
-        return rsvd_sketch(a, self.q, self.p, stream)
+    def draw(self, a, stream: SeededStream, *, check_finite=True):
+        return rsvd_sketch(a, self.q, self.p, stream, check_finite=check_finite)
 

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from sketchbound import cli
+from sketchbound import cli, experiments
 from sketchbound.cli import main
-from sketchbound.experiments import VARIANTS, synthetic_matrix
+from sketchbound.experiments import VARIANTS, empirical_error, synthetic_matrix
 from sketchbound.linalg import read_matrix_market, write_matrix_market
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound
-from sketchbound.sketching import GaussianSketch, rsvd_distribution
+from sketchbound.sketching import GaussianSketch, RsvdSketch, rsvd_distribution
 
 
 def run_cli(*argv):
@@ -181,3 +181,23 @@ class TestEmpirical:
         first = capsys.readouterr().out
         assert run_cli(*args) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize('norm', ('spectral', 'frobenius'))
+    def test_synthetic_problem_built_in_the_left_basis(self, monkeypatch, capsys, norm):
+        # the statistics of the dense route: U, its QR and A = U Sigma V^T
+        a, factors = synthetic_matrix(40, 4)
+        stats = empirical_error(a, factors, RsvdSketch(q=1, p=9), 3, 6, norm=norm, seed=4)
+        indices = []
+        gaussian = experiments.standard_gaussian
+
+        def recording(rows, cols, stream):
+            indices.append(stream.stream_index)
+            return gaussian(rows, cols, stream)
+
+        monkeypatch.setattr(experiments, 'standard_gaussian', recording)
+        assert run_cli('empirical', '--synthetic-n', '40', '--k', '3', '--p', '9', '--q', '1',
+                       '--trials', '6', '--seed', '4', '--norm', norm) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert indices == [1]  # V only: stream 0 would draw U
+        assert (report['trials'], report['excluded_trials']) == (6, 0)
+        assert (report['mean'], report['std']) == (stats.mean, stats.std)

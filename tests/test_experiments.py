@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import sketchbound
 from sketchbound import experiments
 from sketchbound.deterministic import angle_operators
 from sketchbound.experiments import (
@@ -17,7 +23,14 @@ from sketchbound.experiments import (
 )
 from sketchbound.linalg import RankDeficiencyError, SvdFactors, orthonormal_basis, svd
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound, spectral_bound
-from sketchbound.sketching import GaussianSketch, RsvdSketch, SeededStream, rsvd_distribution, rsvd_sketch
+from sketchbound.sketching import (
+    GaussianSketch,
+    RsvdSketch,
+    SeededStream,
+    rsvd_distribution,
+    rsvd_sketch,
+    standard_gaussian,
+)
 
 
 class TestSyntheticMatrix:
@@ -50,6 +63,15 @@ class TestSyntheticMatrix:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             synthetic_matrix(10, seed=0)
+
+    @pytest.mark.parametrize('n', (11, 60, 300))
+    def test_haar_factor_matches_numpy_qr(self, n):
+        # the in-place factorization calls numpy's private LAPACK gufuncs
+        stream = SeededStream(8, 1)
+        q, r = np.linalg.qr(standard_gaussian(n, n, stream))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        assert np.array_equal(experiments._haar_orthogonal(n, stream), q * signs)
 
     def test_left_basis_shares_sigma_and_v_bits(self):
         a, f = synthetic_matrix(40, seed=3)
@@ -265,7 +287,7 @@ class TestRunSweep:
         # the problem build is the only draw through this binding and the only
         # QR; every trial draws through sketching.standard_gaussian instead
         indices, qr_shapes = [], []
-        gaussian, qr = experiments.standard_gaussian, np.linalg.qr
+        gaussian, qr, lapack = experiments.standard_gaussian, np.linalg.qr, experiments._umath_linalg
 
         def recording_gaussian(rows, cols, stream):
             indices.append(stream.stream_index)
@@ -275,8 +297,15 @@ class TestRunSweep:
             qr_shapes.append(a.shape)
             return qr(a, *args, **kwargs)
 
+        def recording_factorization(a, *args, **kwargs):
+            qr_shapes.append(a.shape)
+            return lapack.qr_r_raw(a, *args, **kwargs)
+
         monkeypatch.setattr(experiments, 'standard_gaussian', recording_gaussian)
         monkeypatch.setattr(np.linalg, 'qr', recording_qr)
+        # the Haar draw factors in place through numpy's LAPACK gufuncs
+        monkeypatch.setattr(experiments, '_umath_linalg', types.SimpleNamespace(
+            qr_r_raw=recording_factorization, qr_reduced=lapack.qr_reduced))
         config = small_config(n=40, bound_variants=VARIANTS)
         rows = run_sweep(config)
         assert len(rows) == 8
@@ -296,6 +325,52 @@ class TestRunSweep:
         # the problem build, then one read per cell
         assert len(returned) == 1 + len(rows) // 2
         assert all(r is returned[0] for r in returned)
+
+    def test_worker_count_does_not_change_the_bytes(self, monkeypatch, tmp_path):
+        config = small_config(n=60, k_list=(3, 5), oversampling_list=(2, 5, 9), q_list=(0, 1, 2),
+                              trials=4, bound_variants=VARIANTS)
+        payloads = []
+        for workers in (1, 2):
+            monkeypatch.setattr(experiments, '_sweep_workers', lambda: workers)
+            path = tmp_path / f'sweep-{workers}.csv'
+            emit(run_sweep(config), 'csv', path)
+            payloads.append(path.read_bytes())
+        assert payloads[0] == payloads[1]
+
+    def test_worker_count_does_not_change_the_bytes_with_pinned_blas(self, tmp_path):
+        # OpenBLAS reads its thread count when it loads, hence a fresh interpreter
+        script = (
+            'import sys\n'
+            'from sketchbound import experiments\n'
+            'config = experiments.SweepConfig(n=1000, k_list=(5,), oversampling_list=(2, 52), trials=2, seed=5)\n'
+            'for workers, path in zip((1, 2), sys.argv[1:]):\n'
+            '    experiments._sweep_workers = lambda: workers\n'
+            '    experiments.emit(experiments.run_sweep(config), "csv", path)\n'
+        )
+        paths = [tmp_path / 'one.csv', tmp_path / 'two.csv']
+        src = os.path.dirname(os.path.dirname(sketchbound.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS='1',
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get('PYTHONPATH')))))
+        subprocess.run([sys.executable, '-c', script, *map(str, paths)], env=env, check=True, timeout=300)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[0].read_text().splitlines()) == 1 + 2 * 2
+
+    @pytest.mark.parametrize('workers', (1, 2))
+    def test_a_failing_cell_surfaces(self, monkeypatch, workers):
+        collect = experiments._collect_residuals
+        trials = small_config().trials
+
+        def failing(*args, stream_offset=0, **kwargs):
+            if stream_offset == 2 * trials:
+                raise RuntimeError('cell 2 failed')
+            return collect(*args, stream_offset=stream_offset, **kwargs)
+
+        monkeypatch.setattr(experiments, '_sweep_workers', lambda: workers)
+        monkeypatch.setattr(experiments, '_collect_residuals', failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match='cell 2 failed'):
+            run_sweep(small_config())
+        assert threading.active_count() == threads
 
     def test_improved_spectral_column_never_looser(self):
         config = small_config(q_list=(0, 1), oversampling_list=(4, 8),
@@ -330,6 +405,55 @@ class TestRunSweep:
         bad.write_text(json.dumps({'n': 40, 'k_list': [3], 'oversampling_list': [4], 'zzz': 1}))
         with pytest.raises(ValueError, match='unknown'):
             SweepConfig.from_json(bad)
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize('env, workers', [
+        ({}, 1),
+        ({'OPENBLAS_NUM_THREADS': '1'}, 3),
+        ({'OPENBLAS_NUM_THREADS': '2'}, 1),
+        ({'OMP_NUM_THREADS': '1'}, 3),
+        ({'OMP_NUM_THREADS': '4'}, 1),
+        ({'OPENBLAS_NUM_THREADS': '4', 'OMP_NUM_THREADS': '1'}, 1),
+        ({'OPENBLAS_NUM_THREADS': '0', 'OMP_NUM_THREADS': '1'}, 3),
+        ({'GOTO_NUM_THREADS': '1', 'OMP_NUM_THREADS': '2'}, 3),
+    ])
+    def test_one_worker_per_cpu_only_with_single_threaded_blas(self, monkeypatch, env, workers):
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: {0, 1, 2})
+        for name in experiments._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert experiments._sweep_workers() == workers
+
+    def test_a_helper_threads_failure_surfaces(self):
+        failed = threading.Event()
+
+        def work(i):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=30)  # the helper fails meanwhile
+                return i
+            failed.set()
+            raise RuntimeError('a helper failed')
+
+        with pytest.raises(RuntimeError, match='a helper failed'):
+            experiments._map_cells(work, 4, 2)
+
+    def test_every_index_is_computed_once_under_contention(self):
+        calls = []
+
+        def work(i):
+            calls.append(i)
+            return float(np.sum(np.full(50, i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = experiments._map_cells(work, 400, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(400))
+        assert results == [50.0 * i for i in range(400)]
 
 
 class TestEmit:
