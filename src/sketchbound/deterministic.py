@@ -62,14 +62,14 @@ class AngleOperators:
     sine_sigma: np.ndarray
 
 
-def _check_head_rank(omega_head, w, rank_tol=RANK_TOL):
+def _check_head_rank(omega_head, w):
     """Raise :class:`RankDeficiencyError` unless ``omega_head``, the head
     block of the sketch ``w``, has full numerical row rank."""
     s_head = np.linalg.svd(omega_head, compute_uv=False)
     # the scale guard catches head blocks that vanish outright, which a
     # purely relative test on round-off noise would miss
-    degenerate = s_head[0] <= rank_tol * float(np.linalg.norm(w))
-    if degenerate or s_head[-1] <= rank_tol * s_head[0]:
+    degenerate = s_head[0] <= RANK_TOL * float(np.linalg.norm(w))
+    if degenerate or s_head[-1] <= RANK_TOL * s_head[0]:
         raise RankDeficiencyError(
             f'head block of the sketch is row-rank deficient: '
             f'smallest singular value {s_head[-1]:.3e} (largest {s_head[0]:.3e})',
@@ -77,7 +77,7 @@ def _check_head_rank(omega_head, w, rank_tol=RANK_TOL):
         )
 
 
-def angle_operators(factors: SvdFactors, z, k, mean=None, rank_tol=RANK_TOL) -> AngleOperators:
+def angle_operators(factors: SvdFactors, z, k, mean=None) -> AngleOperators:
     """Tangent and sine operators of Z (optionally centered) at target rank k.
 
     The sine operator is assembled from the SVD of the tangent operator,
@@ -94,7 +94,7 @@ def angle_operators(factors: SvdFactors, z, k, mean=None, rank_tol=RANK_TOL) -> 
     w = z - _as_matrix(mean, 'mean') if mean is not None else z
     omega_head = factors.left_head(k).T @ w
     omega_tail = factors.left_tail(k).T @ w
-    _check_head_rank(omega_head, w, rank_tol)
+    _check_head_rank(omega_head, w)
     tangent = omega_tail @ pseudo_inverse(omega_head)
     p_fac, t_sigma, q_fac_t = np.linalg.svd(tangent, full_matrices=False)
     s_sigma = phi(t_sigma)

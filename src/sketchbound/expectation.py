@@ -85,7 +85,7 @@ class ProjectedCovariance:
         return max(float(w[0]), 0.0)
 
 
-def project_covariance(c, factors: SvdFactors, k, rank_tol=RANK_TOL) -> ProjectedCovariance:
+def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
     """Project a sketch covariance onto the head/tail left singular blocks.
 
     Raises
@@ -102,7 +102,7 @@ def project_covariance(c, factors: SvdFactors, k, rank_tol=RANK_TOL) -> Projecte
     cross = u_tail.T @ c_head_cols
     tail = _symmetrize(u_tail.T @ (c @ u_tail), 'projected tail block', tol=1e-10)
     w = np.linalg.eigvalsh(head)
-    if w[-1] <= 0.0 or w[0] <= rank_tol * w[-1]:
+    if w[-1] <= 0.0 or w[0] <= RANK_TOL * w[-1]:
         raise RankDeficiencyError(
             f'projected covariance head block is numerically singular '
             f'(smallest eigenvalue {w[0]:.3e}, largest {w[-1]:.3e})',

@@ -34,11 +34,12 @@ __all__ = [
     'write_matrix_market',
 ]
 
-# Default numerical tolerances; the references never state any, so these are
-# pinned here and overridable per call.
+# Numerical tolerances; the references never state any, so these are pinned
+# here.  Only the PSD-ordering and symmetry checks take theirs per call.
 RANK_TOL = 1e-10
 PINV_TOL = 1e-12
 SYM_TOL = 1e-12
+ORTHO_TOL = 1e-10
 
 
 class FactorizationError(RuntimeError):
@@ -103,11 +104,11 @@ class SvdFactors:
     def cols(self):
         return self._v.shape[0]
 
-    def rank(self, tol=PINV_TOL):
-        """Numerical rank: count of singular values above ``tol * sigma[0]``."""
+    def rank(self):
+        """Numerical rank: count of singular values above ``PINV_TOL * sigma[0]``."""
         if self.sigma[0] == 0.0:
             return 0
-        return int(np.sum(self.sigma > tol * self.sigma[0]))
+        return int(np.sum(self.sigma > PINV_TOL * self.sigma[0]))
 
     @staticmethod
     def _complete(q):
@@ -164,19 +165,19 @@ def svd(a) -> SvdFactors:
     return SvdFactors(u, s, vh.T)
 
 
-def orthonormal_basis(z, rank_tol=RANK_TOL):
+def orthonormal_basis(z):
     """Orthonormal basis Q of range(Z) for a full-column-rank Z.
 
     Raises
     ------
     RankDeficiencyError
-        If the smallest singular value falls below ``rank_tol`` times the
+        If the smallest singular value falls below ``RANK_TOL`` times the
         largest; the error reports how many columns are dependent.
     """
     z = _as_matrix(z, 'Z')
     u, s, _ = np.linalg.svd(z, full_matrices=False)
     p = z.shape[1]
-    cutoff = rank_tol * s[0]
+    cutoff = RANK_TOL * s[0]
     if s.size < p or s[-1] <= cutoff:
         deficient = p - int(np.sum(s > cutoff))
         raise RankDeficiencyError(
@@ -188,10 +189,10 @@ def orthonormal_basis(z, rank_tol=RANK_TOL):
     return u
 
 
-def pseudo_inverse(m, tol=PINV_TOL):
-    """Moore-Penrose inverse; singular values below ``tol * sigma_max`` are dropped."""
+def pseudo_inverse(m):
+    """Moore-Penrose inverse; singular values below ``PINV_TOL * sigma_max`` are dropped."""
     m = _as_matrix(m, 'M')
-    return np.linalg.pinv(m, rcond=tol)
+    return np.linalg.pinv(m, rcond=PINV_TOL)
 
 
 def spectral_norm(m) -> float:
@@ -234,7 +235,7 @@ def psd_order(m, n, tol=RANK_TOL) -> PsdOrderingReport:
     return PsdOrderingReport(w_min, w_min >= -tol, tol)
 
 
-def canonical_angle_sines(q1, q2, ortho_tol=1e-10):
+def canonical_angle_sines(q1, q2):
     """Sines of the canonical angles between two column spans, descending.
 
     Both inputs must have orthonormal columns; the sines are recovered from
@@ -246,7 +247,7 @@ def canonical_angle_sines(q1, q2, ortho_tol=1e-10):
         raise ValueError('Q1 and Q2 must have the same number of rows')
     for name, q in (('Q1', q1), ('Q2', q2)):
         dev = float(np.max(np.abs(q.T @ q - np.eye(q.shape[1]))))
-        if dev > ortho_tol:
+        if dev > ORTHO_TOL:
             raise ValueError(f'{name} is not orthonormal: max deviation {dev:.3e}')
     cosines = np.clip(scipy.linalg.svdvals(q1.T @ q2), 0.0, 1.0)
     sines = np.sqrt(np.clip(1.0 - cosines**2, 0.0, 1.0))

@@ -59,11 +59,11 @@ class SpectrumProfile:
             raise ValueError('the head spectrum must be strictly positive')
 
     @classmethod
-    def from_spectrum(cls, sigma, k, p, q, tol=PINV_TOL):
-        """Build a profile, zeroing singular values below ``tol * sigma[0]``."""
+    def from_spectrum(cls, sigma, k, p, q):
+        """Build a profile, zeroing singular values below ``PINV_TOL * sigma[0]``."""
         sigma = np.asarray(sigma, dtype=float).copy()
         if sigma.size and sigma[0] > 0:
-            sigma[sigma <= tol * sigma[0]] = 0.0
+            sigma[sigma <= PINV_TOL * sigma[0]] = 0.0
         return cls(sigma, k, p, q)
 
     def head(self):

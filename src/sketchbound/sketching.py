@@ -14,6 +14,7 @@ trials reuse the matrix's streams and are not independent of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = 1 << 53
+# relative to the largest eigenvalue: the rank counts the eigenvalues above
+# _EIG_RANK_TOL, and one below -_PSD_TOL fails the PSD check
+_EIG_RANK_TOL = 1e-12
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,32 +71,35 @@ def standard_gaussian(rows, cols, stream: SeededStream):
 class GaussianSketch:
     """Matrix Gaussian distribution ``Z ~ N(mean, covariance)`` per column.
 
-    ``cov_sqrt`` is the PSD square root of the covariance, ``rank`` its
-    numerical rank and ``min_nonzero_eigenvalue`` the smallest retained
-    eigenvalue (0.0 for a zero covariance).  The root may be passed as a
-    zero-argument callable; it is then formed on first read and cached, so a
-    sketch that is never sampled never forms it.
+    Built from the covariance's eigenpairs ``(w, vec)``, clipped at zero,
+    from which every derived quantity follows by one rule: ``rank`` counts
+    the eigenvalues above ``_EIG_RANK_TOL`` (1e-12) times the largest, and
+    ``min_nonzero_eigenvalue`` is the smallest of those (0.0 for a zero
+    covariance).  ``cov_sqrt``, the PSD square root, is formed on first read
+    and cached; only sampling reads it, so a sketch whose bounds alone are
+    evaluated never pays for its n^3 product.
     """
 
-    def __init__(self, mean, covariance, cov_sqrt, rank, min_nonzero_eigenvalue):
+    def __init__(self, mean, covariance, w, vec):
         self.mean = mean
         self.covariance = covariance
-        self._cov_sqrt = cov_sqrt
-        self.rank = rank
-        self.min_nonzero_eigenvalue = min_nonzero_eigenvalue
+        self._w = w
+        self._vec = vec
+        retained = w[w > _EIG_RANK_TOL * np.max(w)]
+        self.rank = int(retained.size)
+        self.min_nonzero_eigenvalue = float(np.min(retained)) if self.rank else 0.0
 
-    @property
+    @functools.cached_property
     def cov_sqrt(self):
-        if callable(self._cov_sqrt):
-            self._cov_sqrt = self._cov_sqrt()
-        return self._cov_sqrt
+        root = (self._vec * np.sqrt(self._w)) @ self._vec.T
+        return 0.5 * (root + root.T)
 
     @property
     def shape(self):
         return self.mean.shape
 
     @classmethod
-    def from_moments(cls, mean, covariance, eig_rank_tol=1e-12, psd_tol=None):
+    def from_moments(cls, mean, covariance):
         """Build a sketch from its mean and covariance, validating PSD-ness."""
         mean = _as_matrix(mean, 'mean')
         covariance = _as_matrix(covariance, 'covariance')
@@ -100,24 +108,13 @@ class GaussianSketch:
             raise ValueError(f'covariance must be {n}x{n}, got {covariance.shape}')
         covariance = _symmetrize(covariance, 'covariance')
         w, vec = np.linalg.eigh(covariance)
-        top = max(abs(w[0]), abs(w[-1]))
-        tol = psd_tol if psd_tol is not None else 1e-10 * top
+        tol = _PSD_TOL * max(abs(w[0]), abs(w[-1]))
         if w[0] < -tol:
             raise NotPositiveSemidefiniteError(
                 f'covariance has eigenvalue {w[0]:.6e} below -{tol:.3e}',
                 offending_eigenvalue=float(w[0]),
             )
-        w = np.clip(w, 0.0, None)
-        retained = w > eig_rank_tol * top if top > 0 else np.zeros_like(w, dtype=bool)
-        rank = int(np.sum(retained))
-        lam_min = float(np.min(w[retained])) if rank else 0.0
-
-        def cov_sqrt():
-            # only sampling reads the root, so its n^3 product waits for it
-            root = (vec * np.sqrt(w)) @ vec.T
-            return 0.5 * (root + root.T)
-
-        return cls(mean, covariance, cov_sqrt, rank, lam_min)
+        return cls(mean, covariance, np.clip(w, 0.0, None), vec)
 
 
 def sample(sketch: GaussianSketch, stream: SeededStream):
@@ -143,10 +140,8 @@ def rsvd_sketch(a, q, p, stream: SeededStream, *, check_finite=True):
 
 def rsvd_distribution(factors, q, p) -> GaussianSketch:
     """Distribution of the randomized-SVD sketch: zero mean, covariance
-    ``U (Sigma Sigma^T)^(2q+1) U^T``.
-
-    The covariance square root is assembled from the factors directly, so no
-    eigendecomposition is performed.
+    ``U (Sigma Sigma^T)^(2q+1) U^T``, whose eigenpairs are the factors' own,
+    so no eigendecomposition is performed.
     """
     if q < 0:
         raise ValueError('q must be non-negative')
@@ -157,16 +152,7 @@ def rsvd_distribution(factors, q, p) -> GaussianSketch:
     lam = np.zeros(n)
     lam[:factors.sigma.size] = factors.sigma ** (4 * q + 2)
     cov = (u * lam) @ u.T
-    root = (u * np.sqrt(lam)) @ u.T
-    rank = factors.rank()
-    lam_min = float(factors.sigma[rank - 1] ** (4 * q + 2)) if rank else 0.0
-    return GaussianSketch(
-        mean=np.zeros((n, p)),
-        covariance=0.5 * (cov + cov.T),
-        cov_sqrt=0.5 * (root + root.T),
-        rank=rank,
-        min_nonzero_eigenvalue=lam_min,
-    )
+    return GaussianSketch(np.zeros((n, p)), 0.5 * (cov + cov.T), lam, u)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Bit-identity guard: every bound value of ``sketchbound bounds``, of the
 bound columns of ``run_sweep`` and of the per-sample deterministic bounds,
-and the empirical columns of a sweep, compared as ``float.hex`` with a
-reference.
+the empirical columns of a sweep under both metrics, and the per-trial values
+of two sampled Gaussian sketches, compared as ``float.hex`` with a reference.
 
 ``data/bound_values.json`` holds the values of a reference commit. Recapture
 it only when bound values are meant to change, from the root of a checkout:
@@ -18,6 +18,7 @@ import numpy as np
 
 from sketchbound import cli, deterministic, experiments
 from sketchbound.linalg import svd, write_matrix_market
+from sketchbound.sketching import GaussianSketch, rsvd_distribution
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'data', 'bound_values.json')
 CLI_CASES = ((3, 8, 0), (5, 20, 1), (10, 40, 2))
@@ -85,16 +86,38 @@ def deterministic_bound_values():
     return values
 
 
-def sweep_empirical_values():
+def sweep_empirical_values(metric='general'):
     """``empirical_mean`` and ``empirical_std`` of every row of a small sweep
     over both norms and q up to 2, with enough trials for a nonzero spread."""
     config = experiments.SweepConfig(
         n=60, k_list=(3, 5), oversampling_list=(2, 7, 20), q_list=(0, 1, 2), trials=4, seed=3,
-        bound_variants=('hmt_frobenius',),
+        metric=metric, bound_variants=('hmt_frobenius',),
     )
     return {
         f'k{row.k}-p{row.p}-q{row.q}-{row.norm}': [row.empirical_mean.hex(), row.empirical_std.hex()]
         for row in experiments.run_sweep(config)
+    }
+
+
+def sampled_sketch_values():
+    """Per-trial values of ``empirical_error`` for two sketches drawn through
+    ``sample``: a nonzero-mean, dense-covariance sketch from its moments, and
+    the distribution of a randomized-SVD sketch."""
+    a, factors = experiments.synthetic_matrix(60, 3)
+    k, p = 5, 20
+    rng = np.random.default_rng(20221020)
+    b = rng.standard_normal((60, 60))
+    cov = np.einsum('ik,jk->ij', b, b) / 60 + 1e-3 * np.eye(60)
+    sketches = {
+        'moments': GaussianSketch.from_moments(0.05 * rng.standard_normal((60, p)), cov),
+        'rsvd-q1': rsvd_distribution(factors, 1, p),
+    }
+    return {
+        f'{name}-{norm}': [
+            value.hex() for value in experiments.empirical_error(a, factors, sketch, k, 4, norm, seed=3).values
+        ]
+        for name, sketch in sketches.items()
+        for norm in experiments.NORMS
     }
 
 
@@ -128,6 +151,8 @@ def bound_values():
     sweep = {f'k{row.k}-p{row.p}-q{row.q}': _hexed(row.bounds) for row in experiments.run_sweep(config)}
     return {
         'sweep_empirical': sweep_empirical_values(),
+        'sweep_empirical_old': sweep_empirical_values('old'),
+        'sampled_sketches': sampled_sketch_values(),
         'bounds': reports, 'sweep': sweep, 'deterministic': deterministic_bound_values(),
     }
 
@@ -151,6 +176,18 @@ def test_sweep_bound_columns_unchanged():
 
 def test_sweep_empirical_columns_unchanged():
     got, want = bound_values()['sweep_empirical'], _reference()['sweep_empirical']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_sweep_old_metric_columns_unchanged():
+    got, want = bound_values()['sweep_empirical_old'], _reference()['sweep_empirical_old']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_sampled_sketch_values_unchanged():
+    got, want = bound_values()['sampled_sketches'], _reference()['sampled_sketches']
     assert got == want
     assert json.dumps(got) == json.dumps(want)
 

@@ -104,7 +104,21 @@ class TestBounds:
         assert run_cli('bounds', '--synthetic-n', '60', '--seed', '3', '--k', '4', '--p', '8',
                        *mean_cov_args(tmp_path, 60, 8, 0.05)) == 0
         [sketch] = built
-        assert callable(sketch._cov_sqrt)  # the deferred root was never formed
+        assert 'cov_sqrt' not in vars(sketch)  # the deferred root was never formed
+
+    def test_rsvd_theorem_request_never_forms_the_root(self, monkeypatch, capsys):
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(rsvd_distribution(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, 'rsvd_distribution', recording)
+        assert run_cli('bounds', '--synthetic-n', '60', '--seed', '3', '--k', '4', '--p', '8') == 0
+        [sketch] = built
+        assert 'cov_sqrt' not in vars(sketch)
+        root = sketch.cov_sqrt
+        assert vars(sketch)['cov_sqrt'] is root  # formed on first read, then cached
 
     @pytest.mark.parametrize('mean_scale, omitted', [(0.05, ['thm3_squared']), (0.0, [])])
     def test_moments_default_variants(self, tmp_path, capsys, mean_scale, omitted):

@@ -181,7 +181,7 @@ class TestTangentNormConstants:
 class TestMeanShiftTerm:
     def _sketch(self, mean, rank, lam_min):
         n = mean.shape[0]
-        return GaussianSketch(mean, np.eye(n), np.eye(n), rank, lam_min)
+        return GaussianSketch.from_moments(mean, np.diag([lam_min] * rank + [0.0] * (n - rank)))
 
     def test_zero_mean(self):
         sk = self._sketch(np.zeros((5, 3)), 5, 1.0)
