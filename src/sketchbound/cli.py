@@ -132,6 +132,10 @@ def _cmd_empirical(args):
         a, factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,
         norm=args.norm, metric=args.metric, seed=args.seed,
     )
+    if not stats.trials:
+        # the mean of no trials is NaN, which JSON cannot carry
+        raise ValueError(f'all {stats.excluded_trials} trials excluded by the head rank check '
+                         f'(rank(A) < k={args.k}?); no report written')
     payload = json.dumps({
         'k': args.k, 'p': args.p, 'q': args.q, 'norm': args.norm, 'metric': args.metric,
         'trials': stats.trials, 'excluded_trials': stats.excluded_trials,

@@ -1,7 +1,8 @@
 """Bit-identity guard: every bound value of ``sketchbound bounds``, of the
 bound columns of ``run_sweep`` and of the per-sample deterministic bounds,
 the empirical columns of a sweep under both metrics, and the per-trial values
-of two sampled Gaussian sketches, compared as ``float.hex`` with a reference.
+of two sampled Gaussian sketches and of round-off-level residuals, compared
+as ``float.hex`` with a reference.
 
 ``data/bound_values.json`` holds the values of a reference commit. Recapture
 it only when bound values are meant to change, from the root of a checkout:
@@ -18,7 +19,7 @@ import numpy as np
 
 from sketchbound import cli, deterministic, experiments
 from sketchbound.linalg import svd, write_matrix_market
-from sketchbound.sketching import GaussianSketch, rsvd_distribution
+from sketchbound.sketching import GaussianSketch, RsvdSketch, rsvd_distribution
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'data', 'bound_values.json')
 CLI_CASES = ((3, 8, 0), (5, 20, 1), (10, 40, 2))
@@ -28,6 +29,10 @@ MEAN_COV_CASE = (5, 20, 1)
 # is sketched with q = 0 and q = 1 power passes
 DET_SHAPES = ((30, 20, 4), (20, 30, 6), (24, 24, 5))
 DET_SKETCH_COLUMNS = 9
+# (rows, cols) of the tall, wide and square rank-deficient problems whose
+# sketches have more columns than A has rank, so every residual is round-off
+ROUNDOFF_SHAPES = ((40, 25), (25, 40), (30, 30))
+ROUNDOFF_RANK = 6
 ALL_VARIANTS = (
     'cor_frobenius', 'cor_spectral', 'cor_spectral_improved',
     'thm3', 'thm3_squared', 'thm4', 'thm5',
@@ -121,6 +126,24 @@ def sampled_sketch_values():
     }
 
 
+def roundoff_values():
+    """Per-trial values of ``empirical_error`` with ``p >= rank(A)``, both
+    norms and q up to 2: residuals at round-off level, which the kernel
+    recomputes from the explicitly formed residual."""
+    values = {}
+    for rows, cols in ROUNDOFF_SHAPES:
+        rng = np.random.default_rng([rows, cols, ROUNDOFF_RANK])
+        a = np.einsum('ij,jk->ik', rng.standard_normal((rows, ROUNDOFF_RANK)),
+                      rng.standard_normal((ROUNDOFF_RANK, cols)))
+        factors = svd(a)
+        for q in (0, 1, 2):
+            sketch = RsvdSketch(q=q, p=ROUNDOFF_RANK + 2)
+            for norm in experiments.NORMS:
+                stats = experiments.empirical_error(a, factors, sketch, 3, 3, norm, seed=q)
+                values[f'{rows}x{cols}-q{q}-{norm}'] = [value.hex() for value in stats.values]
+    return values
+
+
 @functools.cache
 def bound_values():
     """Every variant's report from the CLI and every bound column of a sweep."""
@@ -154,6 +177,7 @@ def bound_values():
         'sweep_empirical_old': sweep_empirical_values('old'),
         'sampled_sketches': sampled_sketch_values(),
         'bounds': reports, 'sweep': sweep, 'deterministic': deterministic_bound_values(),
+        'roundoff': roundoff_values(),
     }
 
 
@@ -194,6 +218,12 @@ def test_sampled_sketch_values_unchanged():
 
 def test_deterministic_bound_values_unchanged():
     got, want = bound_values()['deterministic'], _reference()['deterministic']
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_roundoff_residual_values_unchanged():
+    got, want = bound_values()['roundoff'], _reference()['roundoff']
     assert got == want
     assert json.dumps(got) == json.dumps(want)
 

@@ -188,6 +188,19 @@ class TestEmpirical:
                        '--trials', '2', '--seed', '-1') == 2
         assert 'master_seed' in capsys.readouterr().err
 
+    def test_every_trial_excluded_is_precondition_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        matrix, out = tmp_path / 'rank3.mtx', tmp_path / 'report.json'
+        write_matrix_market(matrix, rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10)))
+        request = ('--matrix', str(matrix), '--k', '5', '--p', '8')
+        assert run_cli('empirical', *request, '--trials', '3', '--out', str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert 'sketchbound: all 3 trials excluded by the head rank check' in captured.err
+        assert not out.exists()
+        # the bounds of the same request are refused too
+        assert run_cli('bounds', *request) == 2
+
     def test_deterministic_across_runs(self, capsys):
         args = ('empirical', '--synthetic-n', '25', '--k', '2', '--p', '6',
                 '--trials', '4', '--seed', '9')

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,13 +123,78 @@ class TestGramTopEigenvalue:
 
 
 def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
+    """An n x m matrix whose singular values are the first ``rank`` of
+    3, 2, 1, 0.5, then exact zeros."""
     rng = np.random.default_rng(seed)
     qu, _ = np.linalg.qr(rng.standard_normal((n, n)))
     qv, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    sigma = np.zeros(m)
-    sigma[:rank] = [3.0, 2.0, 1.0, 0.5]
-    a = (qu[:, :m] * sigma) @ qv.T
-    return a, SvdFactors(qu[:, :m], sigma, qv)
+    r = min(n, m)
+    sigma = np.zeros(r)
+    sigma[:rank] = [3.0, 2.0, 1.0, 0.5][:rank]
+    a = (qu[:, :r] * sigma) @ qv[:, :r].T
+    return a, SvdFactors(qu[:, :r], sigma, qv[:, :r])
+
+
+class TestRoundOffCertificate:
+    """A residual Gram ``G`` is PSD, so ``lambda_max(G) <= tr(G)``: a
+    Frobenius square at most half the noise floor certifies that the spectral
+    value is read off the explicit residual, without a Gram eigensolve."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        gram_calls, explicit_calls = [], []
+        gram, explicit = experiments._gram_top_eigenvalue, experiments._explicit_residual_norm
+
+        def counting_gram(diag_sq, b):
+            value = gram(diag_sq, b)
+            gram_calls.append(value)
+            return value
+
+        def recording_explicit(q, b, diag, which):
+            explicit_calls.append((q, b, diag, which))
+            return explicit(q, b, diag, which)
+
+        monkeypatch.setattr(experiments, '_gram_top_eigenvalue', counting_gram)
+        monkeypatch.setattr(experiments, '_explicit_residual_norm', recording_explicit)
+        return gram_calls, explicit_calls, gram, explicit
+
+    @pytest.mark.parametrize('q', [0, 1, 2])
+    @pytest.mark.parametrize('rows, cols', [
+        (40, 25), (25, 40), (30, 30),
+        (experiments._DENSE_GRAM_LIMIT + 20, experiments._DENSE_GRAM_LIMIT + 10),
+    ])
+    def test_p_at_or_above_the_rank_skips_the_eigensolve(self, spies, rows, cols, q):
+        gram_calls, explicit_calls, gram, explicit = spies
+        rank, k = 4, 3
+        _, factors = rank_deficient_problem(rows + cols, rows, cols, rank)
+        noise_floor = 1e-12 * float(np.sum(factors.sigma**2))
+        for p in (rank, rank + 2):
+            w = RsvdSketch(q=q, p=p).draw(factors.rotated(), SeededStream(q, p))
+            del explicit_calls[:]
+            out = experiments._trial_residuals(w, factors.sigma, k, ('spectral', 'frobenius'))
+            assert gram_calls == []
+            # one explicit residual per norm and side, in (full, tail) order
+            assert [args[3] for args in explicit_calls] == ['spectral'] * 2 + ['frobenius'] * 2
+            for which, calls in (('spectral', explicit_calls[:2]), ('frobenius', explicit_calls[2:])):
+                assert out[which] == tuple(explicit(*args) for args in calls)
+            for _, b, diag, _ in explicit_calls[:2]:
+                assert gram(diag**2, b) <= noise_floor
+
+    def test_a_trace_just_above_half_the_floor_runs_the_eigensolve(self, spies):
+        gram_calls, explicit_calls, _, explicit = spies
+        rank = 6
+        # the sketch spans the first rank coordinates exactly, so both
+        # residuals are t e_rank with t^2 at 0.75 of the noise floor
+        t_sq = 0.75e-12 * rank / (1 - 0.75e-12)
+        sigma = np.append(np.ones(rank), math.sqrt(t_sq))
+        noise_floor = 1e-12 * float(np.sum(sigma**2))
+        w = np.zeros((rank + 1, rank))
+        w[:rank] = np.random.default_rng(5).standard_normal((rank, rank))
+        out = experiments._trial_residuals(w, sigma, 2, ('spectral',))
+        assert len(gram_calls) == 2
+        assert all(0.5 * noise_floor < value <= noise_floor for value in gram_calls)
+        assert out['spectral'] == tuple(explicit(*args) for args in explicit_calls)
+        assert out['spectral'] == pytest.approx((math.sqrt(t_sq),) * 2, rel=1e-6)
 
 
 class TestEmpiricalError:
