@@ -11,15 +11,14 @@ A sweep builds its synthetic problem in that basis too: it draws ``V`` and
 never ``U``, and never assembles the dense ``A``.
 
 A sweep's cells are independent: each trial reads the stream keyed by its
-cell's grid position and its own number.  When BLAS is pinned to one thread
-(``OPENBLAS_NUM_THREADS=1``, recommended for sweeps), the Monte Carlo trials
-of different cells run concurrently, one thread per available CPU, and the
-output is byte-identical for any number of threads.  With multi-threaded
-BLAS the cells run one at a time: its threads already keep the cores busy,
-and concurrent calls into it were measured slower.
+cell's grid position and its own number.  A sweep sets every BLAS library of
+the process (numpy and scipy each bundle an OpenBLAS) to one thread and runs
+the cells' trials on one thread per CPU, so its bytes depend neither on the
+caller's BLAS threads nor on the number of threads; without a thread setter
+(another BLAS, or no ``/proc``) it runs serially at the caller's BLAS threads.
 
-:func:`empirical_error` runs its trials one at a time in the calling thread.
-With numpy 2.4, single-matrix ``eigvalsh`` and ``svd(compute_uv=False)``, and
+:func:`empirical_error` always runs serially with the caller's BLAS threads:
+with numpy 2.4, single-matrix ``eigvalsh`` and ``svd(compute_uv=False)``, and
 so ``norm(x, 2)``, hold the interpreter lock (stacked calls, ``eigh`` and
 ``svd(full_matrices=False)`` release it), so the spectral residuals of
 concurrent trials mostly take turns.  Spread over two threads (2 cores, BLAS
@@ -35,12 +34,14 @@ convention, and :func:`evaluate_bounds` serves both the sweeps and the
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
+import itertools
 import json
 import logging
 import math
 import os
-import re
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -79,6 +80,7 @@ NORMS = ('spectral', 'frobenius')
 METRICS = ('general', 'old')
 
 _DENSE_GRAM_LIMIT = 600
+_SWEEP_LOCK = threading.Lock()  # sweeps set BLAS threads process-wide, so run one at a time
 
 
 def _haar_orthogonal(n, stream):
@@ -142,23 +144,17 @@ class EmpiricalStats:
 def _gram_top_eigenvalue(diag_sq, b):
     """Largest eigenvalue of ``diag(diag_sq) - b^T b`` (clipped at zero)."""
     m = diag_sq.size
-    if m <= _DENSE_GRAM_LIMIT:
-        gram = np.diag(diag_sq) - b.T @ b
-        return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
-
-    def matvec(x):
-        return diag_sq * x - b.T @ (b @ x)
-
-    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=matvec, dtype=float)
-    v0 = np.full(m, m**-0.5)
-    try:
-        w = scipy.sparse.linalg.eigsh(
-            op, k=1, which='LA', v0=v0, tol=1e-10, maxiter=20 * m, return_eigenvectors=False,
-        )
-        return max(float(w[0]), 0.0)
-    except scipy.sparse.linalg.ArpackError:
-        gram = np.diag(diag_sq) - b.T @ b
-        return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+    if m > _DENSE_GRAM_LIMIT:
+        op = scipy.sparse.linalg.LinearOperator(
+            (m, m), matvec=lambda x: diag_sq * x - b.T @ (b @ x), dtype=float)
+        try:
+            w = scipy.sparse.linalg.eigsh(op, k=1, which='LA', v0=np.full(m, m**-0.5), tol=1e-10,
+                                          maxiter=20 * m, return_eigenvectors=False)
+            return max(float(w[0]), 0.0)
+        except scipy.sparse.linalg.ArpackError:
+            pass  # ARPACK failed: solved densely below
+    gram = np.diag(diag_sq) - b.T @ b
+    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
 
 
 def _explicit_residual_norm(q, b, diag, which):
@@ -355,14 +351,10 @@ class SweepConfig:
     bound_variants: tuple = tuple(RSVD_VARIANTS) + tuple(HMT_VARIANTS)
     output_path: str | None = None
     output_format: str = 'csv'
-    m: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, 'k_list', tuple(self.k_list))
-        object.__setattr__(self, 'oversampling_list', tuple(self.oversampling_list))
-        object.__setattr__(self, 'q_list', tuple(self.q_list))
-        object.__setattr__(self, 'norm_list', tuple(self.norm_list))
-        object.__setattr__(self, 'bound_variants', tuple(self.bound_variants))
+        for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list', 'bound_variants'):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.trials < 1:
             raise ValueError('trials must be positive')
         if self.metric not in METRICS:
@@ -372,8 +364,6 @@ class SweepConfig:
         unknown = set(self.bound_variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f'unknown bound variants: {sorted(unknown)}')
-        if self.m is not None and self.m != self.n:
-            raise ValueError('the synthetic test matrix is square; m must equal n')
         if self.output_format not in ('csv', 'json'):
             raise ValueError("output_format must be 'csv' or 'json'")
 
@@ -403,31 +393,30 @@ class SweepRow:
     bounds: dict
 
 
-# the variables the bundled OpenBLAS reads its thread count from, in order
-_BLAS_THREAD_VARIABLES = ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')
-
-
-def _sweep_workers():
-    """Threads for a sweep's Monte Carlo cells: every CPU this process may run
-    on when BLAS is pinned to one thread, else one.
-
-    A multi-threaded OpenBLAS already keeps the cores busy, and concurrent
-    calls into it were measured slower, so only single-threaded BLAS gets
-    more than one worker.  The thread count is read as OpenBLAS reads it:
-    the first positive value among its variables, else one thread per CPU.
-    """
-    blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']
-    if 'openblas' not in blas or not hasattr(os, 'sched_getaffinity'):
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    threads = cpus
-    for name in _BLAS_THREAD_VARIABLES:
-        # parsed like C's atoi: leading digits, and a value below 1 means unset
-        match = re.match(r'\s*[+-]?\d+', os.environ.get(name, ''))
-        if match and int(match.group()) > 0:
-            threads = int(match.group())
-            break
-    return cpus if threads == 1 else 1
+@functools.cache  # a ctypes.CDLL per sweep raised sweep_acceptance peak RSS from 107 to 114.6 MB
+def _blas_thread_controls():
+    """``(get, set)`` thread-count functions of every BLAS library mapped into
+    the process at the first call (by name in ``/proc/self/maps``), or none if
+    one lacks them; numpy's and scipy's OpenBLAS use ``scipy_openblas_`` names."""
+    try:
+        with open('/proc/self/maps') as maps:
+            # the last field is the mapped file, or the inode where there is none
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        name = os.path.basename(path).lower()
+        # extension modules such as scipy's _fblas reach the same library
+        if name.startswith('lib') and any(tag in name for tag in ('blas', 'blis', 'mkl')):
+            lib = ctypes.CDLL(path)
+            found = [f'{prefix}_%s_num_threads{suffix}' for prefix in ('scipy_openblas', 'openblas')
+                     for suffix in ('64_', '') if hasattr(lib, f'{prefix}_set_num_threads{suffix}')]
+            if not found:
+                return ()
+            controls.append((ctypes.CFUNCTYPE(ctypes.c_int)((found[0] % 'get', lib)),
+                             ctypes.CFUNCTYPE(None, ctypes.c_int)((found[0] % 'set', lib))))
+    return tuple(controls)
 
 
 def _map_cells(work, count, workers):
@@ -484,43 +473,50 @@ def run_sweep(config: SweepConfig):
     Rows are sorted by ``(k, q, p, norm)``; the whole sweep is a pure
     function of the config, so identical configs give identical rows.  The
     bounds are evaluated in the calling thread, one cell at a time; then the
-    cells' Monte Carlo trials are shared among the threads the BLAS setup
-    allows (see the module docstring), and the rows are assembled in cell
-    order.
+    cells' Monte Carlo trials are shared among one thread per CPU, and the
+    rows are assembled in cell order.  BLAS runs at one thread until the sweep
+    returns or raises (see the module docstring), and process-wide: other
+    threads calling it meanwhile get one thread too, and sweeps started from
+    several threads run one at a time.
     """
-    # every residual and bound depends on A only through U^T A, so the problem
-    # is built in its left singular basis and one factors object serves both
-    # the trials and the theorem variants
-    factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
-    theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
-    grid = [
-        (k, q, rho)
-        for k in sorted(config.k_list)
-        for q in sorted(config.q_list)
-        for rho in sorted(config.oversampling_list)
-    ]
-    cells, bounds = [], []
-    for cell_index, (k, q, rho) in enumerate(grid):
-        p = k + rho
-        if k > p - 2 or p > factors.rank():
-            logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
-            continue
-        # before any trial runs, and the sketch dropped at once, so a cell's
-        # n x n theorem matrices never add to the trials' memory or the next cell's
-        sketch = rsvd_distribution(factors, q, p) if theorems else None
-        reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
-        del sketch
-        bounds.append({name: report['bound'] for name, report in reports.items()})
-        cells.append((cell_index, k, q, rho, p))
+    with _SWEEP_LOCK:
+        controls = _blas_thread_controls()
+        counts = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(1)
+        try:
+            # every residual and bound depends on A only through U^T A, so the problem
+            # is built in its left singular basis and one factors object serves both
+            # the trials and the theorem variants
+            factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
+            theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
+            grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
+                                     sorted(config.oversampling_list))
+            cells, bounds = [], []
+            for cell_index, (k, q, rho) in enumerate(grid):
+                p = k + rho
+                if k > p - 2 or p > factors.rank():
+                    logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
+                    continue
+                # before any trial runs, and the sketch dropped at once, so a cell's
+                # n x n theorem matrices never add to the trials' memory or the next cell's
+                sketch = rsvd_distribution(factors, q, p) if theorems else None
+                reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
+                del sketch
+                bounds.append({name: report['bound'] for name, report in reports.items()})
+                cells.append((cell_index, k, q, rho, p))
 
-    def cell_trials(i):
-        cell_index, k, q, _, p = cells[i]
-        return _collect_residuals(
-            factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
-            stream_offset=cell_index * config.trials,
-        )
+            def cell_trials(i):
+                cell_index, k, q, _, p = cells[i]
+                return _collect_residuals(
+                    factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
+                    stream_offset=cell_index * config.trials,
+                )
 
-    trials = _map_cells(cell_trials, len(cells), _sweep_workers())
+            trials = _map_cells(cell_trials, len(cells), len(os.sched_getaffinity(0)) if controls else 1)
+        finally:
+            for (_, set_threads), count in zip(controls, counts):
+                set_threads(count)
     rows = []
     for (_, k, q, rho, p), cell_bound, (residuals, excluded) in zip(cells, bounds, trials):
         if excluded:

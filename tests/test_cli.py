@@ -171,6 +171,21 @@ class TestSweep:
     def test_missing_config_file(self, tmp_path):
         assert run_cli('sweep', '--config', str(tmp_path / 'none.json')) == 1
 
+    def test_every_trial_of_a_cell_excluded_is_precondition_error(self, tmp_path, capsys):
+        # k=150 leaves the q=5 sketch's head numerically rank-deficient in every trial
+        out = tmp_path / 'rows.csv'
+        config_path = tmp_path / 'config.json'
+        config_path.write_text(json.dumps({
+            'n': 200, 'k_list': [150], 'oversampling_list': [4], 'q_list': [5],
+            'trials': 4, 'seed': 3, 'output_path': str(out),
+        }))
+        assert run_cli('sweep', '--config', str(config_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert ('sketchbound: every trial excluded by the head rank check in cell(s) k=150 p=154 q=5; '
+                'no file written') in captured.err
+        assert not out.exists()
+
 
 class TestEmpirical:
     def test_json_statistics(self, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -294,6 +295,19 @@ class TestEmpiricalError:
             empirical_error(a, f, RsvdSketch(q=0, p=5), 2, 5, metric='weird')
 
 
+@pytest.fixture
+def blas_threads():
+    """The process's BLAS thread controls, each set to two threads for the test."""
+    controls = experiments._blas_thread_controls()
+    assert controls, 'no OpenBLAS thread setter found in this process'
+    counts = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(2)
+    yield controls
+    for (_, set_threads), count in zip(controls, counts):
+        set_threads(count)
+
+
 def small_config(tmp_path=None, **overrides):
     settings = dict(
         n=40,
@@ -397,46 +411,142 @@ class TestRunSweep:
                               trials=4, bound_variants=VARIANTS)
         payloads = []
         for workers in (1, 2):
-            monkeypatch.setattr(experiments, '_sweep_workers', lambda: workers)
+            monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: set(range(workers)))
             path = tmp_path / f'sweep-{workers}.csv'
             emit(run_sweep(config), 'csv', path)
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
 
-    def test_worker_count_does_not_change_the_bytes_with_pinned_blas(self, tmp_path):
+    @staticmethod
+    def _fresh_interpreter_csvs(tmp_path, pinning):
+        """The n=1000 sweep's CSV bytes in this process, then with 1 and 2
+        workers in a fresh interpreter with the three thread-count variables
+        removed from its environment and ``pinning`` added."""
+        config = SweepConfig(n=1000, k_list=(5,), oversampling_list=(2, 52), trials=2, seed=5)
+        emit(run_sweep(config), 'csv', tmp_path / 'here.csv')
         # OpenBLAS reads its thread count when it loads, hence a fresh interpreter
         script = (
-            'import sys\n'
+            'import os, sys\n'
             'from sketchbound import experiments\n'
             'config = experiments.SweepConfig(n=1000, k_list=(5,), oversampling_list=(2, 52), trials=2, seed=5)\n'
             'for workers, path in zip((1, 2), sys.argv[1:]):\n'
-            '    experiments._sweep_workers = lambda: workers\n'
+            '    os.sched_getaffinity = lambda pid: set(range(workers))\n'
             '    experiments.emit(experiments.run_sweep(config), "csv", path)\n'
         )
         paths = [tmp_path / 'one.csv', tmp_path / 'two.csv']
         src = os.path.dirname(os.path.dirname(sketchbound.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS='1',
-                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get('PYTHONPATH')))))
-        subprocess.run([sys.executable, '-c', script, *map(str, paths)], env=env, check=True, timeout=300)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert len(paths[0].read_text().splitlines()) == 1 + 2 * 2
+        env = {name: value for name, value in os.environ.items()
+               if name not in ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')}
+        env['PYTHONPATH'] = os.pathsep.join(filter(None, (src, os.environ.get('PYTHONPATH'))))
+        subprocess.run([sys.executable, '-c', script, *map(str, paths)], env={**env, **pinning},
+                       check=True, timeout=300)
+        return [path.read_bytes() for path in (tmp_path / 'here.csv', *paths)]
+
+    def test_worker_count_does_not_change_the_bytes_with_pinned_blas(self, tmp_path):
+        payloads = self._fresh_interpreter_csvs(tmp_path, {'OPENBLAS_NUM_THREADS': '1'})
+        assert len(set(payloads)) == 1
+        assert len(payloads[0].decode().splitlines()) == 1 + 2 * 2
+
+    def test_worker_count_does_not_change_the_bytes_with_unpinned_blas(self, tmp_path):
+        # the same bytes as in this process, and so as with BLAS pinned
+        payloads = self._fresh_interpreter_csvs(tmp_path, {})
+        assert len(set(payloads)) == 1
+        assert len(payloads[0].decode().splitlines()) == 1 + 2 * 2
+
+    def test_trials_run_with_single_threaded_blas_and_its_counts_return(self, monkeypatch, blas_threads):
+        counts = [get() for get, _ in blas_threads]
+        seen = []
+        collect = experiments._collect_residuals
+
+        def recording(*args, **kwargs):
+            seen.append([get() for get, _ in blas_threads])
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: {0, 1})
+        monkeypatch.setattr(experiments, '_collect_residuals', recording)
+        rows = run_sweep(small_config())
+        assert len(seen) == len(rows) // 2
+        assert all(during == [1] * len(blas_threads) for during in seen)
+        assert [get() for get, _ in blas_threads] == counts
+
+    def test_sweeps_from_two_threads_run_one_at_a_time(self, monkeypatch, blas_threads):
+        # each sweep's trials wait briefly for the other's; overlapping sweeps
+        # would meet, and the later one would restore the count set to one
+        counts = [get() for get, _ in blas_threads]
+        meeting = threading.Barrier(2, timeout=0.5)
+        met = []
+        collect = experiments._collect_residuals
+
+        def meeting_point(*args, **kwargs):
+            with contextlib.suppress(threading.BrokenBarrierError):
+                meeting.wait()
+                met.append(threading.get_ident())
+            return collect(*args, **kwargs)
+
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: {0})
+        monkeypatch.setattr(experiments, '_collect_residuals', meeting_point)
+        results = []
+        sweeps = [threading.Thread(target=lambda: results.append(run_sweep(small_config())))
+                  for _ in range(2)]
+        for sweep in sweeps:
+            sweep.start()
+        for sweep in sweeps:
+            sweep.join(timeout=60)
+        assert not any(sweep.is_alive() for sweep in sweeps)
+        assert len(results) == 2 and results[0] == results[1]
+        assert met == []
+        assert [get() for get, _ in blas_threads] == counts
+
+    def test_without_thread_setters_the_trials_run_in_one_worker(self, monkeypatch):
+        config = small_config(n=60, k_list=(3, 5), oversampling_list=(2, 9), q_list=(0, 2), trials=3)
+        expected = run_sweep(config)
+        workers = []
+        map_cells = experiments._map_cells
+
+        def recording(work, count, workers_given):
+            workers.append(workers_given)
+            return map_cells(work, count, workers_given)
+
+        monkeypatch.setattr(experiments, '_blas_thread_controls', lambda: ())
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: {0, 1})
+        monkeypatch.setattr(experiments, '_map_cells', recording)
+        assert run_sweep(config) == expected
+        assert workers == [1]
+
+    @pytest.mark.parametrize('cpus', (1, 2, 3))
+    def test_one_worker_per_cpu_with_thread_setters(self, monkeypatch, cpus):
+        config = small_config(n=60, k_list=(3, 5), oversampling_list=(2, 9), q_list=(0, 2), trials=3)
+        expected = run_sweep(config)
+        workers = []
+        map_cells = experiments._map_cells
+
+        def recording(work, count, workers_given):
+            workers.append(workers_given)
+            return map_cells(work, count, workers_given)
+
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: set(range(cpus)))
+        monkeypatch.setattr(experiments, '_map_cells', recording)
+        assert run_sweep(config) == expected
+        assert workers == [cpus]
 
     @pytest.mark.parametrize('workers', (1, 2))
-    def test_a_failing_cell_surfaces(self, monkeypatch, workers):
+    def test_a_failing_cell_surfaces(self, monkeypatch, blas_threads, workers):
         collect = experiments._collect_residuals
         trials = small_config().trials
+        counts = [get() for get, _ in blas_threads]
 
         def failing(*args, stream_offset=0, **kwargs):
             if stream_offset == 2 * trials:
                 raise RuntimeError('cell 2 failed')
             return collect(*args, stream_offset=stream_offset, **kwargs)
 
-        monkeypatch.setattr(experiments, '_sweep_workers', lambda: workers)
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: set(range(workers)))
         monkeypatch.setattr(experiments, '_collect_residuals', failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match='cell 2 failed'):
             run_sweep(small_config())
         assert threading.active_count() == threads
+        assert [get() for get, _ in blas_threads] == counts
 
     def test_improved_spectral_column_never_looser(self):
         config = small_config(q_list=(0, 1), oversampling_list=(4, 8),
@@ -456,8 +566,6 @@ class TestRunSweep:
             small_config(bound_variants=('nonsense',))
         with pytest.raises(ValueError):
             small_config(trials=0)
-        with pytest.raises(ValueError):
-            small_config(m=99)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / 'config.json'
@@ -473,24 +581,31 @@ class TestRunSweep:
             SweepConfig.from_json(bad)
 
 
+    def test_from_json_rejects_the_removed_m_key(self, tmp_path):
+        path = tmp_path / 'config.json'
+        path.write_text(json.dumps({'n': 40, 'k_list': [3], 'oversampling_list': [4], 'm': 40}))
+        with pytest.raises(ValueError, match="unknown sweep config keys: \\['m'\\]"):
+            SweepConfig.from_json(path)
+
+
 class TestSweepWorkers:
-    @pytest.mark.parametrize('env, workers', [
-        ({}, 1),
-        ({'OPENBLAS_NUM_THREADS': '1'}, 3),
-        ({'OPENBLAS_NUM_THREADS': '2'}, 1),
-        ({'OMP_NUM_THREADS': '1'}, 3),
-        ({'OMP_NUM_THREADS': '4'}, 1),
-        ({'OPENBLAS_NUM_THREADS': '4', 'OMP_NUM_THREADS': '1'}, 1),
-        ({'OPENBLAS_NUM_THREADS': '0', 'OMP_NUM_THREADS': '1'}, 3),
-        ({'GOTO_NUM_THREADS': '1', 'OMP_NUM_THREADS': '2'}, 3),
-    ])
-    def test_one_worker_per_cpu_only_with_single_threaded_blas(self, monkeypatch, env, workers):
-        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: {0, 1, 2})
-        for name in experiments._BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        assert experiments._sweep_workers() == workers
+    def test_no_thread_controls_without_proc_maps(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError('/proc/self/maps')
+
+        monkeypatch.setattr(experiments, 'open', no_proc, raising=False)
+        assert experiments._blas_thread_controls.__wrapped__() == ()
+
+    def test_no_thread_controls_when_a_blas_library_lacks_setters(self, monkeypatch):
+        opened = []
+
+        def bare_library(path):
+            opened.append(path)
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(experiments.ctypes, 'CDLL', bare_library)
+        assert experiments._blas_thread_controls.__wrapped__() == ()
+        assert opened and 'blas' in os.path.basename(opened[0]).lower()
 
     def test_a_helper_threads_failure_surfaces(self):
         failed = threading.Event()
