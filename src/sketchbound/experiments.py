@@ -10,14 +10,20 @@ basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
 A sweep builds its synthetic problem in that basis too: it draws ``V`` and
 never ``U``, and never assembles the dense ``A``.
 
-A sweep's cells are independent: each trial reads the stream keyed by its
-cell's grid position and its own number.  A sweep sets every BLAS library of
-the process (numpy and scipy each bundle an OpenBLAS) to one thread and runs
-the cells' trials on one thread per CPU, so its bytes depend neither on the
-caller's BLAS threads nor on the number of threads; without a thread setter
-(another BLAS, or no ``/proc``) it runs serially at the caller's BLAS threads.
+A sweep's trials are keyed by ``(q, p, t)``, in stream indices no other
+caller reads, and the cells that share ``(q, p)`` share their sketches: no k
+enters the sketch, its basis or its full residual.  A cell's rows therefore
+depend on the seed and its own parameters alone, not on the rest of the grid.
+A sweep sets every BLAS library of the process (numpy and scipy each bundle
+an OpenBLAS) to one thread and runs its trials on one thread per CPU, so its
+bytes depend neither on the caller's BLAS threads nor on the number of
+threads; without a thread setter (another BLAS, or no ``/proc``) it runs
+serially at the caller's BLAS threads.  The synthetic matrix is built at one
+BLAS thread too, wherever it is called from.
 
-:func:`empirical_error` always runs serially with the caller's BLAS threads:
+:func:`empirical_error` keeps the plain index-``t`` streams, so on a dense
+synthetic problem its trials 0 and 1 reuse the streams of the matrix's ``U``
+and ``V``.  It always runs serially with the caller's BLAS threads:
 with numpy 2.4, single-matrix ``eigvalsh`` and ``svd(compute_uv=False)``, and
 so ``norm(x, 2)``, hold the interpreter lock (stacked calls, ``eigh`` and
 ``svd(full_matrices=False)`` release it), so the spectral residuals of
@@ -80,7 +86,54 @@ NORMS = ('spectral', 'frobenius')
 METRICS = ('general', 'old')
 
 _DENSE_GRAM_LIMIT = 600
-_SWEEP_LOCK = threading.Lock()  # sweeps set BLAS threads process-wide, so run one at a time
+_BLAS_LOCK = threading.RLock()  # held while BLAS runs at one thread, process-wide
+
+
+@functools.cache  # a ctypes.CDLL per sweep raised sweep_acceptance peak RSS from 107 to 114.6 MB
+def _blas_thread_controls():
+    """``(get, set)`` thread-count functions of every BLAS library mapped into
+    the process at the first call (by name in ``/proc/self/maps``), or none if
+    one lacks them; numpy's and scipy's OpenBLAS use ``scipy_openblas_`` names."""
+    try:
+        with open('/proc/self/maps') as maps:
+            # the last field is the mapped file, or the inode where there is none
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        name = os.path.basename(path).lower()
+        # extension modules such as scipy's _fblas reach the same library
+        if name.startswith('lib') and any(tag in name for tag in ('blas', 'blis', 'mkl')):
+            lib = ctypes.CDLL(path)
+            found = [f'{prefix}_%s_num_threads{suffix}' for prefix in ('scipy_openblas', 'openblas')
+                     for suffix in ('64_', '') if hasattr(lib, f'{prefix}_set_num_threads{suffix}')]
+            if not found:
+                return ()
+            controls.append((ctypes.CFUNCTYPE(ctypes.c_int)((found[0] % 'get', lib)),
+                             ctypes.CFUNCTYPE(None, ctypes.c_int)((found[0] % 'set', lib))))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every BLAS library of the process at one thread for the block, and its
+    earlier thread counts restored on exit; yields whether thread setters were
+    found (without them the block runs at the caller's BLAS threads).
+
+    The counts are process-wide, so one thread at a time holds the region;
+    it is reentrant, and a nested region finds and restores one thread.
+    """
+    with _BLAS_LOCK:
+        controls = _blas_thread_controls()
+        counts = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(1)
+        try:
+            yield bool(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, counts):
+                set_threads(count)
 
 
 def _haar_orthogonal(n, stream):
@@ -112,16 +165,19 @@ def synthetic_matrix(n, seed, *, left_basis=False):
     left singular basis instead: ``U`` is the identity, stream 0 is never
     read, and the matrix returned is ``factors.rotated()``, i.e.
     ``U^T A = diag(sigma) V^T`` with the same ``sigma`` and ``V`` bits.
+    BLAS runs at one thread throughout, since the Haar QR's last bits depend
+    on the thread count: the result is a function of ``(n, seed)`` alone.
     """
     if n < 11:
         raise ValueError('need n >= 11 for the synthetic spectrum')
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
-    v = _haar_orthogonal(n, SeededStream(seed, 1))
-    if left_basis:
-        factors = SvdFactors(np.eye(n), sigma, v)
-        return factors.rotated(), factors
-    u = _haar_orthogonal(n, SeededStream(seed, 0))
-    return (u * sigma) @ v.T, SvdFactors(u, sigma, v)
+    with _one_blas_thread():
+        v = _haar_orthogonal(n, SeededStream(seed, 1))
+        if left_basis:
+            factors = SvdFactors(np.eye(n), sigma, v)
+            return factors.rotated(), factors
+        u = _haar_orthogonal(n, SeededStream(seed, 0))
+        return (u * sigma) @ v.T, SvdFactors(u, sigma, v)
 
 
 @dataclass(frozen=True)
@@ -167,14 +223,28 @@ def _explicit_residual_norm(q, b, diag, which):
     return float(np.linalg.norm(resid, 2)) if min(resid.shape) else 0.0
 
 
-def _trial_residuals(w, sigma, k, norms):
-    """Full and projected-tail residual norms for one rotated sketch ``w``.
+def _residual_norm(q, b, diag, trace, noise_floor, which):
+    """``||diag_embed(diag) - q b||`` from the Gram ``G = diag^2 - b^T b``
+    whose trace is ``trace``, or from the explicit residual at the noise floor."""
+    value_sq = trace
+    if which == 'spectral' and trace > 0.5 * noise_floor:
+        value_sq = _gram_top_eigenvalue(diag**2, b)
+    if value_sq <= noise_floor:
+        return _explicit_residual_norm(q, b, diag, which)
+    return math.sqrt(value_sq)
 
-    Returns ``{norm: (residual_full, residual_tail_projected)}``.  Residuals
-    are evaluated through small Gram differences ``G = diag^2 - b^T b``;
-    values that land at or below the noise floor ``1e-12 ||Sigma||_F^2`` are
-    recomputed from the explicitly formed residual, since the difference form
-    cannot resolve below sqrt(eps) times the data scale.
+
+def _sketch_residuals(w, sigma, norms):
+    """Basis of one rotated sketch ``w`` and its full residual norms, the part
+    of a trial that no ``k`` enters.
+
+    Returns ``(q, b, {norm: residual_full})``: ``q`` is the orthonormal basis
+    of range(w) and ``b = q[:m]^T Sigma``, which :func:`_tail_residuals` reads.
+    Residuals are evaluated through small Gram differences
+    ``G = diag^2 - b^T b``; values that land at or below the noise floor
+    ``1e-12 ||Sigma||_F^2`` are recomputed from the explicitly formed
+    residual, since the difference form cannot resolve below sqrt(eps) times
+    the data scale.
 
     ``G`` is PSD, so ``lambda_max(G) <= tr(G)``, the Frobenius square the
     kernel forms anyway; a trace at most half the floor therefore certifies
@@ -187,33 +257,36 @@ def _trial_residuals(w, sigma, k, norms):
     u, s, _ = np.linalg.svd(w, full_matrices=False)
     keep = s > RANK_TOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
     q = u[:, keep]
-    m = sigma.size
-    b = q[:m, :].T * sigma[None, :]
+    b = q[:sigma.size, :].T * sigma[None, :]
+    sig_sq = sigma**2
+    noise_floor = 1e-12 * float(np.sum(sig_sq))
+    trace = float(np.sum(sig_sq) - np.sum(b**2))
+    return q, b, {which: _residual_norm(q, b, sigma, trace, noise_floor, which) for which in norms}
+
+
+def _tail_residuals(q, b, sigma, k, norms):
+    """``{norm: residual_tail_projected}`` of the sketch whose basis ``q`` and
+    ``b`` :func:`_sketch_residuals` returned: the residual of the tail
+    ``Sigma`` with its first ``k`` singular values zeroed, by the same rules."""
     sig_sq = sigma**2
     noise_floor = 1e-12 * float(np.sum(sig_sq))
     sigma_tail = sigma.copy()
     sigma_tail[:k] = 0.0
     b_tail = b.copy()
     b_tail[:, :k] = 0.0
-    traces = (float(np.sum(sig_sq) - np.sum(b**2)), float(np.sum(sig_sq[k:]) - np.sum(b_tail**2)))
-    out = {}
-    for which in norms:
-        values = []
-        for trace, diag, bmat in zip(traces, (sigma, sigma_tail), (b, b_tail)):
-            value_sq = trace
-            if which == 'spectral' and trace > 0.5 * noise_floor:
-                value_sq = _gram_top_eigenvalue(diag**2, bmat)
-            if value_sq <= noise_floor:
-                values.append(_explicit_residual_norm(q, bmat, diag, which))
-            else:
-                values.append(math.sqrt(value_sq))
-        out[which] = tuple(values)
-    return out
+    trace = float(np.sum(sig_sq[k:]) - np.sum(b_tail**2))
+    return {which: _residual_norm(q, b_tail, sigma_tail, trace, noise_floor, which) for which in norms}
 
 
-def _collect_residuals(factors, sketch, k, trials, norms, seed, stream_offset=0):
-    """Run trials once; per norm, a ``(kept, 2)`` array of full and
-    projected-tail residuals, one row per kept trial.
+def _collect_residuals(factors, sketch, ks, trials, norms, stream):
+    """Run trials once and evaluate every ``k`` in ``ks`` on each sketch.
+
+    Trial ``t`` draws from ``stream(t)``.  Returns ``{k: (residuals,
+    excluded)}``, where ``residuals`` maps each norm to a ``(kept, 2)`` array
+    of full and projected-tail residuals, one row per trial kept for that
+    ``k``.  The basis and the full residuals of a sketch are computed once,
+    whatever the number of ks; only the head-rank check and the tail
+    residual are per ``k``.
 
     An :class:`RsvdSketch` is drawn from ``factors.rotated()``, already in the
     left singular basis; a :class:`GaussianSketch` is sampled, then rotated.
@@ -229,23 +302,29 @@ def _collect_residuals(factors, sketch, k, trials, norms, seed, stream_offset=0)
         # validated once here, so the per-trial draws skip the check
         rotated = _as_matrix(factors.rotated(), 'the rotated matrix')
     rotated_mean = u_full.T @ sketch.mean if gaussian and np.any(sketch.mean) else None
-    residuals = {which: np.empty((trials, 2)) for which in norms}
-    kept = 0
+    residuals = {k: {which: np.empty((trials, 2)) for which in norms} for k in ks}
+    kept = dict.fromkeys(ks, 0)
     for t in range(trials):
-        stream = SeededStream(seed, stream_offset + t)
         if gaussian:
-            w = u_full.T @ sample(sketch, stream)
+            w = u_full.T @ sample(sketch, stream(t))
         else:
-            w = sketch.draw(rotated, stream, check_finite=False)
-        head = w[:k] - rotated_mean[:k] if rotated_mean is not None else w[:k]
-        try:
-            _check_head_rank(head, w)
-        except RankDeficiencyError:
+            w = sketch.draw(rotated, stream(t), check_finite=False)
+        ranked = []
+        for k in ks:
+            head = w[:k] - rotated_mean[:k] if rotated_mean is not None else w[:k]
+            with contextlib.suppress(RankDeficiencyError):
+                _check_head_rank(head, w)
+                ranked.append(k)
+        if not ranked:
             continue
-        for which, pair in _trial_residuals(w, sigma, k, norms).items():
-            residuals[which][kept] = pair
-        kept += 1
-    return {which: values[:kept] for which, values in residuals.items()}, trials - kept
+        q, b, full = _sketch_residuals(w, sigma, norms)
+        for k in ranked:
+            tail = _tail_residuals(q, b, sigma, k, norms)
+            for which in norms:
+                residuals[k][which][kept[k]] = full[which], tail[which]
+            kept[k] += 1
+    return {k: ({which: values[:kept[k]] for which, values in residuals[k].items()}, trials - kept[k])
+            for k in ks}
 
 
 def _stats(residuals, sigma, k, which, metric, excluded):
@@ -266,7 +345,8 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
     an :class:`RsvdSketch` (``(A A^T)^q A G``, drawn in the left singular
     basis as ``Sigma^(2q+1) V^T G``).  Deterministic given ``seed``: trial
-    ``t`` consumes the stream ``SeededStream(seed, t)``.
+    ``t`` consumes the stream ``SeededStream(seed, t)``, so with the seed of a
+    synthetic problem, trials 0 and 1 read the streams of its ``U`` and ``V``.
     """
     a = _as_matrix(a, 'A')
     if a.shape != (factors.rows, factors.cols):
@@ -277,7 +357,8 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
     if trials < 1:
         raise ValueError('trials must be positive')
-    residuals, excluded = _collect_residuals(factors, sketch, k, trials, (norm,), seed)
+    residuals, excluded = _collect_residuals(
+        factors, sketch, (k,), trials, (norm,), functools.partial(SeededStream, seed))[k]
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
     return _stats(residuals[norm], factors.sigma, k, norm, metric, excluded)
@@ -336,6 +417,10 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     return reports
 
 
+# bits of a sweep trial's stream index given to t, p and q (see _sweep_stream)
+_SWEEP_FIELDS = (24, 24, 15)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for a reproducible bound-versus-empirical sweep."""
@@ -355,8 +440,20 @@ class SweepConfig:
     def __post_init__(self):
         for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list', 'bound_variants'):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.trials < 1:
-            raise ValueError('trials must be positive')
+        for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list'):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f'{name} has duplicate entries')
+        # the ranges that keep each trial's stream index injective (_sweep_stream)
+        t_bits, p_bits, q_bits = _SWEEP_FIELDS
+        if not 1 <= self.trials <= 1 << t_bits:
+            raise ValueError(f'trials must be in [1, 2**{t_bits}]')
+        if any(k < 1 for k in self.k_list):
+            raise ValueError('k must be positive')
+        if self.k_list and self.oversampling_list and (
+                max(self.k_list) + max(self.oversampling_list) >= 1 << p_bits):
+            raise ValueError(f'k + oversampling must be below 2**{p_bits}')
+        if any(not 0 <= q < 1 << q_bits for q in self.q_list):
+            raise ValueError(f'q must be in [0, 2**{q_bits})')
         if self.metric not in METRICS:
             raise ValueError(f'metric must be one of {METRICS}')
         if any(norm not in NORMS for norm in self.norm_list):
@@ -391,32 +488,6 @@ class SweepRow:
     empirical_mean: float
     empirical_std: float
     bounds: dict
-
-
-@functools.cache  # a ctypes.CDLL per sweep raised sweep_acceptance peak RSS from 107 to 114.6 MB
-def _blas_thread_controls():
-    """``(get, set)`` thread-count functions of every BLAS library mapped into
-    the process at the first call (by name in ``/proc/self/maps``), or none if
-    one lacks them; numpy's and scipy's OpenBLAS use ``scipy_openblas_`` names."""
-    try:
-        with open('/proc/self/maps') as maps:
-            # the last field is the mapped file, or the inode where there is none
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        name = os.path.basename(path).lower()
-        # extension modules such as scipy's _fblas reach the same library
-        if name.startswith('lib') and any(tag in name for tag in ('blas', 'blis', 'mkl')):
-            lib = ctypes.CDLL(path)
-            found = [f'{prefix}_%s_num_threads{suffix}' for prefix in ('scipy_openblas', 'openblas')
-                     for suffix in ('64_', '') if hasattr(lib, f'{prefix}_set_num_threads{suffix}')]
-            if not found:
-                return ()
-            controls.append((ctypes.CFUNCTYPE(ctypes.c_int)((found[0] % 'get', lib)),
-                             ctypes.CFUNCTYPE(None, ctypes.c_int)((found[0] % 'set', lib))))
-    return tuple(controls)
 
 
 def _map_cells(work, count, workers):
@@ -467,58 +538,79 @@ def _map_cells(work, count, workers):
     return results
 
 
+def _sweep_stream(seed, q, p, t):
+    """Stream of trial ``t`` of the sweep sketches ``(q, p)``: its index puts
+    ``t``, ``p`` and ``q`` in fields of :data:`_SWEEP_FIELDS` bits under a set
+    top bit, so it is injective in ``(q, p, t)`` and never one of the small
+    indices that the synthetic matrix (0 and 1) and :func:`empirical_error`
+    (``0 .. trials - 1``) read."""
+    t_bits, p_bits, _ = _SWEEP_FIELDS
+    return SeededStream(seed, 1 << 63 | q << (t_bits + p_bits) | p << t_bits | t)
+
+
+def _sweep_trials(factors, cells, trials, norms, seed):
+    """``(residuals, excluded)`` of each ``(k, q, p)`` of ``cells``, in order.
+
+    The cells that share ``(q, p)`` are one unit of work: trial ``t`` draws
+    one sketch from ``_sweep_stream(seed, q, p, t)``, and
+    :func:`_collect_residuals` evaluates each of their ks on it.  The units
+    run on one thread per CPU at one BLAS thread (serially, at the caller's
+    BLAS threads, where no thread setter is found).
+    """
+    groups = {}
+    for k, q, p in cells:
+        groups.setdefault((q, p), []).append(k)
+    units = list(groups.items())
+
+    def group_trials(i):
+        (q, p), ks = units[i]
+        return _collect_residuals(factors, RsvdSketch(q=q, p=p), ks, trials, norms,
+                                  functools.partial(_sweep_stream, seed, q, p))
+
+    with _one_blas_thread() as threaded:
+        results = _map_cells(group_trials, len(units), len(os.sched_getaffinity(0)) if threaded else 1)
+    by_group = dict(zip(groups, results))
+    return [by_group[q, p][k] for k, q, p in cells]
+
+
 def run_sweep(config: SweepConfig):
     """Evaluate bounds and empirical statistics over the configured grid.
 
     Rows are sorted by ``(k, q, p, norm)``; the whole sweep is a pure
-    function of the config, so identical configs give identical rows.  The
-    bounds are evaluated in the calling thread, one cell at a time; then the
-    cells' Monte Carlo trials are shared among one thread per CPU, and the
-    rows are assembled in cell order.  BLAS runs at one thread until the sweep
-    returns or raises (see the module docstring), and process-wide: other
-    threads calling it meanwhile get one thread too, and sweeps started from
-    several threads run one at a time.
+    function of the config, and a cell's rows depend only on the seed and its
+    own ``(k, q, p)``, so adding a k or an oversampling value to the grid
+    leaves the other rows as they were.  The bounds are evaluated in the
+    calling thread, one cell at a time; then the trials run in
+    :func:`_sweep_trials`, and the rows are assembled in cell order.  BLAS
+    runs at one thread until the sweep returns or raises (see the module
+    docstring), and process-wide: other threads calling it meanwhile get one
+    thread too, and sweeps started from several threads run one at a time.
     """
-    with _SWEEP_LOCK:
-        controls = _blas_thread_controls()
-        counts = [get() for get, _ in controls]
-        for _, set_threads in controls:
-            set_threads(1)
-        try:
-            # every residual and bound depends on A only through U^T A, so the problem
-            # is built in its left singular basis and one factors object serves both
-            # the trials and the theorem variants
-            factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
-            theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
-            grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
-                                     sorted(config.oversampling_list))
-            cells, bounds = [], []
-            for cell_index, (k, q, rho) in enumerate(grid):
-                p = k + rho
-                if k > p - 2 or p > factors.rank():
-                    logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
-                    continue
-                # before any trial runs, and the sketch dropped at once, so a cell's
-                # n x n theorem matrices never add to the trials' memory or the next cell's
-                sketch = rsvd_distribution(factors, q, p) if theorems else None
-                reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
-                del sketch
-                bounds.append({name: report['bound'] for name, report in reports.items()})
-                cells.append((cell_index, k, q, rho, p))
-
-            def cell_trials(i):
-                cell_index, k, q, _, p = cells[i]
-                return _collect_residuals(
-                    factors, RsvdSketch(q=q, p=p), k, config.trials, config.norm_list, config.seed,
-                    stream_offset=cell_index * config.trials,
-                )
-
-            trials = _map_cells(cell_trials, len(cells), len(os.sched_getaffinity(0)) if controls else 1)
-        finally:
-            for (_, set_threads), count in zip(controls, counts):
-                set_threads(count)
+    with _one_blas_thread():
+        # every residual and bound depends on A only through U^T A, so the problem
+        # is built in its left singular basis and one factors object serves both
+        # the trials and the theorem variants
+        factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
+        theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
+        grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
+                                 sorted(config.oversampling_list))
+        cells, bounds = [], []
+        for k, q, rho in grid:
+            p = k + rho
+            if k > p - 2 or p > factors.rank():
+                logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
+                continue
+            # before any trial runs, and the sketch dropped at once, so a cell's
+            # n x n theorem matrices never add to the trials' memory or the next cell's
+            sketch = rsvd_distribution(factors, q, p) if theorems else None
+            reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
+            del sketch
+            bounds.append({name: report['bound'] for name, report in reports.items()})
+            cells.append((k, q, rho, p))
+        trials = _sweep_trials(factors, [(k, q, p) for k, q, _, p in cells], config.trials,
+                               config.norm_list, config.seed)
     rows = []
-    for (_, k, q, rho, p), cell_bound, (residuals, excluded) in zip(cells, bounds, trials):
+    for (k, q, rho, p), cell_bound, (residuals, excluded) in zip(cells, bounds, trials):
         if excluded:
             logger.warning('cell k=%d p=%d q=%d: %d trials excluded', k, p, q, excluded)
         for which in sorted(config.norm_list):

@@ -6,10 +6,13 @@ construction: a Philox counter-based generator keyed by
 interval, which are mapped to normal variates through the inverse normal CDF
 (``scipy.special.ndtri``).  Identical ``(master_seed, stream_index)`` pairs
 therefore reproduce identical samples bit for bit.  Distinct indices give
-distinct Philox keys, but the callers share one index space: the synthetic
-matrix reads indices 0 and 1 (only 1 when built in its left singular basis)
-and trial ``t`` of a Monte Carlo run reads index ``offset + t``, so the first
-trials reuse the matrix's streams and are not independent of it.
+distinct Philox keys, and the callers share one index space: the synthetic
+matrix reads indices 0 and 1 (only 1 when built in its left singular basis);
+a sweep's trial ``t`` of the sketches ``(q, p)`` reads an index that is an
+injective function of ``(q, p, t)`` with its top bit set, so no two of its
+trials, and none of them and the matrix, share a stream; trial ``t`` of
+``empirical_error`` reads index ``t``, so its trials 0 and 1 reuse the
+matrix's streams when they share its seed.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from sketchbound.expectation import (
 )
 from sketchbound.experiments import (
     SweepConfig,
-    _collect_residuals,
+    _sweep_trials,
     emit,
     run_sweep,
     synthetic_matrix,
@@ -45,7 +45,7 @@ from sketchbound.rsvd import (
     improved_spectral_bound,
     spectral_bound,
 )
-from sketchbound.sketching import GaussianSketch, RsvdSketch, rsvd_distribution
+from sketchbound.sketching import rsvd_distribution
 
 ACC_SEED = 20240901
 SYNTHETIC_N = 1000
@@ -86,20 +86,14 @@ def _synthetic_problem():
 
 @functools.cache
 def _sweep_residuals():
-    """Full and projected-tail residuals for k in {5, 15} over the oversampling grid."""
+    """Full and projected-tail residuals for k in {5, 15} over the oversampling
+    grid, from the trial phase that ``run_sweep`` runs."""
     _, factors = _synthetic_problem()
-    cells = {}
-    excluded_total = 0
     cell_list = [(k, rho) for k in (5, 15) for rho in RHO_GRID]
-    for cell_index, (k, rho) in enumerate(cell_list):
-        residuals, excluded = _collect_residuals(
-            factors, RsvdSketch(q=0, p=k + rho), k, TRIALS,
-            ('spectral', 'frobenius'), ACC_SEED,
-            stream_offset=cell_index * TRIALS,
-        )
-        excluded_total += excluded
-        cells[(k, rho)] = residuals
-    return cells, excluded_total
+    results = _sweep_trials(factors, [(k, 0, k + rho) for k, rho in cell_list], TRIALS,
+                            ('spectral', 'frobenius'), ACC_SEED)
+    cells = {cell: residuals for cell, (residuals, _) in zip(cell_list, results)}
+    return cells, sum(excluded for _, excluded in results)
 
 
 def _mean_se(values):

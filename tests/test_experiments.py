@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 import scipy.sparse.linalg
 
 import sketchbound
-from sketchbound import experiments
+from sketchbound import experiments, sketching
 from sketchbound.deterministic import angle_operators
 from sketchbound.experiments import (
     VARIANTS,
@@ -75,6 +76,30 @@ class TestSyntheticMatrix:
         signs[signs == 0] = 1.0
         assert np.array_equal(experiments._haar_orthogonal(n, stream), q * signs)
 
+    def test_haar_factors_are_built_at_one_blas_thread(self, monkeypatch, blas_threads):
+        seen = []
+        lapack = experiments._umath_linalg
+
+        def recording(a, *args, **kwargs):
+            seen.append([get() for get, _ in blas_threads])
+            return lapack.qr_r_raw(a, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, '_umath_linalg', types.SimpleNamespace(
+            qr_r_raw=recording, qr_reduced=lapack.qr_reduced))
+        synthetic_matrix(40, seed=3)
+        assert seen == [[1] * len(blas_threads)] * 2
+        assert [get() for get, _ in blas_threads] == [2] * len(blas_threads)
+
+    def test_factors_do_not_depend_on_the_callers_blas_threads(self):
+        script = (
+            'import hashlib\n'
+            'from sketchbound import experiments\n'
+            '_, factors = experiments.synthetic_matrix(1000, 5, left_basis=True)\n'
+            'print(hashlib.sha256(factors._v.tobytes()).hexdigest())\n'
+        )
+        hashes = {fresh_interpreter(script, (), pinning) for pinning in ({}, {'OPENBLAS_NUM_THREADS': '1'})}
+        assert len(hashes) == 1
+
     def test_left_basis_shares_sigma_and_v_bits(self):
         a, f = synthetic_matrix(40, seed=3)
         rotated, g = synthetic_matrix(40, seed=3, left_basis=True)
@@ -136,6 +161,13 @@ def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
     return a, SvdFactors(qu[:, :r], sigma, qv[:, :r])
 
 
+def trial_residuals(w, sigma, k, norms):
+    """``{norm: (full, tail)}`` of one rotated sketch through both kernel parts."""
+    q, b, full = experiments._sketch_residuals(w, sigma, norms)
+    tail = experiments._tail_residuals(q, b, sigma, k, norms)
+    return {which: (full[which], tail[which]) for which in norms}
+
+
 class TestRoundOffCertificate:
     """A residual Gram ``G`` is PSD, so ``lambda_max(G) <= tr(G)``: a
     Frobenius square at most half the noise floor certifies that the spectral
@@ -172,13 +204,13 @@ class TestRoundOffCertificate:
         for p in (rank, rank + 2):
             w = RsvdSketch(q=q, p=p).draw(factors.rotated(), SeededStream(q, p))
             del explicit_calls[:]
-            out = experiments._trial_residuals(w, factors.sigma, k, ('spectral', 'frobenius'))
+            out = trial_residuals(w, factors.sigma, k, ('spectral', 'frobenius'))
             assert gram_calls == []
-            # one explicit residual per norm and side, in (full, tail) order
-            assert [args[3] for args in explicit_calls] == ['spectral'] * 2 + ['frobenius'] * 2
-            for which, calls in (('spectral', explicit_calls[:2]), ('frobenius', explicit_calls[2:])):
+            # one explicit residual per norm and side: the full ones, then the tails
+            assert [args[3] for args in explicit_calls] == ['spectral', 'frobenius'] * 2
+            for which, calls in (('spectral', explicit_calls[::2]), ('frobenius', explicit_calls[1::2])):
                 assert out[which] == tuple(explicit(*args) for args in calls)
-            for _, b, diag, _ in explicit_calls[:2]:
+            for _, b, diag, _ in explicit_calls[::2]:
                 assert gram(diag**2, b) <= noise_floor
 
     def test_a_trace_just_above_half_the_floor_runs_the_eigensolve(self, spies):
@@ -191,7 +223,7 @@ class TestRoundOffCertificate:
         noise_floor = 1e-12 * float(np.sum(sigma**2))
         w = np.zeros((rank + 1, rank))
         w[:rank] = np.random.default_rng(5).standard_normal((rank, rank))
-        out = experiments._trial_residuals(w, sigma, 2, ('spectral',))
+        out = trial_residuals(w, sigma, 2, ('spectral',))
         assert len(gram_calls) == 2
         assert all(0.5 * noise_floor < value <= noise_floor for value in gram_calls)
         assert out['spectral'] == tuple(explicit(*args) for args in explicit_calls)
@@ -308,6 +340,18 @@ def blas_threads():
         set_threads(count)
 
 
+def fresh_interpreter(script, args, pinning):
+    """Stdout of ``script`` run with ``args`` in a fresh interpreter, with the
+    three thread-count variables removed from its environment and ``pinning``
+    added; OpenBLAS reads its thread count when it loads."""
+    src = os.path.dirname(os.path.dirname(sketchbound.__file__))
+    env = {name: value for name, value in os.environ.items()
+           if name not in ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')}
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, (src, os.environ.get('PYTHONPATH'))))
+    return subprocess.run([sys.executable, '-c', script, *map(str, args)], env={**env, **pinning},
+                          check=True, timeout=300, capture_output=True, text=True).stdout
+
+
 def small_config(tmp_path=None, **overrides):
     settings = dict(
         n=40,
@@ -402,7 +446,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(SvdFactors, 'rotated', recording)
         rows = run_sweep(small_config(bound_variants=VARIANTS))
-        # the problem build, then one read per cell
+        # the problem build, then one read per (q, p) group, here one per cell
         assert len(returned) == 1 + len(rows) // 2
         assert all(r is returned[0] for r in returned)
 
@@ -420,11 +464,9 @@ class TestRunSweep:
     @staticmethod
     def _fresh_interpreter_csvs(tmp_path, pinning):
         """The n=1000 sweep's CSV bytes in this process, then with 1 and 2
-        workers in a fresh interpreter with the three thread-count variables
-        removed from its environment and ``pinning`` added."""
+        workers in a fresh interpreter (see :func:`fresh_interpreter`)."""
         config = SweepConfig(n=1000, k_list=(5,), oversampling_list=(2, 52), trials=2, seed=5)
         emit(run_sweep(config), 'csv', tmp_path / 'here.csv')
-        # OpenBLAS reads its thread count when it loads, hence a fresh interpreter
         script = (
             'import os, sys\n'
             'from sketchbound import experiments\n'
@@ -434,12 +476,7 @@ class TestRunSweep:
             '    experiments.emit(experiments.run_sweep(config), "csv", path)\n'
         )
         paths = [tmp_path / 'one.csv', tmp_path / 'two.csv']
-        src = os.path.dirname(os.path.dirname(sketchbound.__file__))
-        env = {name: value for name, value in os.environ.items()
-               if name not in ('OPENBLAS_NUM_THREADS', 'GOTO_NUM_THREADS', 'OMP_NUM_THREADS')}
-        env['PYTHONPATH'] = os.pathsep.join(filter(None, (src, os.environ.get('PYTHONPATH'))))
-        subprocess.run([sys.executable, '-c', script, *map(str, paths)], env={**env, **pinning},
-                       check=True, timeout=300)
+        fresh_interpreter(script, paths, pinning)
         return [path.read_bytes() for path in (tmp_path / 'here.csv', *paths)]
 
     def test_worker_count_does_not_change_the_bytes_with_pinned_blas(self, tmp_path):
@@ -532,13 +569,13 @@ class TestRunSweep:
     @pytest.mark.parametrize('workers', (1, 2))
     def test_a_failing_cell_surfaces(self, monkeypatch, blas_threads, workers):
         collect = experiments._collect_residuals
-        trials = small_config().trials
         counts = [get() for get, _ in blas_threads]
 
-        def failing(*args, stream_offset=0, **kwargs):
-            if stream_offset == 2 * trials:
+        def failing(factors, sketch, *args, **kwargs):
+            # the grid's third cell: k=3, q=1, oversampling 2
+            if sketch == RsvdSketch(q=1, p=5):
                 raise RuntimeError('cell 2 failed')
-            return collect(*args, stream_offset=stream_offset, **kwargs)
+            return collect(factors, sketch, *args, **kwargs)
 
         monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: set(range(workers)))
         monkeypatch.setattr(experiments, '_collect_residuals', failing)
@@ -547,6 +584,60 @@ class TestRunSweep:
             run_sweep(small_config())
         assert threading.active_count() == threads
         assert [get() for get, _ in blas_threads] == counts
+
+    def test_adding_a_k_or_an_oversampling_value_leaves_the_other_rows(self, tmp_path):
+        # k=1 and oversampling 3 sort first and in the middle; k=1 shares p=5 with k=3
+        base = small_config(n=60, k_list=(3,), oversampling_list=(2, 4, 7), trials=4)
+        lines = []
+        for i, config in enumerate((base, dataclasses.replace(base, k_list=(1, 3)),
+                                    dataclasses.replace(base, oversampling_list=(2, 3, 4, 7)))):
+            path = tmp_path / f'sweep-{i}.csv'
+            emit(run_sweep(config), 'csv', path)
+            lines.append(path.read_text().splitlines())
+        for grown in lines[1:]:
+            assert len(grown) > len(lines[0])
+            assert set(lines[0]) <= set(grown)
+
+    def test_trial_streams_are_keyed_by_q_p_and_trial(self, monkeypatch):
+        # the trials draw through this binding; the problem build does not
+        streams = []
+        gaussian = sketching.standard_gaussian
+
+        def recording(rows, cols, stream):
+            streams.append(stream)
+            return gaussian(rows, cols, stream)
+
+        monkeypatch.setattr(sketching, 'standard_gaussian', recording)
+        config = small_config(k_list=(3, 5), oversampling_list=(2, 4, 7), q_list=(0, 1), trials=4)
+        run_sweep(config)
+        # the ks share each (q, p): p is 5, 7, 10 for k=3 and 7, 9, 12 for k=5
+        expected = {experiments._sweep_stream(config.seed, q, p, t)
+                    for q in (0, 1) for p in (5, 7, 9, 10, 12) for t in range(config.trials)}
+        assert len(streams) == len(expected) and set(streams) == expected
+        # no stream of the synthetic matrix's V (index 1) or U (index 0)
+        assert SeededStream(config.seed, 0) not in expected and SeededStream(config.seed, 1) not in expected
+        assert all(stream.stream_index >= 1 << 63 for stream in streams)
+
+    def test_stream_index_fields_fill_64_bits_without_overlap(self):
+        t_bits, p_bits, q_bits = experiments._SWEEP_FIELDS
+        assert t_bits + p_bits + q_bits == 63
+        assert experiments._sweep_stream(7, 0, 0, 0) == SeededStream(7, 1 << 63)
+        top = experiments._sweep_stream(7, 2**q_bits - 1, 2**p_bits - 1, 2**t_bits - 1)
+        assert top == SeededStream(7, 2**64 - 1)
+        fields = {(q, p, t): experiments._sweep_stream(7, q, p, t).stream_index
+                  for q in (0, 1, 2**q_bits - 1) for p in (0, 1, 2**p_bits - 1) for t in (0, 1, 2**t_bits - 1)}
+        assert len(set(fields.values())) == len(fields)
+
+    def test_ks_sharing_a_sketch_get_identical_full_residuals(self):
+        _, factors = synthetic_matrix(60, 21, left_basis=True)
+        norms = ('spectral', 'frobenius')
+        results = experiments._sweep_trials(factors, [(3, 1, 9), (5, 1, 9), (3, 1, 12)], 4, norms, 21)
+        (shared_a, excluded_a), (shared_b, excluded_b), (other, _) = results
+        assert excluded_a == excluded_b == 0
+        for which in norms:
+            assert np.array_equal(shared_a[which][:, 0], shared_b[which][:, 0])
+            assert not np.array_equal(shared_a[which][:, 1], shared_b[which][:, 1])
+            assert not np.array_equal(shared_a[which][:, 0], other[which][:, 0])
 
     def test_improved_spectral_column_never_looser(self):
         config = small_config(q_list=(0, 1), oversampling_list=(4, 8),
@@ -566,6 +657,22 @@ class TestRunSweep:
             small_config(bound_variants=('nonsense',))
         with pytest.raises(ValueError):
             small_config(trials=0)
+
+    @pytest.mark.parametrize('name, values', [
+        ('k_list', (3, 5, 3)), ('oversampling_list', (2, 2)), ('q_list', (0, 1, 0)),
+        ('norm_list', ('spectral', 'frobenius', 'spectral')),
+    ])
+    def test_config_rejects_duplicate_grid_entries(self, name, values):
+        with pytest.raises(ValueError, match=f'{name} has duplicate entries'):
+            small_config(**{name: values})
+
+    def test_config_keeps_the_grid_inside_the_stream_index_fields(self):
+        t_bits, p_bits, q_bits = experiments._SWEEP_FIELDS
+        small_config(trials=2**t_bits, q_list=(0, 2**q_bits - 1), oversampling_list=(2, 2**p_bits - 4))
+        for overrides in (dict(trials=2**t_bits + 1), dict(q_list=(-1, 0)), dict(q_list=(2**q_bits,)),
+                          dict(k_list=(0, 3)), dict(oversampling_list=(2, 2**p_bits - 3))):
+            with pytest.raises(ValueError):
+                small_config(**overrides)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / 'config.json'
@@ -606,6 +713,13 @@ class TestSweepWorkers:
         monkeypatch.setattr(experiments.ctypes, 'CDLL', bare_library)
         assert experiments._blas_thread_controls.__wrapped__() == ()
         assert opened and 'blas' in os.path.basename(opened[0]).lower()
+
+    def test_one_blas_thread_nests_and_restores_the_counts(self, blas_threads):
+        with experiments._one_blas_thread():
+            with experiments._one_blas_thread() as threaded:
+                assert threaded
+            assert [get() for get, _ in blas_threads] == [1] * len(blas_threads)
+        assert [get() for get, _ in blas_threads] == [2] * len(blas_threads)
 
     def test_a_helper_threads_failure_surfaces(self):
         failed = threading.Event()

@@ -1,13 +1,17 @@
 """Property-based check of the randomized-SVD Monte Carlo path.
 
 RSVD trials are drawn in the left singular basis, from ``diag(sigma) V^T``,
-and their residuals come from small Gram differences. Every kept trial is
-compared here with a dense oracle that draws the same sketch through A
-itself, ``rsvd_sketch(A, q, p, SeededStream(seed, t))``, and forms the
-residuals of A and of its tail explicitly. The instances are tall, wide,
-square and rank-deficient, with q <= 2 and p up to the row count, so the
-rotated sketch is wide whenever p exceeds min(rows, cols).
+and their residuals come from small Gram differences. Each sketch is
+evaluated for several ks at once, as a sweep evaluates the ks that share
+``(q, p)``, and every trial is compared, for each k, with a dense oracle that
+draws the same sketch through A itself,
+``rsvd_sketch(A, q, p, SeededStream(seed, t))``, and forms the residuals of A
+and of its tail explicitly. The instances are tall, wide, square and
+rank-deficient, with q <= 2 and p up to the row count, so the rotated sketch
+is wide whenever p exceeds min(rows, cols).
 """
+
+import functools
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -31,18 +35,19 @@ def _haar(n, rng):
 
 @st.composite
 def instances(draw):
-    """``(A, q, p, k, seed)``: A of the drawn rank with singular values in
-    [0.25, 2], p up to the row count and k up to min(p, rank(A)), so the
-    head block has full row rank with probability one."""
+    """``(A, q, p, ks, seed)``: A of the drawn rank with singular values in
+    [0.25, 2], p up to the row count and one to three distinct ks up to
+    min(p, rank(A)), so each head block has full row rank with probability
+    one."""
     rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rank = draw(st.integers(1, min(rows, cols)))
     q = draw(st.integers(0, 2))
     p = draw(st.integers(1, rows))
-    k = draw(st.integers(1, min(p, rank)))
+    ks = draw(st.lists(st.integers(1, min(p, rank)), min_size=1, max_size=3, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sigma = np.sort(rng.uniform(0.25, 2.0, rank))[::-1]
     a = (_haar(rows, rng)[:, :rank] * sigma) @ _haar(cols, rng)[:, :rank].T
-    return a, q, p, k, draw(st.integers(0, 2**64 - 1))
+    return a, q, p, tuple(ks), draw(st.integers(0, 2**64 - 1))
 
 
 def dense_residuals(a, z, k):
@@ -59,16 +64,20 @@ def dense_residuals(a, z, k):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(instances())
 def test_rsvd_trials_match_dense_residuals(instance):
-    a, q, p, k, seed = instance
+    a, q, p, ks, seed = instance
     factors = svd(a)
     scale = float(np.linalg.norm(a))
+    # every k is evaluated on the same sketches, drawn once per trial
+    results = _collect_residuals(factors, RsvdSketch(q=q, p=p), ks, TRIALS, NORMS,
+                                 functools.partial(SeededStream, seed))
     for t in range(TRIALS):
-        # one trial per call, so each kept row is matched with its stream
-        residuals, excluded = _collect_residuals(factors, RsvdSketch(q=q, p=p), k, 1, NORMS, seed, t)
-        assert excluded == 0
-        oracle = dense_residuals(a, rsvd_sketch(a, q, p, SeededStream(seed, t)), k)
-        for which in NORMS:
-            full, tail = residuals[which][0]
-            want_full, want_tail = oracle[which]
-            assert abs(full - want_full) <= RESIDUAL_TOL * scale, (which, t)
-            assert abs(tail - want_tail) <= RESIDUAL_TOL * scale, (which, t)
+        z = rsvd_sketch(a, q, p, SeededStream(seed, t))
+        for k in ks:
+            residuals, excluded = results[k]
+            assert excluded == 0
+            oracle = dense_residuals(a, z, k)
+            for which in NORMS:
+                full, tail = residuals[which][t]
+                want_full, want_tail = oracle[which]
+                assert abs(full - want_full) <= RESIDUAL_TOL * scale, (which, k, t)
+                assert abs(tail - want_tail) <= RESIDUAL_TOL * scale, (which, k, t)
