@@ -62,7 +62,8 @@ def _build_parser():
     emp.add_argument('--p', type=int, required=True)
     emp.add_argument('--q', type=int, default=0)
     emp.add_argument('--trials', type=int, default=100)
-    emp.add_argument('--seed', type=int, default=0)
+    emp.add_argument('--seed', type=int, default=0,
+                     help='seed of the trial streams; a --synthetic-n problem is diag(sigma) and draws nothing')
     emp.add_argument('--norm', choices=experiments.NORMS, default='frobenius')
     emp.add_argument('--metric', choices=experiments.METRICS, default='general')
     emp.add_argument('--out')
@@ -129,8 +130,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_empirical(args):
-    # residuals depend on A only through U^T A, so a synthetic problem is
-    # built in its left singular basis; bounds keep the real U
+    # the residuals' law depends on A only through sigma, so a synthetic
+    # problem is diag(sigma); bounds keep the real U and V
     a, factors = _load_problem(args, left_basis=True)
     stats = experiments.empirical_error(
         a, factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,

@@ -7,8 +7,8 @@ trial reduces to an SVD of the rotated sketch plus small Gram computations;
 no dense projector is ever formed.  Randomized-SVD trials are drawn in that
 basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
 ``R = diag(sigma) V^T``, so no trial forms ``A G`` or multiplies by ``U^T``.
-A sweep builds its synthetic problem in that basis too: it draws ``V`` and
-never ``U``, and never assembles the dense ``A``.
+A sweep's synthetic problem is ``diag(sigma)``, with ``U = V = I``: ``V^T G``
+is standard Gaussian for any fixed orthogonal ``V``, so no trial's law changes.
 
 A sweep's trials are keyed by ``(q, p, t)``, in stream indices no other
 caller reads, and the cells that share ``(q, p)`` share their sketches: no k
@@ -18,12 +18,11 @@ A sweep sets every BLAS library of the process (numpy and scipy each bundle
 an OpenBLAS) to one thread and runs its trials on one thread per CPU, so its
 bytes depend neither on the caller's BLAS threads nor on the number of
 threads; without a thread setter (another BLAS, or no ``/proc``) it runs
-serially at the caller's BLAS threads.  The synthetic matrix is built at one
-BLAS thread too, wherever it is called from.
+serially at the caller's BLAS threads.  The dense synthetic matrix is built
+at one BLAS thread too, wherever it is called from.
 
-:func:`empirical_error` keeps the plain index-``t`` streams, so on a dense
-synthetic problem its trials 0 and 1 reuse the streams of the matrix's ``U``
-and ``V``.  It always runs serially with the caller's BLAS threads:
+Trial ``t`` of :func:`empirical_error` reads stream index ``2^62 | t``, a
+domain of its own.  It always runs serially with the caller's BLAS threads:
 with numpy 2.4, single-matrix ``eigvalsh`` and ``svd(compute_uv=False)``, and
 so ``norm(x, 2)``, hold the interpreter lock (stacked calls, ``eigh`` and
 ``svd(full_matrices=False)`` release it), so the spectral residuals of
@@ -54,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
-from numpy.linalg import _umath_linalg
 
 from . import expectation, rsvd
 from .deterministic import _check_head_rank, _operator_norms
@@ -138,22 +136,11 @@ def _one_blas_thread():
 
 def _haar_orthogonal(n, stream):
     """Haar-uniform n x n orthogonal matrix: QR of a standard Gaussian matrix
-    with its ``R`` diagonal sign-fixed.
-
-    The drawn matrix is factored in place by the two LAPACK steps that
-    ``np.linalg.qr`` runs on float64 input (numpy's private gufuncs, under
-    their numpy >= 2.1 names), so Q has the same bits without numpy's copy of
-    the input or its ``triu`` copy of ``R``.
-    """
-    a = standard_gaussian(n, n, stream)
-    with np.errstate(invalid='raise'):
-        # a keeps R on and above its diagonal, the Householder vectors below
-        tau = _umath_linalg.qr_r_raw(a, signature='d->d')
-        q = _umath_linalg.qr_reduced(a, tau, signature='dd->d')
-    signs = np.sign(np.diag(a))
+    with its ``R`` diagonal sign-fixed."""
+    q, r = np.linalg.qr(standard_gaussian(n, n, stream))
+    signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    q *= signs
-    return q
+    return q * signs
 
 
 def synthetic_matrix(n, seed, *, left_basis=False):
@@ -161,21 +148,22 @@ def synthetic_matrix(n, seed, *, left_basis=False):
 
     The singular vector factors are drawn Haar-uniformly, ``U`` from stream
     index 0 and ``V`` from index 1; the exact factors are returned alongside
-    the assembled matrix.  With ``left_basis`` the problem is built in its
-    left singular basis instead: ``U`` is the identity, stream 0 is never
-    read, and the matrix returned is ``factors.rotated()``, i.e.
-    ``U^T A = diag(sigma) V^T`` with the same ``sigma`` and ``V`` bits.
-    BLAS runs at one thread throughout, since the Haar QR's last bits depend
-    on the thread count: the result is a function of ``(n, seed)`` alone.
+    the assembled matrix, built at one BLAS thread since the Haar QR's last
+    bits depend on the thread count.  With ``left_basis`` the problem is built
+    in both singular bases: ``U = V = I`` (one shared identity), the matrix is
+    ``diag(sigma)`` and the seed is unused, since a trial reads ``A`` only
+    through ``Sigma V^T G`` and ``V^T G`` is standard Gaussian for any fixed
+    orthogonal ``V``: a Haar ``V`` cannot change the law of any residual.
     """
     if n < 11:
         raise ValueError('need n >= 11 for the synthetic spectrum')
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
+    if left_basis:
+        identity = np.eye(n)
+        factors = SvdFactors(identity, sigma, identity)
+        return factors.rotated(), factors
     with _one_blas_thread():
         v = _haar_orthogonal(n, SeededStream(seed, 1))
-        if left_basis:
-            factors = SvdFactors(np.eye(n), sigma, v)
-            return factors.rotated(), factors
         u = _haar_orthogonal(n, SeededStream(seed, 0))
         return (u * sigma) @ v.T, SvdFactors(u, sigma, v)
 
@@ -337,6 +325,12 @@ def _stats(residuals, sigma, k, which, metric, excluded):
     return EmpiricalStats(mean=mean, std=std, values=values, excluded_trials=excluded)
 
 
+def _empirical_stream(seed, t):
+    """Stream of trial ``t < 2^62`` of :func:`empirical_error`, index
+    ``2^62 | t``: never the synthetic matrix's 0 or 1, nor a sweep's."""
+    return SeededStream(seed, 1 << 62 | t)
+
+
 def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='general', seed=0):
     """Monte Carlo estimate of the residual error metric.
 
@@ -345,8 +339,8 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
     an :class:`RsvdSketch` (``(A A^T)^q A G``, drawn in the left singular
     basis as ``Sigma^(2q+1) V^T G``).  Deterministic given ``seed``: trial
-    ``t`` consumes the stream ``SeededStream(seed, t)``, so with the seed of a
-    synthetic problem, trials 0 and 1 read the streams of its ``U`` and ``V``.
+    ``t`` consumes the stream ``_empirical_stream(seed, t)``, which no
+    synthetic matrix or sweep reads.
     """
     a = _as_matrix(a, 'A')
     if a.shape != (factors.rows, factors.cols):
@@ -355,10 +349,10 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
     if metric not in METRICS:
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
-    if trials < 1:
-        raise ValueError('trials must be positive')
+    if not 1 <= trials <= 1 << 62:
+        raise ValueError('trials must be in [1, 2**62]')
     residuals, excluded = _collect_residuals(
-        factors, sketch, (k,), trials, (norm,), functools.partial(SeededStream, seed))[k]
+        factors, sketch, (k,), trials, (norm,), functools.partial(_empirical_stream, seed))[k]
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
     return _stats(residuals[norm], factors.sigma, k, norm, metric, excluded)
@@ -541,9 +535,8 @@ def _map_cells(work, count, workers):
 def _sweep_stream(seed, q, p, t):
     """Stream of trial ``t`` of the sweep sketches ``(q, p)``: its index puts
     ``t``, ``p`` and ``q`` in fields of :data:`_SWEEP_FIELDS` bits under a set
-    top bit, so it is injective in ``(q, p, t)`` and never one of the small
-    indices that the synthetic matrix (0 and 1) and :func:`empirical_error`
-    (``0 .. trials - 1``) read."""
+    top bit, so it is injective in ``(q, p, t)`` and never one of the indices
+    that the synthetic matrix (0 and 1) and :func:`empirical_error` read."""
     t_bits, p_bits, _ = _SWEEP_FIELDS
     return SeededStream(seed, 1 << 63 | q << (t_bits + p_bits) | p << t_bits | t)
 
@@ -587,9 +580,9 @@ def run_sweep(config: SweepConfig):
     thread too, and sweeps started from several threads run one at a time.
     """
     with _one_blas_thread():
-        # every residual and bound depends on A only through U^T A, so the problem
-        # is built in its left singular basis and one factors object serves both
-        # the trials and the theorem variants
+        # the bounds read sigma alone and the residuals' law A only through sigma,
+        # so the problem is diag(sigma) and one factors object serves both the
+        # trials and the theorem variants
         factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
         theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
         grid = itertools.product(sorted(config.k_list), sorted(config.q_list),

@@ -6,13 +6,11 @@ construction: a Philox counter-based generator keyed by
 interval, which are mapped to normal variates through the inverse normal CDF
 (``scipy.special.ndtri``).  Identical ``(master_seed, stream_index)`` pairs
 therefore reproduce identical samples bit for bit.  Distinct indices give
-distinct Philox keys, and the callers share one index space: the synthetic
-matrix reads indices 0 and 1 (only 1 when built in its left singular basis);
-a sweep's trial ``t`` of the sketches ``(q, p)`` reads an index that is an
-injective function of ``(q, p, t)`` with its top bit set, so no two of its
-trials, and none of them and the matrix, share a stream; trial ``t`` of
-``empirical_error`` reads index ``t``, so its trials 0 and 1 reuse the
-matrix's streams when they share its seed.
+distinct Philox keys, and the callers share one index space: the dense
+synthetic matrix reads indices 0 and 1 (none when built in both singular
+bases); a sweep's trial ``t`` of the sketches ``(q, p)`` reads an index that
+is an injective function of ``(q, p, t)`` with its top bit set; trial ``t``
+of ``empirical_error`` reads ``2^62 | t``.  No two of these share a stream.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ as ``float.hex`` with a reference.
 it only when bound values are meant to change, from the root of a checkout:
 
     PYTHONPATH=src python3 tests/test_bit_identity.py
+
+which prints, for each group, the keys that moved and the largest relative
+change of each.
 """
 
 import functools
 import json
+import math
 import os
 import tempfile
 
@@ -228,8 +232,52 @@ def test_roundoff_residual_values_unchanged():
     assert json.dumps(got) == json.dumps(want)
 
 
+def _leaves(value, path=()):
+    """``(path, leaf)`` of every leaf of nested dicts and lists."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path, value
+
+
+def _relative_change(old, new):
+    """``|new - old| / |old|`` of two ``float.hex`` leaves; inf where one is
+    missing, is not a float or ``old`` is zero."""
+    if old == new:
+        return 0.0
+    try:
+        old, new = float.fromhex(old), float.fromhex(new)
+    except (TypeError, ValueError):
+        return math.inf
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def moved_keys(old, new):
+    """One line per group: its keys whose values moved from ``old`` to
+    ``new``, each with its largest relative change."""
+    lines = []
+    for group in dict.fromkeys([*new, *old]):
+        before, after = old.get(group, {}), new.get(group, {})
+        moved = {}
+        for key in dict.fromkeys([*before, *after]):
+            was, now = dict(_leaves(before.get(key))), dict(_leaves(after.get(key)))
+            if was != now:
+                moved[key] = max(_relative_change(was.get(path), now.get(path)) for path in {*was, *now})
+        summary = ', '.join(f'{key} {change:.2e}' for key, change in moved.items())
+        lines.append(f'{group}: {len(moved)} of {len(after)} keys moved' + (f': {summary}' if moved else ''))
+    return lines
+
+
 if __name__ == '__main__':
+    try:
+        previous = _reference()
+    except FileNotFoundError:
+        previous = {}
+    values = bound_values()
     os.makedirs(os.path.dirname(PATH), exist_ok=True)
     with open(PATH, 'w') as handle:
-        json.dump(bound_values(), handle, indent=1)
+        json.dump(values, handle, indent=1)
         handle.write('\n')
+    print('\n'.join(moved_keys(previous, values)))

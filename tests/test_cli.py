@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sketchbound import cli, experiments
+from sketchbound import cli, experiments, sketching
 from sketchbound.cli import main
 from sketchbound.experiments import VARIANTS, empirical_error, synthetic_matrix
 from sketchbound.linalg import read_matrix_market, write_matrix_market
@@ -225,21 +225,24 @@ class TestEmpirical:
         assert capsys.readouterr().out == first
 
     @pytest.mark.parametrize('norm', ('spectral', 'frobenius'))
-    def test_synthetic_problem_built_in_the_left_basis(self, monkeypatch, capsys, norm):
-        # the statistics of the dense route: U, its QR and A = U Sigma V^T
-        a, factors = synthetic_matrix(40, 4)
+    def test_synthetic_problem_draws_nothing(self, monkeypatch, capsys, norm):
+        a, factors = synthetic_matrix(40, 4, left_basis=True)
         stats = empirical_error(a, factors, RsvdSketch(q=1, p=9), 3, 6, norm=norm, seed=4)
-        indices = []
-        gaussian = experiments.standard_gaussian
+        streams = []
+        gaussian = sketching.standard_gaussian
+
+        def refused(rows, cols, stream):
+            raise AssertionError('the synthetic problem read a stream')
 
         def recording(rows, cols, stream):
-            indices.append(stream.stream_index)
+            streams.append(stream)
             return gaussian(rows, cols, stream)
 
-        monkeypatch.setattr(experiments, 'standard_gaussian', recording)
+        monkeypatch.setattr(experiments, 'standard_gaussian', refused)
+        monkeypatch.setattr(sketching, 'standard_gaussian', recording)
         assert run_cli('empirical', '--synthetic-n', '40', '--k', '3', '--p', '9', '--q', '1',
                        '--trials', '6', '--seed', '4', '--norm', norm) == 0
         report = json.loads(capsys.readouterr().out)
-        assert indices == [1]  # V only: stream 0 would draw U
+        assert streams == [experiments._empirical_stream(4, t) for t in range(6)]
         assert (report['trials'], report['excluded_trials']) == (6, 0)
         assert (report['mean'], report['std']) == (stats.mean, stats.std)

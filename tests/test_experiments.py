@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import sketchbound
@@ -69,7 +71,7 @@ class TestSyntheticMatrix:
 
     @pytest.mark.parametrize('n', (11, 60, 300))
     def test_haar_factor_matches_numpy_qr(self, n):
-        # the in-place factorization calls numpy's private LAPACK gufuncs
+        # the dense route's factor bits: the sign-fixed Q of numpy's QR
         stream = SeededStream(8, 1)
         q, r = np.linalg.qr(standard_gaussian(n, n, stream))
         signs = np.sign(np.diag(r))
@@ -78,37 +80,68 @@ class TestSyntheticMatrix:
 
     def test_haar_factors_are_built_at_one_blas_thread(self, monkeypatch, blas_threads):
         seen = []
-        lapack = experiments._umath_linalg
+        qr = np.linalg.qr
 
         def recording(a, *args, **kwargs):
             seen.append([get() for get, _ in blas_threads])
-            return lapack.qr_r_raw(a, *args, **kwargs)
+            return qr(a, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, '_umath_linalg', types.SimpleNamespace(
-            qr_r_raw=recording, qr_reduced=lapack.qr_reduced))
+        monkeypatch.setattr(np.linalg, 'qr', recording)
         synthetic_matrix(40, seed=3)
         assert seen == [[1] * len(blas_threads)] * 2
         assert [get() for get, _ in blas_threads] == [2] * len(blas_threads)
 
     def test_factors_do_not_depend_on_the_callers_blas_threads(self):
+        # the dense route: the left-basis problem draws nothing, so its factors
+        # could not depend on BLAS threads
         script = (
             'import hashlib\n'
             'from sketchbound import experiments\n'
-            '_, factors = experiments.synthetic_matrix(1000, 5, left_basis=True)\n'
-            'print(hashlib.sha256(factors._v.tobytes()).hexdigest())\n'
+            '_, factors = experiments.synthetic_matrix(1000, 5)\n'
+            'print(hashlib.sha256(factors.left().tobytes() + factors._v.tobytes()).hexdigest())\n'
         )
         hashes = {fresh_interpreter(script, (), pinning) for pinning in ({}, {'OPENBLAS_NUM_THREADS': '1'})}
         assert len(hashes) == 1
 
-    def test_left_basis_shares_sigma_and_v_bits(self):
-        a, f = synthetic_matrix(40, seed=3)
+    def test_left_basis_problem_is_the_diagonal_spectrum(self):
+        _, f = synthetic_matrix(40, seed=3)
         rotated, g = synthetic_matrix(40, seed=3, left_basis=True)
+        assert np.array_equal(rotated, np.diag(f.sigma))
+        assert np.array_equal(np.signbit(rotated), np.zeros((40, 40), dtype=bool))
         assert np.array_equal(g.sigma, f.sigma)
-        assert np.array_equal(g._v, f._v)
-        assert np.array_equal(g.left(), np.eye(40))
+        assert np.array_equal(g.left(), np.eye(40)) and np.array_equal(g._v, np.eye(40))
+        assert g._v is g.left()  # one identity serves both factors
         assert rotated is g.rotated()
-        assert np.array_equal(rotated, f.rotated())
-        assert np.max(np.abs(rotated - f.left().T @ a)) < 1e-13 * 40
+        # no stream enters the problem
+        assert np.array_equal(synthetic_matrix(40, seed=4, left_basis=True)[0], rotated)
+
+
+class TestDiagonalProblemLaw:
+    """The diagonal problem of a sweep has the residual law of the dense Haar
+    problem: ``V^T G`` is standard Gaussian for any fixed orthogonal ``V``."""
+
+    TRIALS = 300
+    CASES = {12: (3, 8), 30: (5,)}  # p -> the ks evaluated on its sketches
+
+    @pytest.mark.parametrize('q', (0, 1, 2))
+    def test_residual_means_match_the_dense_haar_problem(self, q):
+        norms = ('spectral', 'frobenius')
+        _, diagonal = synthetic_matrix(60, 0, left_basis=True)
+        _, dense = synthetic_matrix(60, 61)
+        for p, ks in self.CASES.items():
+            sketch = RsvdSketch(q=q, p=p)
+            got = experiments._collect_residuals(diagonal, sketch, ks, self.TRIALS, norms,
+                                                 functools.partial(SeededStream, 1000 + q))
+            want = experiments._collect_residuals(dense, sketch, ks, self.TRIALS, norms,
+                                                  functools.partial(SeededStream, 2000 + q))
+            for k in ks:
+                assert got[k][1] == want[k][1] == 0
+                for which in norms:
+                    # full and tail residuals, each within 4 combined standard errors
+                    x, y = got[k][0][which], want[k][0][which]
+                    se = np.hypot(np.std(x, axis=0, ddof=1), np.std(y, axis=0, ddof=1)) / math.sqrt(self.TRIALS)
+                    assert np.all(se > 0)
+                    assert np.all(np.abs(np.mean(x, axis=0) - np.mean(y, axis=0)) <= 4 * se), (p, k, which)
 
 
 class TestGramTopEigenvalue:
@@ -249,12 +282,30 @@ class TestEmpiricalError:
         a, f = synthetic_matrix(40, seed=9)
         stats = empirical_error(a, f, RsvdSketch(q=0, p=12), k=3, trials=5,
                                 norm='spectral', metric='old', seed=10)
-        # trial t draws from SeededStream(seed, t)
+        # trial t draws from SeededStream(seed, 2^62 | t)
         full = []
         for t in range(5):
-            q = orthonormal_basis(rsvd_sketch(a, 0, 12, SeededStream(10, t)))
+            q = orthonormal_basis(rsvd_sketch(a, 0, 12, SeededStream(10, 1 << 62 | t)))
             full.append(np.linalg.norm(a - q @ (q.T @ a), 2))
         assert stats.values == pytest.approx(np.array(full) - f.sigma[3], abs=1e-10)
+
+    def test_trials_do_not_reuse_the_synthetic_matrix_streams(self, monkeypatch):
+        n, p, seed = 30, 8, 5
+        a, f = synthetic_matrix(n, seed)
+        draws = []
+        gaussian = sketching.standard_gaussian
+
+        def recording(rows, cols, stream):
+            draws.append((stream, gaussian(rows, cols, stream)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(sketching, 'standard_gaussian', recording)
+        empirical_error(a, f, RsvdSketch(q=0, p=p), 3, 2, seed=seed)
+        assert [stream for stream, _ in draws] == [SeededStream(seed, 1 << 62), SeededStream(seed, 1 << 62 | 1)]
+        # nor are their draws the first n p normals of the matrices factored into U and V
+        for (_, g), matrix_index in zip(draws, (0, 1)):
+            shared = standard_gaussian(n, n, SeededStream(seed, matrix_index)).ravel()[:n * p]
+            assert not np.array_equal(g, shared.reshape(n, p))
 
     def test_rank_deficient_head_excludes_every_trial(self):
         a, f = rank_deficient_problem()
@@ -407,34 +458,19 @@ class TestRunSweep:
         assert len(rows) == 4
         assert len(projection_calls) == 4
 
-    def test_builds_the_problem_in_the_left_basis(self, monkeypatch):
-        # the problem build is the only draw through this binding and the only
-        # QR; every trial draws through sketching.standard_gaussian instead
-        indices, qr_shapes = [], []
-        gaussian, qr, lapack = experiments.standard_gaussian, np.linalg.qr, experiments._umath_linalg
+    def test_builds_the_problem_without_a_draw_or_a_qr(self, monkeypatch):
+        # every trial draws through sketching.standard_gaussian; the problem,
+        # diag(sigma), needs neither a draw through this binding nor any QR
+        def refuse(name):
+            def refused(*args, **kwargs):
+                raise AssertionError(f'a sweep called {name}')
+            return refused
 
-        def recording_gaussian(rows, cols, stream):
-            indices.append(stream.stream_index)
-            return gaussian(rows, cols, stream)
-
-        def recording_qr(a, *args, **kwargs):
-            qr_shapes.append(a.shape)
-            return qr(a, *args, **kwargs)
-
-        def recording_factorization(a, *args, **kwargs):
-            qr_shapes.append(a.shape)
-            return lapack.qr_r_raw(a, *args, **kwargs)
-
-        monkeypatch.setattr(experiments, 'standard_gaussian', recording_gaussian)
-        monkeypatch.setattr(np.linalg, 'qr', recording_qr)
-        # the Haar draw factors in place through numpy's LAPACK gufuncs
-        monkeypatch.setattr(experiments, '_umath_linalg', types.SimpleNamespace(
-            qr_r_raw=recording_factorization, qr_reduced=lapack.qr_reduced))
-        config = small_config(n=40, bound_variants=VARIANTS)
-        rows = run_sweep(config)
+        monkeypatch.setattr(experiments, 'standard_gaussian', refuse('experiments.standard_gaussian'))
+        monkeypatch.setattr(np.linalg, 'qr', refuse('np.linalg.qr'))
+        monkeypatch.setattr(scipy.linalg, 'qr', refuse('scipy.linalg.qr'))
+        rows = run_sweep(small_config(n=40, bound_variants=VARIANTS))
         assert len(rows) == 8
-        assert indices == [1]
-        assert qr_shapes == [(40, 40)]
 
     def test_one_rotated_matrix_per_sweep(self, monkeypatch):
         returned = []
