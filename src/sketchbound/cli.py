@@ -63,7 +63,8 @@ def _build_parser():
     emp.add_argument('--q', type=int, default=0)
     emp.add_argument('--trials', type=int, default=100)
     emp.add_argument('--seed', type=int, default=0,
-                     help='seed of the trial streams; a --synthetic-n problem is diag(sigma) and draws nothing')
+                     help='seed of the trial streams, keyed as a sweep keys them; a --synthetic-n problem '
+                          'draws nothing, so mean and std are those of the sweep row (k, p, q) of this seed')
     emp.add_argument('--norm', choices=experiments.NORMS, default='frobenius')
     emp.add_argument('--metric', choices=experiments.METRICS, default='general')
     emp.add_argument('--out')
@@ -75,6 +76,15 @@ def _load_problem(args, left_basis=False):
         a = read_matrix_market(args.matrix)
         return a, svd(a)
     return experiments.synthetic_matrix(args.synthetic_n, args.seed, left_basis=left_basis)
+
+
+def _write_json(report, out):
+    payload = json.dumps(report, indent=2)
+    if out:
+        with open(out, 'w') as handle:
+            handle.write(payload + '\n')
+    else:
+        print(payload)
 
 
 def _cmd_gen_matrix(args):
@@ -108,12 +118,7 @@ def _cmd_bounds(args):
         sketch = rsvd_distribution(factors, args.q, args.p)
     report = {'k': args.k, 'p': args.p, 'q': args.q,
               'variants': experiments.evaluate_bounds(variants, factors, args.k, args.p, args.q, sketch)}
-    payload = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, 'w') as handle:
-            handle.write(payload + '\n')
-    else:
-        print(payload)
+    _write_json(report, args.out)
     return 0
 
 
@@ -141,16 +146,11 @@ def _cmd_empirical(args):
         # the mean of no trials is NaN, which JSON cannot carry
         raise ValueError(f'all {stats.excluded_trials} trials excluded by the head rank check '
                          f'(rank(A) < k={args.k}?); no report written')
-    payload = json.dumps({
+    _write_json({
         'k': args.k, 'p': args.p, 'q': args.q, 'norm': args.norm, 'metric': args.metric,
         'trials': stats.trials, 'excluded_trials': stats.excluded_trials,
         'mean': stats.mean, 'std': stats.std,
-    }, indent=2)
-    if args.out:
-        with open(args.out, 'w') as handle:
-            handle.write(payload + '\n')
-    else:
-        print(payload)
+    }, args.out)
     return 0
 
 

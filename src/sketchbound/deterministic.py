@@ -157,14 +157,11 @@ def _operator_norms(sigma_values, which):
     return float(np.sqrt(np.sum(sigma_values**2)))
 
 
-def sine_tangent_gap_bound(a, factors: SvdFactors, z, k, which) -> DeterministicBoundReport:
-    """Deterministic bound ``min(||S||^2 ||Sigma_head||_2^2, ||T Sigma_head||^2)``
-    on the squared residual gap, together with the evaluated gap itself."""
-    ops = angle_operators(factors, z, k)
-    sig_head = factors.sigma_head(k)
-    bound_sine = _operator_norms(ops.sine_sigma, which) ** 2 * float(sig_head[0]) ** 2
-    bound_tangent = matrix_norm(ops.tangent * sig_head[None, :], which) ** 2
-    lhs = residual_gap_squared(a, factors, z, k, which)
+def _gap_report(ops, weights, which, k, lhs) -> DeterministicBoundReport:
+    """Report of ``min(||S||^2 w_1^2, ||T diag(w)||^2)`` for the angle
+    operators ``ops`` and head weights ``w``, with the evaluated gap ``lhs``."""
+    bound_sine = _operator_norms(ops.sine_sigma, which) ** 2 * float(weights[0]) ** 2
+    bound_tangent = matrix_norm(ops.tangent * weights[None, :], which) ** 2
     return DeterministicBoundReport(
         norm=which,
         k=k,
@@ -173,6 +170,13 @@ def sine_tangent_gap_bound(a, factors: SvdFactors, z, k, which) -> Deterministic
         bound_tangent=bound_tangent,
         bound=min(bound_sine, bound_tangent),
     )
+
+
+def sine_tangent_gap_bound(a, factors: SvdFactors, z, k, which) -> DeterministicBoundReport:
+    """Deterministic bound ``min(||S||^2 ||Sigma_head||_2^2, ||T Sigma_head||^2)``
+    on the squared residual gap, together with the evaluated gap itself."""
+    ops = angle_operators(factors, z, k)
+    return _gap_report(ops, factors.sigma_head(k), which, k, residual_gap_squared(a, factors, z, k, which))
 
 
 def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBoundReport:
@@ -184,18 +188,8 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     """
     _as_matrix(a, 'A')
     ops = angle_operators(factors, z, k)
-    sig_head = factors.sigma_head(k)
     s_next = factors.next_sigma(k)
-    deflated = np.sqrt(np.clip(sig_head**2 - s_next**2, 0.0, None))
-    bound_sine = _operator_norms(ops.sine_sigma, 'spectral') ** 2 * float(deflated[0]) ** 2
-    bound_tangent = matrix_norm(ops.tangent * deflated[None, :], 'spectral') ** 2
+    deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))
     b = _rotated_basis_product(factors, z)
     lhs = _top_eigenvalue(np.diag(factors.sigma**2) - b.T @ b) - s_next**2
-    return DeterministicBoundReport(
-        norm='spectral',
-        k=k,
-        lhs_gap=lhs,
-        bound_sine=bound_sine,
-        bound_tangent=bound_tangent,
-        bound=min(bound_sine, bound_tangent),
-    )
+    return _gap_report(ops, deflated, 'spectral', k, lhs)

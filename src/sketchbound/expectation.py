@@ -304,16 +304,7 @@ def _frobenius_report(pc, factors, sketch, k, p, squared):
 def expected_spectral_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Expectation bound on the spectral residual gap."""
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
-    sig_head = factors.sigma_head(k)
-    c_k = tangent_norm_constants(pc, np.diag(sig_head), p).total_spectral
-    d_k = tangent_norm_constants(pc, np.eye(k), p).total_spectral
-    top = float(sig_head[0])
-    mean_term = mean_shift_term(sketch, top, p)
-    bound = mean_term + min(c_k, phi(d_k) * top)
-    return ExpectationBoundReport(
-        norm='spectral', variant='thm4', k=k, p=p, mean_term=mean_term,
-        constants={'c_k': c_k, 'd_k': d_k}, bound=bound,
-    )
+    return _spectral_report(pc, factors, sketch, k, p, factors.sigma_head(k), 'thm4', ('c_k', 'd_k'))
 
 
 def expected_spectral_tail_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
@@ -323,15 +314,19 @@ def expected_spectral_tail_bound(factors, sketch, k, p, projection=None) -> Expe
     the one of the plain spectral bound.
     """
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
-    sig_head = factors.sigma_head(k)
-    s_next = factors.next_sigma(k)
-    deflated = np.sqrt(np.clip(sig_head**2 - s_next**2, 0.0, None))
-    c_hat_k = tangent_norm_constants(pc, np.diag(deflated), p).total_spectral
-    d_hat_k = tangent_norm_constants(pc, np.eye(k), p).total_spectral
-    top_deflated = float(deflated[0])
-    mean_term = mean_shift_term(sketch, float(sig_head[0]), p)
-    bound = mean_term + min(c_hat_k, phi(d_hat_k) * top_deflated)
+    deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - factors.next_sigma(k)**2, 0.0, None))
+    return _spectral_report(pc, factors, sketch, k, p, deflated, 'thm5', ('c_hat_k', 'd_hat_k'))
+
+
+def _spectral_report(pc, factors, sketch, k, p, weights, variant, names):
+    """``mean_term + min(c, phi(d) w_1)`` for head weights ``w``, with ``c``
+    and ``d`` the spectral tangent constants weighted by ``diag(w)`` and by
+    the identity; the mean term rests on ``sigma_1`` whatever ``w`` is."""
+    c = tangent_norm_constants(pc, np.diag(weights), p).total_spectral
+    d = tangent_norm_constants(pc, np.eye(k), p).total_spectral
+    mean_term = mean_shift_term(sketch, float(factors.sigma_head(k)[0]), p)
+    bound = mean_term + min(c, phi(d) * float(weights[0]))
     return ExpectationBoundReport(
-        norm='spectral', variant='thm5', k=k, p=p, mean_term=mean_term,
-        constants={'c_hat_k': c_hat_k, 'd_hat_k': d_hat_k}, bound=bound,
+        norm='spectral', variant=variant, k=k, p=p, mean_term=mean_term,
+        constants=dict(zip(names, (c, d))), bound=bound,
     )

@@ -10,26 +10,28 @@ basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
 A sweep's synthetic problem is ``diag(sigma)``, with ``U = V = I``: ``V^T G``
 is standard Gaussian for any fixed orthogonal ``V``, so no trial's law changes.
 
-A sweep's trials are keyed by ``(q, p, t)``, in stream indices no other
-caller reads, and the cells that share ``(q, p)`` share their sketches: no k
-enters the sketch, its basis or its full residual.  A cell's rows therefore
-depend on the seed and its own parameters alone, not on the rest of the grid.
-A sweep sets every BLAS library of the process (numpy and scipy each bundle
-an OpenBLAS) to one thread and runs its trials on one thread per CPU, so its
-bytes depend neither on the caller's BLAS threads nor on the number of
-threads; without a thread setter (another BLAS, or no ``/proc``) it runs
-serially at the caller's BLAS threads.  The dense synthetic matrix is built
-at one BLAS thread too, wherever it is called from.
+Every Monte Carlo trial, of a sweep or of :func:`empirical_error`, is keyed
+by ``(q, p, t)``: trial ``t`` of the sketches with ``q`` power passes and
+``p`` columns (a :class:`GaussianSketch` of ``p`` columns counts as
+``q = 0``) reads one stream index, which no synthetic matrix reads.  So
+:func:`empirical_error` gives the numbers of the matching sweep cell, and the
+cells of a sweep that share ``(q, p)`` share their sketches: no k enters the
+sketch, its basis or its full residual, and a cell's rows depend on the seed
+and its own parameters alone.  Trials run serially, or in a sweep on one
+thread per CPU, with every BLAS library of the process (numpy and scipy each
+bundle an OpenBLAS) at one thread, so for an :class:`RsvdSketch` their bytes
+depend neither on the caller's BLAS threads nor on the number of threads (a
+:class:`GaussianSketch` trial reads two cached products, formed at the
+threads of the first call that reads them).  Without a thread setter
+(another BLAS, or no ``/proc``) they run serially at the caller's BLAS
+threads.  The dense synthetic matrix is built at one BLAS thread too.
 
-Trial ``t`` of :func:`empirical_error` reads stream index ``2^62 | t``, a
-domain of its own.  It always runs serially with the caller's BLAS threads:
-with numpy 2.4, single-matrix ``eigvalsh`` and ``svd(compute_uv=False)``, and
-so ``norm(x, 2)``, hold the interpreter lock (stacked calls, ``eigh`` and
-``svd(full_matrices=False)`` release it), so the spectral residuals of
-concurrent trials mostly take turns.  Spread over two threads (2 cores, BLAS
-at one thread), the trials of the benchmark's 500x400 ``empirical_small``
-requests cut p90 latency by 10% but raised peak RSS by 11%, from 80.9 to
-89.7 MB (one malloc arena per thread), beyond the 5% the benchmark accepts.
+Serial trials cost a large dense input the BLAS threads' speed-up: on 2
+cores, 50 :func:`empirical_error` trials on the n=2000 synthetic matrix took
+1.56x as long as at two BLAS threads.  Spreading the trials of the
+benchmark's 500x400 ``empirical_small`` over two threads cut p90 latency by
+10% but raised peak RSS by 11%: single-matrix ``eigvalsh`` and
+``svd(compute_uv=False)`` hold numpy's interpreter lock.
 
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
@@ -46,6 +48,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import os
 import tempfile
 import threading
@@ -325,10 +328,35 @@ def _stats(residuals, sigma, k, which, metric, excluded):
     return EmpiricalStats(mean=mean, std=std, values=values, excluded_trials=excluded)
 
 
-def _empirical_stream(seed, t):
-    """Stream of trial ``t < 2^62`` of :func:`empirical_error`, index
-    ``2^62 | t``: never the synthetic matrix's 0 or 1, nor a sweep's."""
-    return SeededStream(seed, 1 << 62 | t)
+# bits of a trial's stream index given to t, p and q (see _trial_stream)
+_TRIAL_FIELDS = (24, 24, 15)
+
+
+def _trial_stream(seed, q, p, t):
+    """Stream of trial ``t`` of the sketches ``(q, p)``: its index puts ``t``,
+    ``p`` and ``q`` in fields of :data:`_TRIAL_FIELDS` bits under a set top
+    bit, so it is injective in ``(q, p, t)`` and never one of the indices
+    that the synthetic matrix reads (0 and 1)."""
+    t_bits, p_bits, _ = _TRIAL_FIELDS
+    return SeededStream(seed, 1 << 63 | q << (t_bits + p_bits) | p << t_bits | t)
+
+
+def _check_trial_keys(seed, trials, p, qs):
+    """Raise ``ValueError`` unless ``seed``, ``trials``, the widest sketch's
+    ``p`` and each q of ``qs`` are integers that key :func:`_trial_stream`
+    injectively, with the seed in ``[0, 2**64)``."""
+    try:  # numpy integers pass, floats do not
+        seed, trials, p, *qs = map(operator.index, (seed, trials, p, *qs))
+    except TypeError as error:
+        raise ValueError(f'seed, trials, p and q must be integers: {error}') from None
+    SeededStream(seed)
+    t_bits, p_bits, q_bits = _TRIAL_FIELDS
+    if not 1 <= trials <= 1 << t_bits:
+        raise ValueError(f'trials must be in [1, 2**{t_bits}]')
+    if p >= 1 << p_bits:
+        raise ValueError(f'sketch columns p (k + oversampling in a sweep) must be below 2**{p_bits}')
+    if any(not 0 <= q < 1 << q_bits for q in qs):
+        raise ValueError(f'q must be in [0, 2**{q_bits})')
 
 
 def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='general', seed=0):
@@ -338,9 +366,10 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
     the factors alone, so only the shapes of the two are checked to agree.
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
     an :class:`RsvdSketch` (``(A A^T)^q A G``, drawn in the left singular
-    basis as ``Sigma^(2q+1) V^T G``).  Deterministic given ``seed``: trial
-    ``t`` consumes the stream ``_empirical_stream(seed, t)``, which no
-    synthetic matrix or sweep reads.
+    basis as ``Sigma^(2q+1) V^T G``).  Trial ``t`` reads
+    ``_trial_stream(seed, q, p, t)``, as in a sweep (``q = 0`` for a
+    :class:`GaussianSketch` of ``p`` columns); the trials run serially at one
+    BLAS thread, so concurrent calls, and sweeps, take turns.
     """
     a = _as_matrix(a, 'A')
     if a.shape != (factors.rows, factors.cols):
@@ -349,10 +378,11 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
     if metric not in METRICS:
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
-    if not 1 <= trials <= 1 << 62:
-        raise ValueError('trials must be in [1, 2**62]')
-    residuals, excluded = _collect_residuals(
-        factors, sketch, (k,), trials, (norm,), functools.partial(_empirical_stream, seed))[k]
+    q, p = (0, sketch.shape[1]) if isinstance(sketch, GaussianSketch) else (sketch.q, sketch.p)
+    _check_trial_keys(seed, trials, p, (q,))
+    with _one_blas_thread():
+        residuals, excluded = _collect_residuals(
+            factors, sketch, (k,), trials, (norm,), functools.partial(_trial_stream, seed, q, p))[k]
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
     return _stats(residuals[norm], factors.sigma, k, norm, metric, excluded)
@@ -411,10 +441,6 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     return reports
 
 
-# bits of a sweep trial's stream index given to t, p and q (see _sweep_stream)
-_SWEEP_FIELDS = (24, 24, 15)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification for a reproducible bound-versus-empirical sweep."""
@@ -437,17 +463,10 @@ class SweepConfig:
         for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list'):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f'{name} has duplicate entries')
-        # the ranges that keep each trial's stream index injective (_sweep_stream)
-        t_bits, p_bits, q_bits = _SWEEP_FIELDS
-        if not 1 <= self.trials <= 1 << t_bits:
-            raise ValueError(f'trials must be in [1, 2**{t_bits}]')
         if any(k < 1 for k in self.k_list):
             raise ValueError('k must be positive')
-        if self.k_list and self.oversampling_list and (
-                max(self.k_list) + max(self.oversampling_list) >= 1 << p_bits):
-            raise ValueError(f'k + oversampling must be below 2**{p_bits}')
-        if any(not 0 <= q < 1 << q_bits for q in self.q_list):
-            raise ValueError(f'q must be in [0, 2**{q_bits})')
+        _check_trial_keys(self.seed, self.trials,
+                          max(self.k_list, default=0) + max(self.oversampling_list, default=0), self.q_list)
         if self.metric not in METRICS:
             raise ValueError(f'metric must be one of {METRICS}')
         if any(norm not in NORMS for norm in self.norm_list):
@@ -532,20 +551,11 @@ def _map_cells(work, count, workers):
     return results
 
 
-def _sweep_stream(seed, q, p, t):
-    """Stream of trial ``t`` of the sweep sketches ``(q, p)``: its index puts
-    ``t``, ``p`` and ``q`` in fields of :data:`_SWEEP_FIELDS` bits under a set
-    top bit, so it is injective in ``(q, p, t)`` and never one of the indices
-    that the synthetic matrix (0 and 1) and :func:`empirical_error` read."""
-    t_bits, p_bits, _ = _SWEEP_FIELDS
-    return SeededStream(seed, 1 << 63 | q << (t_bits + p_bits) | p << t_bits | t)
-
-
 def _sweep_trials(factors, cells, trials, norms, seed):
     """``(residuals, excluded)`` of each ``(k, q, p)`` of ``cells``, in order.
 
     The cells that share ``(q, p)`` are one unit of work: trial ``t`` draws
-    one sketch from ``_sweep_stream(seed, q, p, t)``, and
+    one sketch from ``_trial_stream(seed, q, p, t)``, and
     :func:`_collect_residuals` evaluates each of their ks on it.  The units
     run on one thread per CPU at one BLAS thread (serially, at the caller's
     BLAS threads, where no thread setter is found).
@@ -558,7 +568,7 @@ def _sweep_trials(factors, cells, trials, norms, seed):
     def group_trials(i):
         (q, p), ks = units[i]
         return _collect_residuals(factors, RsvdSketch(q=q, p=p), ks, trials, norms,
-                                  functools.partial(_sweep_stream, seed, q, p))
+                                  functools.partial(_trial_stream, seed, q, p))
 
     with _one_blas_thread() as threaded:
         results = _map_cells(group_trials, len(units), len(os.sched_getaffinity(0)) if threaded else 1)

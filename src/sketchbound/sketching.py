@@ -8,9 +8,9 @@ interval, which are mapped to normal variates through the inverse normal CDF
 therefore reproduce identical samples bit for bit.  Distinct indices give
 distinct Philox keys, and the callers share one index space: the dense
 synthetic matrix reads indices 0 and 1 (none when built in both singular
-bases); a sweep's trial ``t`` of the sketches ``(q, p)`` reads an index that
-is an injective function of ``(q, p, t)`` with its top bit set; trial ``t``
-of ``empirical_error`` reads ``2^62 | t``.  No two of these share a stream.
+bases); trial ``t`` of the sketches ``(q, p)``, in a sweep or in
+``empirical_error``, reads an index that is an injective function of
+``(q, p, t)`` with its top bit set.  No two of these share a stream.
 """
 
 from __future__ import annotations

@@ -168,6 +168,24 @@ class TestSweep:
                                            'bogus': True}))
         assert run_cli('sweep', '--config', str(config_path)) == 2
 
+    @pytest.mark.parametrize('key, value, message', [
+        ('seed', -1, 'master_seed must be in'),
+        ('seed', 2**64, 'master_seed must be in'),
+        ('seed', 1.5, 'must be integers'),
+        ('trials', 2.0, 'must be integers'),
+    ])
+    def test_bad_trial_key_is_refused_before_any_bound(self, tmp_path, monkeypatch, capsys, key, value, message):
+        def refused(*args, **kwargs):
+            raise AssertionError('a bound was evaluated')
+
+        monkeypatch.setattr(experiments, 'evaluate_bounds', refused)
+        config_path = tmp_path / 'config.json'
+        config_path.write_text(json.dumps({'n': 30, 'k_list': [3], 'oversampling_list': [3], key: value,
+                                           'output_path': str(tmp_path / 'rows.csv')}))
+        assert run_cli('sweep', '--config', str(config_path)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / 'rows.csv').exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli('sweep', '--config', str(tmp_path / 'none.json')) == 1
 
@@ -243,6 +261,16 @@ class TestEmpirical:
         assert run_cli('empirical', '--synthetic-n', '40', '--k', '3', '--p', '9', '--q', '1',
                        '--trials', '6', '--seed', '4', '--norm', norm) == 0
         report = json.loads(capsys.readouterr().out)
-        assert streams == [experiments._empirical_stream(4, t) for t in range(6)]
+        assert streams == [experiments._trial_stream(4, 1, 9, t) for t in range(6)]
         assert (report['trials'], report['excluded_trials']) == (6, 0)
         assert (report['mean'], report['std']) == (stats.mean, stats.std)
+
+    @pytest.mark.parametrize('q, metric', ((0, 'general'), (2, 'old')))
+    def test_report_is_the_sweep_row_of_its_cell(self, capsys, q, metric):
+        config = experiments.SweepConfig(n=80, k_list=(4,), oversampling_list=(7,), q_list=(q,),
+                                         trials=6, seed=13, metric=metric)
+        for row in experiments.run_sweep(config):
+            assert run_cli('empirical', '--synthetic-n', '80', '--k', '4', '--p', str(row.p), '--q', str(q),
+                           '--trials', '6', '--seed', '13', '--norm', row.norm, '--metric', metric) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report['mean'], report['std']) == (row.empirical_mean, row.empirical_std)

@@ -282,10 +282,10 @@ class TestEmpiricalError:
         a, f = synthetic_matrix(40, seed=9)
         stats = empirical_error(a, f, RsvdSketch(q=0, p=12), k=3, trials=5,
                                 norm='spectral', metric='old', seed=10)
-        # trial t draws from SeededStream(seed, 2^62 | t)
+        # trial t draws from the sweep's key of (q, p, t) = (0, 12, t)
         full = []
         for t in range(5):
-            q = orthonormal_basis(rsvd_sketch(a, 0, 12, SeededStream(10, 1 << 62 | t)))
+            q = orthonormal_basis(rsvd_sketch(a, 0, 12, SeededStream(10, 1 << 63 | 12 << 24 | t)))
             full.append(np.linalg.norm(a - q @ (q.T @ a), 2))
         assert stats.values == pytest.approx(np.array(full) - f.sigma[3], abs=1e-10)
 
@@ -300,12 +300,77 @@ class TestEmpiricalError:
             return draws[-1][1]
 
         monkeypatch.setattr(sketching, 'standard_gaussian', recording)
-        empirical_error(a, f, RsvdSketch(q=0, p=p), 3, 2, seed=seed)
-        assert [stream for stream, _ in draws] == [SeededStream(seed, 1 << 62), SeededStream(seed, 1 << 62 | 1)]
+        empirical_error(a, f, RsvdSketch(q=1, p=p), 3, 2, seed=seed)
+        streams = [stream for stream, _ in draws]
+        assert streams == [experiments._trial_stream(seed, 1, p, t) for t in range(2)]
+        assert streams == [SeededStream(seed, 1 << 63 | 1 << 48 | p << 24 | t) for t in range(2)]
         # nor are their draws the first n p normals of the matrices factored into U and V
         for (_, g), matrix_index in zip(draws, (0, 1)):
             shared = standard_gaussian(n, n, SeededStream(seed, matrix_index)).ravel()[:n * p]
             assert not np.array_equal(g, shared.reshape(n, p))
+
+    def test_gaussian_sketch_reads_the_q0_keys(self, monkeypatch):
+        a, f = synthetic_matrix(30, seed=6)
+        streams = []
+        gaussian = sketching.standard_gaussian
+
+        def recording(rows, cols, stream):
+            streams.append(stream)
+            return gaussian(rows, cols, stream)
+
+        monkeypatch.setattr(sketching, 'standard_gaussian', recording)
+        empirical_error(a, f, rsvd_distribution(f, 2, 9), 3, 3, seed=6)
+        assert streams == [experiments._trial_stream(6, 0, 9, t) for t in range(3)]
+
+    @pytest.mark.parametrize('q', (0, 1, 2))
+    def test_equals_the_sweep_row_of_its_cell(self, q):
+        config = small_config(n=120, k_list=(3, 8), oversampling_list=(2, 9), q_list=(q,), trials=5, seed=11)
+        a, f = synthetic_matrix(config.n, config.seed, left_basis=True)
+        for metric in experiments.METRICS:
+            rows = run_sweep(dataclasses.replace(config, metric=metric))
+            assert len(rows) == 2 * 2 * 2
+            for row in rows:
+                stats = empirical_error(a, f, RsvdSketch(q=row.q, p=row.p), row.k, config.trials,
+                                        row.norm, metric, seed=config.seed)
+                assert (stats.mean, stats.std) == (row.empirical_mean, row.empirical_std)
+
+    def test_bytes_do_not_depend_on_the_callers_blas_threads(self):
+        script = (
+            'import hashlib\n'
+            'from sketchbound import experiments\n'
+            'from sketchbound.sketching import RsvdSketch\n'
+            'a, factors = experiments.synthetic_matrix(400, 3)\n'
+            'digest = hashlib.sha256()\n'
+            'for k in (5, 20):\n'
+            '    for q in (0, 1, 2):\n'
+            '        for norm in experiments.NORMS:\n'
+            '            sketch = RsvdSketch(q=q, p=k + 10)\n'
+            '            digest.update(experiments.empirical_error(a, factors, sketch, k, 3, norm, seed=7).values)\n'
+            'print(digest.hexdigest())\n'
+        )
+        hashes = {fresh_interpreter(script, (), pinning) for pinning in ({}, {'OPENBLAS_NUM_THREADS': '1'})}
+        assert len(hashes) == 1
+
+    @pytest.mark.parametrize('trials, q, p, seed, grid', [
+        (0, 0, 5, 0, dict(trials=0)),
+        (2**24 + 1, 0, 5, 0, dict(trials=2**24 + 1)),
+        (4, 2**15, 5, 0, dict(q_list=(2**15,))),
+        (4, 0, 2**24, 0, dict(oversampling_list=(2**24 - 3,))),
+        (2.0, 0, 5, 0, dict(trials=2.0)),
+        (4, 0, 5, 1.5, dict(seed=1.5)),
+    ])
+    def test_rejects_keys_outside_the_trial_fields(self, monkeypatch, trials, q, p, seed, grid):
+        a, f = synthetic_matrix(20, seed=20, left_basis=True)
+
+        def refused(*args, **kwargs):
+            raise AssertionError('trials ran')
+
+        monkeypatch.setattr(experiments, '_collect_residuals', refused)
+        with pytest.raises(ValueError) as sweep_error:
+            small_config(**grid)
+        with pytest.raises(ValueError, match='must be') as error:
+            empirical_error(a, f, RsvdSketch(q=q, p=p), 2, trials, seed=seed)
+        assert str(error.value) == str(sweep_error.value)
 
     def test_rank_deficient_head_excludes_every_trial(self):
         a, f = rank_deficient_problem()
@@ -647,7 +712,7 @@ class TestRunSweep:
         config = small_config(k_list=(3, 5), oversampling_list=(2, 4, 7), q_list=(0, 1), trials=4)
         run_sweep(config)
         # the ks share each (q, p): p is 5, 7, 10 for k=3 and 7, 9, 12 for k=5
-        expected = {experiments._sweep_stream(config.seed, q, p, t)
+        expected = {experiments._trial_stream(config.seed, q, p, t)
                     for q in (0, 1) for p in (5, 7, 9, 10, 12) for t in range(config.trials)}
         assert len(streams) == len(expected) and set(streams) == expected
         # no stream of the synthetic matrix's V (index 1) or U (index 0)
@@ -655,12 +720,12 @@ class TestRunSweep:
         assert all(stream.stream_index >= 1 << 63 for stream in streams)
 
     def test_stream_index_fields_fill_64_bits_without_overlap(self):
-        t_bits, p_bits, q_bits = experiments._SWEEP_FIELDS
+        t_bits, p_bits, q_bits = experiments._TRIAL_FIELDS
         assert t_bits + p_bits + q_bits == 63
-        assert experiments._sweep_stream(7, 0, 0, 0) == SeededStream(7, 1 << 63)
-        top = experiments._sweep_stream(7, 2**q_bits - 1, 2**p_bits - 1, 2**t_bits - 1)
+        assert experiments._trial_stream(7, 0, 0, 0) == SeededStream(7, 1 << 63)
+        top = experiments._trial_stream(7, 2**q_bits - 1, 2**p_bits - 1, 2**t_bits - 1)
         assert top == SeededStream(7, 2**64 - 1)
-        fields = {(q, p, t): experiments._sweep_stream(7, q, p, t).stream_index
+        fields = {(q, p, t): experiments._trial_stream(7, q, p, t).stream_index
                   for q in (0, 1, 2**q_bits - 1) for p in (0, 1, 2**p_bits - 1) for t in (0, 1, 2**t_bits - 1)}
         assert len(set(fields.values())) == len(fields)
 
@@ -703,12 +768,18 @@ class TestRunSweep:
             small_config(**{name: values})
 
     def test_config_keeps_the_grid_inside_the_stream_index_fields(self):
-        t_bits, p_bits, q_bits = experiments._SWEEP_FIELDS
+        t_bits, p_bits, q_bits = experiments._TRIAL_FIELDS
         small_config(trials=2**t_bits, q_list=(0, 2**q_bits - 1), oversampling_list=(2, 2**p_bits - 4))
         for overrides in (dict(trials=2**t_bits + 1), dict(q_list=(-1, 0)), dict(q_list=(2**q_bits,)),
                           dict(k_list=(0, 3)), dict(oversampling_list=(2, 2**p_bits - 3))):
             with pytest.raises(ValueError):
                 small_config(**overrides)
+
+    @pytest.mark.parametrize('seed', (-1, 2**64))
+    def test_config_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match='master_seed must be in'):
+            small_config(seed=seed)
+        small_config(seed=2**64 - 1)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / 'config.json'
