@@ -72,17 +72,16 @@ def _build_parser():
 
 
 def _load_problem(args, left_basis=False):
+    """SVD factors of the requested matrix, read by every bound and trial alone."""
     if args.matrix is not None:
-        a = read_matrix_market(args.matrix)
-        return a, svd(a)
-    return experiments.synthetic_matrix(args.synthetic_n, args.seed, left_basis=left_basis)
+        return svd(read_matrix_market(args.matrix))
+    return experiments.synthetic_matrix(args.synthetic_n, args.seed, left_basis=left_basis)[1]
 
 
 def _write_json(report, out):
     payload = json.dumps(report, indent=2)
     if out:
-        with open(out, 'w') as handle:
-            handle.write(payload + '\n')
+        experiments._write_atomic(out, payload + '\n')
     else:
         print(payload)
 
@@ -95,7 +94,7 @@ def _cmd_gen_matrix(args):
 
 
 def _cmd_bounds(args):
-    a, factors = _load_problem(args)
+    factors = _load_problem(args)
     variants = list(experiments.VARIANTS)
     if args.variant is not None:
         variants = [v.strip() for v in args.variant.split(',') if v.strip()]
@@ -137,9 +136,9 @@ def _cmd_sweep(args):
 def _cmd_empirical(args):
     # the residuals' law depends on A only through sigma, so a synthetic
     # problem is diag(sigma); bounds keep the real U and V
-    a, factors = _load_problem(args, left_basis=True)
+    factors = _load_problem(args, left_basis=True)
     stats = experiments.empirical_error(
-        a, factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,
+        factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,
         norm=args.norm, metric=args.metric, seed=args.seed,
     )
     if not stats.trials:

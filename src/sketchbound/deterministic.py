@@ -77,8 +77,8 @@ def _check_head_rank(omega_head, w):
         )
 
 
-def angle_operators(factors: SvdFactors, z, k, mean=None) -> AngleOperators:
-    """Tangent and sine operators of Z (optionally centered) at target rank k.
+def angle_operators(factors: SvdFactors, z, k) -> AngleOperators:
+    """Tangent and sine operators of the sketch Z at target rank k.
 
     The sine operator is assembled from the SVD of the tangent operator,
     ``S = P diag(phi(t)) Q^T`` for ``T = P diag(t) Q^T``, which keeps the two
@@ -91,10 +91,9 @@ def angle_operators(factors: SvdFactors, z, k, mean=None) -> AngleOperators:
         hypotheses fail in that case.
     """
     z = _as_matrix(z, 'Z')
-    w = z - _as_matrix(mean, 'mean') if mean is not None else z
-    omega_head = factors.left_head(k).T @ w
-    omega_tail = factors.left_tail(k).T @ w
-    _check_head_rank(omega_head, w)
+    omega_head = factors.left_head(k).T @ z
+    omega_tail = factors.left_tail(k).T @ z
+    _check_head_rank(omega_head, z)
     tangent = omega_tail @ pseudo_inverse(omega_head)
     p_fac, t_sigma, q_fac_t = np.linalg.svd(tangent, full_matrices=False)
     s_sigma = phi(t_sigma)
@@ -103,14 +102,22 @@ def angle_operators(factors: SvdFactors, z, k, mean=None) -> AngleOperators:
 
 
 def _rotated_basis_product(factors: SvdFactors, z):
-    """``B = Q[:r]^T Sigma`` (p x r) for an orthonormal basis Q of ``U^T Z``.
-
-    ``(I - pi(Z)) A`` has the Gram matrix ``Sigma^2 - B^T B`` in the right
-    singular basis, and its restriction to a trailing block is that of the
-    same residual of the tail ``A_tail``.
-    """
+    """``B = Q[:r]^T Sigma`` (p x r) for an orthonormal basis Q of ``U^T Z``."""
     q = orthonormal_basis(factors.left().T @ z)
     return q[:factors.sigma.size].T * factors.sigma
+
+
+def _residual_gram(factors: SvdFactors, z):
+    """``Sigma^2 - B^T B``, the Gram matrix of ``(I - pi(Z)) A`` in the right singular
+    basis; its trailing block from k on is that of the same residual of ``A_tail``."""
+    b = _rotated_basis_product(factors, z)
+    return np.diag(factors.sigma**2) - b.T @ b
+
+
+def _check_matrix(a, factors: SvdFactors):
+    """Raise ``ValueError`` unless ``a`` is a finite matrix of the shape of ``factors``."""
+    if _as_matrix(a, 'A').shape != (factors.rows, factors.cols):
+        raise ValueError(f'A has shape {np.shape(a)}, but its factors are {factors.rows}x{factors.cols}')
 
 
 def _top_eigenvalue(gram):
@@ -122,16 +129,16 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
     """``||(I - pi(Z)) A||^2 - ||(I - pi(Z)) A_tail||^2`` in the requested norm.
 
     The gap is computed from ``factors``, which must be the SVD of ``a``;
-    ``a`` itself is only validated.
+    ``a`` itself is only checked to be a finite matrix of their shape.
     """
-    _as_matrix(a, 'A')
+    _check_matrix(a, factors)
     sig_head = factors.sigma_head(k)
-    b = _rotated_basis_product(factors, z)
     if which == 'frobenius':
         # the residual norms split over head and tail columns; the tail cancels
+        b = _rotated_basis_product(factors, z)
         return float(np.sum(sig_head**2) - np.sum(b[:, :k] ** 2))
     if which == 'spectral':
-        gram = np.diag(factors.sigma**2) - b.T @ b
+        gram = _residual_gram(factors, z)
         return _top_eigenvalue(gram) - _top_eigenvalue(gram[k:, k:])
     raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
 
@@ -162,14 +169,8 @@ def _gap_report(ops, weights, which, k, lhs) -> DeterministicBoundReport:
     operators ``ops`` and head weights ``w``, with the evaluated gap ``lhs``."""
     bound_sine = _operator_norms(ops.sine_sigma, which) ** 2 * float(weights[0]) ** 2
     bound_tangent = matrix_norm(ops.tangent * weights[None, :], which) ** 2
-    return DeterministicBoundReport(
-        norm=which,
-        k=k,
-        lhs_gap=lhs,
-        bound_sine=bound_sine,
-        bound_tangent=bound_tangent,
-        bound=min(bound_sine, bound_tangent),
-    )
+    return DeterministicBoundReport(norm=which, k=k, lhs_gap=lhs, bound_sine=bound_sine,
+                                    bound_tangent=bound_tangent, bound=min(bound_sine, bound_tangent))
 
 
 def sine_tangent_gap_bound(a, factors: SvdFactors, z, k, which) -> DeterministicBoundReport:
@@ -183,13 +184,11 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     """Sharper spectral bound on ``||(I - pi(Z)) A||_2^2 - sigma_{k+1}^2``.
 
     Uses the deflated head spectrum ``(Sigma_head^2 - sigma_{k+1}^2 I)^{1/2}``
-    in place of ``Sigma_head``. As in :func:`residual_gap_squared`, the gap is
-    computed from ``factors``, which must be the SVD of ``a``.
+    in place of ``Sigma_head``; ``a`` and the gap are as in :func:`residual_gap_squared`.
     """
-    _as_matrix(a, 'A')
+    _check_matrix(a, factors)
     ops = angle_operators(factors, z, k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))
-    b = _rotated_basis_product(factors, z)
-    lhs = _top_eigenvalue(np.diag(factors.sigma**2) - b.T @ b) - s_next**2
+    lhs = _top_eigenvalue(_residual_gram(factors, z)) - s_next**2
     return _gap_report(ops, deflated, 'spectral', k, lhs)

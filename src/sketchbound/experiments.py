@@ -50,8 +50,8 @@ import logging
 import math
 import operator
 import os
-import tempfile
 import threading
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,11 +359,10 @@ def _check_trial_keys(seed, trials, p, qs):
         raise ValueError(f'q must be in [0, 2**{q_bits})')
 
 
-def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='general', seed=0):
-    """Monte Carlo estimate of the residual error metric.
+def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='general', seed=0):
+    """Monte Carlo estimate of the residual error metric of the matrix ``A``
+    whose SVD is ``factors``: the residuals depend on ``A`` through them alone.
 
-    ``factors`` must be the SVD of ``a``: the residuals are evaluated from
-    the factors alone, so only the shapes of the two are checked to agree.
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
     an :class:`RsvdSketch` (``(A A^T)^q A G``, drawn in the left singular
     basis as ``Sigma^(2q+1) V^T G``).  Trial ``t`` reads
@@ -371,9 +370,6 @@ def empirical_error(a, factors, sketch, k, trials, norm='frobenius', metric='gen
     :class:`GaussianSketch` of ``p`` columns); the trials run serially at one
     BLAS thread, so concurrent calls, and sweeps, take turns.
     """
-    a = _as_matrix(a, 'A')
-    if a.shape != (factors.rows, factors.cols):
-        raise ValueError(f'A has shape {a.shape}, but its factors are {factors.rows}x{factors.cols}')
     if norm not in NORMS:
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
     if metric not in METRICS:
@@ -654,10 +650,15 @@ def emit(rows, output_format='csv', path='sweep.csv'):
         payload = json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + '\n'
     else:
         raise ValueError("output_format must be 'csv' or 'json'")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix='.emit-')
+    _write_atomic(path, payload)
+
+
+def _write_atomic(path, payload):
+    """Write ``payload`` to ``path`` through a temporary file in its directory, made
+    as ``open`` makes files, and ``os.replace``: a failed write leaves ``path`` intact."""
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f'.emit-{uuid.uuid4().hex}')
     try:
-        with os.fdopen(fd, 'w') as handle:
+        with open(tmp_path, 'x') as handle:
             handle.write(payload)
         os.replace(tmp_path, path)
     except BaseException:

@@ -112,7 +112,7 @@ def sampled_sketch_values():
     """Per-trial values of ``empirical_error`` for two sketches drawn through
     ``sample``: a nonzero-mean, dense-covariance sketch from its moments, and
     the distribution of a randomized-SVD sketch."""
-    a, factors = experiments.synthetic_matrix(60, 3)
+    _, factors = experiments.synthetic_matrix(60, 3)
     k, p = 5, 20
     rng = np.random.default_rng(20221020)
     b = rng.standard_normal((60, 60))
@@ -123,7 +123,7 @@ def sampled_sketch_values():
     }
     return {
         f'{name}-{norm}': [
-            value.hex() for value in experiments.empirical_error(a, factors, sketch, k, 4, norm, seed=3).values
+            value.hex() for value in experiments.empirical_error(factors, sketch, k, 4, norm, seed=3).values
         ]
         for name, sketch in sketches.items()
         for norm in experiments.NORMS
@@ -143,7 +143,7 @@ def roundoff_values():
         for q in (0, 1, 2):
             sketch = RsvdSketch(q=q, p=ROUNDOFF_RANK + 2)
             for norm in experiments.NORMS:
-                stats = experiments.empirical_error(a, factors, sketch, 3, 3, norm, seed=q)
+                stats = experiments.empirical_error(factors, sketch, 3, 3, norm, seed=q)
                 values[f'{rows}x{cols}-q{q}-{norm}'] = [value.hex() for value in stats.values]
     return values
 

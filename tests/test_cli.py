@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -146,6 +147,71 @@ class TestBounds:
         assert run_cli('bounds', '--matrix', str(tmp_path / 'none.mtx'),
                        '--k', '2', '--p', '6', '--variant', 'cor_frobenius') == 1
 
+    def test_report_is_replaced_atomically(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / 'report.json'
+        out.write_text('previous report\n')
+        request = ('bounds', '--synthetic-n', '30', '--k', '2', '--p', '6', '--variant', 'cor_frobenius',
+                   '--out', str(out))
+
+        def failing(src, dst):
+            raise OSError('replace failed')
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments.os, 'replace', failing)
+            assert run_cli(*request) == 1
+        assert 'replace failed' in capsys.readouterr().err
+        assert out.read_text() == 'previous report\n'
+        assert [path.name for path in tmp_path.iterdir()] == ['report.json']  # no .emit-* left
+        assert run_cli(*request) == 0
+        assert json.loads(out.read_text())['k'] == 2
+        plain = tmp_path / 'plain.json'
+        plain.write_text('')
+        assert out.stat().st_mode == plain.stat().st_mode  # the mode a plain open gives
+
+
+def matrix_alive_at(monkeypatch, matrix_path, name):
+    """List that records, each time ``experiments.<name>`` is entered, whether
+    the array ``cli.read_matrix_market`` returned for ``matrix_path`` is alive."""
+    refs, alive = [], []
+    read, entered = cli.read_matrix_market, getattr(experiments, name)
+
+    def reading(path):
+        matrix = read(path)
+        if str(path) == str(matrix_path):
+            refs.append(weakref.ref(matrix))
+        return matrix
+
+    def entering(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return entered(*args, **kwargs)
+
+    monkeypatch.setattr(cli, 'read_matrix_market', reading)
+    monkeypatch.setattr(experiments, name, entering)
+    return alive
+
+
+class TestMatrixReleased:
+    """No command holds the dense ``--matrix`` input once it is factored."""
+
+    @pytest.fixture
+    def matrix_path(self, tmp_path):
+        path = tmp_path / 'a.mtx'
+        write_matrix_market(path, synthetic_matrix(30, 5)[0])
+        return path
+
+    @pytest.mark.parametrize('moments', (False, True))
+    def test_bounds(self, tmp_path, monkeypatch, capsys, matrix_path, moments):
+        alive = matrix_alive_at(monkeypatch, matrix_path, 'evaluate_bounds')
+        extra = mean_cov_args(tmp_path, 30, 8, 0.05) if moments else ()
+        assert run_cli('bounds', '--matrix', str(matrix_path), '--k', '3', '--p', '8', '--q', '1', *extra) == 0
+        assert alive == [[False]]
+
+    def test_empirical(self, monkeypatch, capsys, matrix_path):
+        alive = matrix_alive_at(monkeypatch, matrix_path, 'empirical_error')
+        assert run_cli('empirical', '--matrix', str(matrix_path), '--k', '3', '--p', '8',
+                       '--trials', '3') == 0
+        assert alive == [[False]]
+
 
 class TestSweep:
     def test_runs_config_and_writes_csv(self, tmp_path, capsys):
@@ -244,8 +310,8 @@ class TestEmpirical:
 
     @pytest.mark.parametrize('norm', ('spectral', 'frobenius'))
     def test_synthetic_problem_draws_nothing(self, monkeypatch, capsys, norm):
-        a, factors = synthetic_matrix(40, 4, left_basis=True)
-        stats = empirical_error(a, factors, RsvdSketch(q=1, p=9), 3, 6, norm=norm, seed=4)
+        _, factors = synthetic_matrix(40, 4, left_basis=True)
+        stats = empirical_error(factors, RsvdSketch(q=1, p=9), 3, 6, norm=norm, seed=4)
         streams = []
         gaussian = sketching.standard_gaussian
 

@@ -80,13 +80,6 @@ class TestAngleOperators:
             sines = canonical_angle_sines(basis, f.left_head(k))
             assert np.max(np.abs(np.sort(ops.sine_sigma) - np.sort(sines))) < 1e-9
 
-    def test_centered_sketch(self):
-        a, f, z = random_instance(3)
-        mean = np.ones_like(z)
-        ops_shifted = angle_operators(f, z + mean, 4, mean=mean)
-        ops_plain = angle_operators(f, z, 4)
-        assert np.allclose(ops_shifted.tangent, ops_plain.tangent, atol=1e-10)
-
     def test_rank_deficient_head_raises(self):
         a, f, _ = random_instance(1)
         k = 3
@@ -127,6 +120,20 @@ class TestResidualGap:
             head = f.left_head(k) @ (f.left_head(k).T @ a)
             head_term = np.linalg.norm(head - q @ (q.T @ head)) ** 2
             assert gap == pytest.approx(head_term, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize('evaluate', [
+    lambda a, f, z: residual_gap_squared(a, f, z, 2, 'frobenius'),
+    lambda a, f, z: residual_gap_squared(a, f, z, 2, 'spectral'),
+    lambda a, f, z: sine_tangent_gap_bound(a, f, z, 2, 'spectral'),
+    lambda a, f, z: deflated_spectral_gap_bound(a, f, z, 2),
+], ids=['gap-frobenius', 'gap-spectral', 'sine-tangent', 'deflated'])
+def test_factors_must_match_the_shape_of_a(evaluate):
+    a, f, z = random_instance(7)
+    evaluate(a, f, z)
+    for wrong in (a.T, a[:-1], a[:, :-1]):
+        with pytest.raises(ValueError, match='but its factors are 24x16'):
+            evaluate(wrong, f, z)
 
 
 class TestSineTangentBound:
