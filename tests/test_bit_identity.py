@@ -172,7 +172,7 @@ def bound_values():
             reports[f'k{k}-p{p}-q{q}-meancov'] = _hexed(json.load(handle)['variants'])
     # bound columns depend on the spectrum only, so one trial and one norm suffice
     config = experiments.SweepConfig(
-        n=60, k_list=(3, 5), oversampling_list=(2, 7, 20), q_list=(0, 1), trials=1, seed=3,
+        n=60, k_list=(3, 5), oversampling_list=(2, 7, 20), q_list=(0, 1, 2), trials=1, seed=3,
         norm_list=('frobenius',), bound_variants=ALL_VARIANTS,
     )
     sweep = {f'k{row.k}-p{row.p}-q{row.q}': _hexed(row.bounds) for row in experiments.run_sweep(config)}
