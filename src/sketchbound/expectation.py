@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -56,43 +55,43 @@ __all__ = [
 
 @dataclass
 class ProjectedCovariance:
-    """Head/cross/tail blocks of ``U^T C U`` plus the conditional covariance.
-
-    ``conditional`` is the Schur complement
-    ``tail - cross head^{-1} cross^T``, i.e. the covariance of the tail block
-    given the head block.  The bound formulas only need its trace and top
-    eigenvalue.
-    """
+    """Head and cross blocks of ``U^T C U``, and the trace and top eigenvalue of the
+    conditional covariance ``tail - cross head^{-1} cross^T``: all the bounds read."""
 
     head: np.ndarray
     cross: np.ndarray
-    tail: np.ndarray
-    conditional: np.ndarray
+    conditional_trace: float
+    conditional_top_eigenvalue: float
     _head_cho: tuple = field(repr=False)
 
     def solve_head(self, rhs):
         """Apply ``head^{-1}`` through the cached Cholesky factor."""
         return scipy.linalg.cho_solve(self._head_cho, rhs)
 
-    @cached_property
-    def conditional_trace(self):
-        return max(float(np.trace(self.conditional)), 0.0)
+    @classmethod
+    def from_spectrum(cls, lam, k):
+        """Projection of ``U diag(lam) U^T`` onto the blocks of its own ``U``, with no
+        n x n matrix: a head ``diag(lam[:k])``, which needs positive entries but not
+        the ``RANK_TOL`` test, no cross block, and ``diag(lam[k:])`` as the conditional."""
+        _check_head(lam[:k], 0.0)
+        head = np.diag(lam[:k])
+        return cls(head, np.zeros((lam.size - k, k)), float(np.sum(lam[k:])), float(np.max(lam[k:], initial=0.0)),
+                   scipy.linalg.cho_factor(head))
 
-    @cached_property
-    def conditional_top_eigenvalue(self):
-        k = self.conditional.shape[0]
-        w = scipy.linalg.eigh(self.conditional, eigvals_only=True, subset_by_index=[k - 1, k - 1])
-        return max(float(w[0]), 0.0)
+
+def _check_head(w, tol):
+    """Raise unless the head block's eigenvalues ``w`` are positive and above ``tol`` times the largest."""
+    smallest, largest = float(np.min(w)), float(np.max(w))
+    if largest <= 0.0 or smallest <= tol * largest:
+        raise RankDeficiencyError(f'projected covariance head block is numerically singular (smallest eigenvalue '
+                                  f'{smallest:.3e}, largest {largest:.3e})', smallest_singular_value=smallest)
 
 
 def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
     """Project a sketch covariance onto the head/tail left singular blocks.
 
-    Raises
-    ------
-    RankDeficiencyError
-        If the head block is numerically singular, in which case the
-        expectation bounds do not apply.
+    Raises ``RankDeficiencyError`` if the head block is numerically singular,
+    where the expectation bounds do not apply.
     """
     c = _symmetrize(_as_matrix(c, 'C'), 'C')
     u_head = factors.left_head(k)
@@ -101,17 +100,13 @@ def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
     head = _symmetrize(u_head.T @ c_head_cols, 'projected head block', tol=1e-10)
     cross = u_tail.T @ c_head_cols
     tail = _symmetrize(u_tail.T @ (c @ u_tail), 'projected tail block', tol=1e-10)
-    w = np.linalg.eigvalsh(head)
-    if w[-1] <= 0.0 or w[0] <= RANK_TOL * w[-1]:
-        raise RankDeficiencyError(
-            f'projected covariance head block is numerically singular '
-            f'(smallest eigenvalue {w[0]:.3e}, largest {w[-1]:.3e})',
-            smallest_singular_value=float(w[0]),
-        )
+    _check_head(np.linalg.eigvalsh(head), RANK_TOL)
     head_cho = scipy.linalg.cho_factor(head)
     conditional = tail - cross @ scipy.linalg.cho_solve(head_cho, cross.T)
     conditional = 0.5 * (conditional + conditional.T)
-    return ProjectedCovariance(head, cross, tail, conditional, head_cho)
+    top = scipy.linalg.eigh(conditional, eigvals_only=True, subset_by_index=[len(tail) - 1] * 2)
+    return ProjectedCovariance(head, cross, max(float(np.trace(conditional)), 0.0), max(float(top[0]), 0.0),
+                               head_cho)
 
 
 def expect_product_norms(mean, covariance, n_mat):
@@ -255,16 +250,19 @@ def project_sketch(factors: SvdFactors, sketch: GaussianSketch, k, p) -> Project
     same projection, so it can be built once and passed to each of them as
     their optional ``projection``; without it, each variant builds its own.
     """
-    # The derivation assumes p <= min(rank(A), rank(C)) so that the sketch is
-    # full column rank with probability one, but the bound values themselves
-    # only need the projected head block to be nonsingular (checked below)
-    # and remain valid upper bounds for rank-deficient tails, so the rank
-    # hypotheses are deliberately not enforced here.
+    _check_request(factors, sketch, k, p)
+    return project_covariance(sketch.covariance, factors, k)
+
+
+def _check_request(factors, sketch, k, p):
+    # The derivation assumes p <= min(rank(A), rank(C)), but the bounds need only a
+    # nonsingular projected head block (checked by the projection) and stay valid
+    # for rank-deficient tails, so the rank hypotheses are deliberately not enforced.
     if not 1 <= k <= p - 2:
         raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
     if sketch.shape[1] != p:
         raise ValueError(f'sketch has {sketch.shape[1]} columns, expected p={p}')
-    return project_covariance(sketch.covariance, factors, k)
+    factors.left_head(k)  # k within the spectrum, as the dense projection checks
 
 
 def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:

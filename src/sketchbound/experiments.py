@@ -35,7 +35,8 @@ benchmark's 500x400 ``empirical_small`` over two threads cut p90 latency by
 
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
-``sketchbound bounds`` command.
+``sketchbound bounds`` command, which passes it a sketch to project; a sweep
+passes none, so its theorem variants project the RSVD sketch from the spectrum.
 """
 
 from __future__ import annotations
@@ -413,8 +414,9 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
 
     The closed forms and the HMT baselines depend on ``factors.sigma`` only.
     The theorem variants evaluate ``sketch``, a :class:`GaussianSketch`
-    expressed against ``factors``; it is needed only when one is named, and
-    its projected covariance is built once for all of them.
+    expressed against ``factors``, whose projected covariance is built once
+    for all of them; by default ``rsvd_distribution(factors, q, p)``, whose
+    covariance ``U diag(lam) U^T`` projects onto ``diag(lam)`` with no n x n matrix.
     """
     reports = {}
     profile = projection = None
@@ -425,9 +427,12 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
             result = RSVD_VARIANTS[name](profile)
             reports[name] = {'bound': result.bound, **result.constants}
         elif name in THEOREM_VARIANTS:
-            if projection is None:
-                # a request the projection rejects is left to the variant,
-                # which raises the error its own checks meet first
+            if sketch is None:  # each variant's first error would be the projection's
+                sketch = rsvd_distribution(factors, q, p)
+                expectation._check_request(factors, sketch, k, p)
+                projection = expectation.ProjectedCovariance.from_spectrum(sketch._w, k)
+            elif projection is None:
+                # a rejected request is left to the variant, which raises its own first error
                 with contextlib.suppress(ValueError):
                     projection = expectation.project_sketch(factors, sketch, k, p)
             result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
@@ -579,9 +584,9 @@ def run_sweep(config: SweepConfig):
     function of the config, and a cell's rows depend only on the seed and its
     own ``(k, q, p)``, so adding a k or an oversampling value to the grid
     leaves the other rows as they were.  The bounds are evaluated in the
-    calling thread, one cell at a time; then the trials run in
-    :func:`_sweep_trials`, and the rows are assembled in cell order.  BLAS
-    runs at one thread until the sweep returns or raises (see the module
+    calling thread, one cell at a time, with no n x n matrix; then the trials
+    run in :func:`_sweep_trials`, and the rows are assembled in cell order.
+    BLAS runs at one thread until the sweep returns or raises (see the module
     docstring), and process-wide: other threads calling it meanwhile get one
     thread too, and sweeps started from several threads run one at a time.
     """
@@ -590,7 +595,6 @@ def run_sweep(config: SweepConfig):
         # so the problem is diag(sigma) and one factors object serves both the
         # trials and the theorem variants
         factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
-        theorems = any(name in THEOREM_VARIANTS for name in config.bound_variants)
         grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
                                  sorted(config.oversampling_list))
         cells, bounds = [], []
@@ -599,11 +603,7 @@ def run_sweep(config: SweepConfig):
             if k > p - 2 or p > factors.rank():
                 logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
                 continue
-            # before any trial runs, and the sketch dropped at once, so a cell's
-            # n x n theorem matrices never add to the trials' memory or the next cell's
-            sketch = rsvd_distribution(factors, q, p) if theorems else None
-            reports = evaluate_bounds(config.bound_variants, factors, k, p, q, sketch)
-            del sketch
+            reports = evaluate_bounds(config.bound_variants, factors, k, p, q)
             bounds.append({name: report['bound'] for name, report in reports.items()})
             cells.append((k, q, rho, p))
         trials = _sweep_trials(factors, [(k, q, p) for k, q, _, p in cells], config.trials,

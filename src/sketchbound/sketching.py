@@ -76,24 +76,27 @@ class GaussianSketch:
     from which every derived quantity follows by one rule: ``rank`` counts
     the eigenvalues above ``_EIG_RANK_TOL`` (1e-12) times the largest, and
     ``min_nonzero_eigenvalue`` is the smallest of those (0.0 for a zero
-    covariance).  ``cov_sqrt``, the PSD square root, is formed on first read
-    and cached; only sampling reads it, so a sketch whose bounds alone are
-    evaluated never pays for its n^3 product.
+    covariance).  ``covariance`` (unless given) and its PSD root ``cov_sqrt``
+    are formed from the eigenpairs on first read and cached, so a sketch read
+    for its mean and shape alone never pays for an n^3 product.
     """
 
-    def __init__(self, mean, covariance, w, vec):
+    def __init__(self, mean, w, vec, covariance=None):
         self.mean = mean
-        self.covariance = covariance
         self._w = w
         self._vec = vec
+        if covariance is not None:
+            self.covariance = covariance
         retained = w[w > _EIG_RANK_TOL * np.max(w)]
         self.rank = int(retained.size)
         self.min_nonzero_eigenvalue = float(np.min(retained)) if self.rank else 0.0
 
-    @functools.cached_property
-    def cov_sqrt(self):
-        root = (self._vec * np.sqrt(self._w)) @ self._vec.T
-        return 0.5 * (root + root.T)
+    covariance = functools.cached_property(lambda self: self._from_eigenpairs(self._w))
+    cov_sqrt = functools.cached_property(lambda self: self._from_eigenpairs(np.sqrt(self._w)))
+
+    def _from_eigenpairs(self, w):
+        m = (self._vec * w) @ self._vec.T
+        return 0.5 * (m + m.T)
 
     @property
     def shape(self):
@@ -115,7 +118,7 @@ class GaussianSketch:
                 f'covariance has eigenvalue {w[0]:.6e} below -{tol:.3e}',
                 offending_eigenvalue=float(w[0]),
             )
-        return cls(mean, covariance, np.clip(w, 0.0, None), vec)
+        return cls(mean, np.clip(w, 0.0, None), vec, covariance)
 
 
 def sample(sketch: GaussianSketch, stream: SeededStream):
@@ -142,18 +145,16 @@ def rsvd_sketch(a, q, p, stream: SeededStream, *, check_finite=True):
 def rsvd_distribution(factors, q, p) -> GaussianSketch:
     """Distribution of the randomized-SVD sketch: zero mean, covariance
     ``U (Sigma Sigma^T)^(2q+1) U^T``, whose eigenpairs are the factors' own,
-    so no eigendecomposition is performed.
+    ``U`` and ``sigma^(4q+2)`` padded with zeros, so no eigendecomposition
+    and, until the covariance or its root is read, no n x n product is formed.
     """
     if q < 0:
         raise ValueError('q must be non-negative')
     if p < 1:
         raise ValueError('p must be positive')
-    n = factors.rows
-    u = factors.left()
-    lam = np.zeros(n)
+    lam = np.zeros(factors.rows)
     lam[:factors.sigma.size] = factors.sigma ** (4 * q + 2)
-    cov = (u * lam) @ u.T
-    return GaussianSketch(np.zeros((n, p)), 0.5 * (cov + cov.T), lam, u)
+    return GaussianSketch(np.zeros((factors.rows, p)), lam, factors.left())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sketchbound.expectation import (
+    ProjectedCovariance,
     expect_pinv_norms,
     expect_product_norms,
     expected_frobenius_gap_bound,
@@ -30,14 +32,23 @@ def random_psd(seed, n, scale=1.0):
     return scale * (b @ b.T) / n
 
 
+def schur_moments(c, f, k):
+    """Trace and top eigenvalue of the Schur complement of the head block of
+    ``U^T C U``: the conditional covariance of the tail block."""
+    projected = f.left().T @ c @ f.left()
+    head, cross = projected[:k, :k], projected[k:, :k]
+    schur = projected[k:, k:] - cross @ np.linalg.solve(head, cross.T)
+    return np.trace(schur), np.linalg.eigvalsh(0.5 * (schur + schur.T))[-1]
+
+
 class TestProjectCovariance:
     def test_identity_covariance(self):
         f = random_factors(0)
         pc = project_covariance(np.eye(12), f, 3)
         assert np.allclose(pc.head, np.eye(3), atol=1e-12)
         assert np.max(np.abs(pc.cross)) < 1e-12
-        assert np.allclose(pc.tail, np.eye(9), atol=1e-12)
-        assert np.allclose(pc.conditional, np.eye(9), atol=1e-12)
+        assert pc.conditional_trace == pytest.approx(9.0, abs=1e-12)
+        assert pc.conditional_top_eigenvalue == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_covariance_decouples(self):
         a = np.random.default_rng(1).standard_normal((12, 9))
@@ -45,27 +56,32 @@ class TestProjectCovariance:
         pc = project_covariance(a @ a.T, f, 4)
         assert np.allclose(pc.head, np.diag(f.sigma[:4] ** 2), atol=1e-10)
         assert np.max(np.abs(pc.cross)) < 1e-10
-        tail_sq = np.zeros(8)
-        tail_sq[:5] = f.sigma[4:] ** 2
-        assert np.allclose(pc.conditional, np.diag(tail_sq), atol=1e-10)
+        assert pc.conditional_trace == pytest.approx(np.sum(f.sigma[4:] ** 2), abs=1e-10)
+        assert pc.conditional_top_eigenvalue == pytest.approx(f.sigma[4] ** 2, abs=1e-10)
 
-    def test_block_reassembly(self):
+    def test_blocks_and_schur_complement(self):
         f = random_factors(2)
         c = random_psd(3, 12)
         k = 5
         pc = project_covariance(c, f, k)
         u = f.left()
         projected = u.T @ c @ u
-        assembled = np.block([[pc.head, pc.cross.T], [pc.cross, pc.tail]])
-        assert np.max(np.abs(assembled - projected)) < 1e-10
+        assert np.max(np.abs(pc.head - projected[:k, :k])) < 1e-10
+        assert np.max(np.abs(pc.cross - projected[k:, :k])) < 1e-10
+        trace, top = schur_moments(c, f, k)
+        assert pc.conditional_trace == pytest.approx(trace, rel=1e-10)
+        assert pc.conditional_top_eigenvalue == pytest.approx(top, rel=1e-10)
 
-    def test_conditional_is_psd_schur_complement(self):
+    def test_conditional_moments_of_the_psd_schur_complement(self):
         for seed in range(10):
             f = random_factors(seed, n=15, m=10)
             c = random_psd(seed + 100, 15)
             pc = project_covariance(c, f, 4)
-            w = np.linalg.eigvalsh(pc.conditional)
-            assert w[0] >= -1e-10 * np.linalg.norm(c, 2)
+            trace, top = schur_moments(c, f, 4)
+            scale = np.linalg.norm(c, 2)
+            assert abs(pc.conditional_trace - trace) <= 1e-10 * scale
+            assert abs(pc.conditional_top_eigenvalue - top) <= 1e-10 * scale
+            assert 0.0 <= pc.conditional_top_eigenvalue <= pc.conditional_trace
 
     def test_singular_head_raises(self):
         f = random_factors(4)
@@ -73,6 +89,33 @@ class TestProjectCovariance:
         c = tail @ tail.T  # covariance supported on the tail subspace
         with pytest.raises(RankDeficiencyError):
             project_covariance(c, f, 3)
+
+
+class TestFromSpectrum:
+    def test_matches_the_dense_projection_bit_for_bit(self):
+        sigma = np.concatenate([np.ones(4), np.arange(2, 17, dtype=float) ** -0.5])
+        identity = np.eye(sigma.size)
+        f = SvdFactors(identity, sigma, identity)
+        for q in (0, 1, 2):
+            lam = sigma ** (4 * q + 2)
+            dense = project_covariance(np.diag(lam), f, 3)
+            pc = ProjectedCovariance.from_spectrum(lam, 3)
+            assert pc.head.tobytes() == dense.head.tobytes()
+            assert pc.cross.tobytes() == dense.cross.tobytes()
+            assert pc.conditional_trace == dense.conditional_trace
+            assert pc.conditional_top_eigenvalue == dense.conditional_top_eigenvalue
+            assert pc.solve_head(np.eye(3)).tobytes() == dense.solve_head(np.eye(3)).tobytes()
+
+    def test_graded_head_needs_only_positive_entries(self):
+        lam = np.array([1.0, 1e-30, 1e-31, 0.0])
+        identity = np.eye(4)
+        with pytest.raises(RankDeficiencyError):
+            project_covariance(np.diag(lam), SvdFactors(identity, np.sqrt(lam), identity), 2)
+        pc = ProjectedCovariance.from_spectrum(lam, 2)
+        assert pc.conditional_trace == 1e-31
+        assert pc.conditional_top_eigenvalue == 1e-31
+        with pytest.raises(RankDeficiencyError, match='smallest eigenvalue 0.000e'):
+            ProjectedCovariance.from_spectrum(lam, 4)
 
 
 class TestExpectProductNorms:
@@ -301,7 +344,7 @@ class TestTheoremBounds:
         for fn in (expected_frobenius_gap_bound, expected_spectral_gap_bound, expected_spectral_tail_bound):
             assert fn(f, sketch, k, p, pc) == fn(f, sketch, k, p)
 
-    def test_shared_projection_keeps_each_variants_first_error(self):
+    def test_shared_projection_keeps_each_variants_first_error(self, monkeypatch):
         f = random_factors(87)
         sketch = GaussianSketch.from_moments(np.ones((12, 5)), np.eye(12))
         with pytest.raises(ValueError, match='zero-mean'):
@@ -311,6 +354,27 @@ class TestTheoremBounds:
         singular = GaussianSketch.from_moments(np.zeros((12, 5)), np.diag([1.0, 0.0] * 6))
         with pytest.raises(RankDeficiencyError):
             evaluate_bounds(['thm4'], SvdFactors(np.eye(12, 9), f.sigma, np.eye(9)), 2, 5, 0, singular)
+        # without a sketch, the RSVD request raises what its dense route raises,
+        # k outside [1, p - 2] or a head entry sigma_2^6 underflowed to zero,
+        # before any covariance is formed
+        underflowed = SvdFactors(np.eye(7), np.array([1.0, 1e-200, 1e-250, 0.0, 0.0, 0.0, 0.0]), np.eye(7))
+        requests = [(variants, factors, k, p, q)
+                    for variants in (['thm3_squared', 'thm3'], ['thm5', 'thm4'])
+                    for factors, k, p, q in ((f, 4, 5, 0), (f, 0, 5, 0), (underflowed, 2, 5, 1))]
+        errors = []
+        for variants, factors, k, p, q in requests:
+            with pytest.raises(ValueError) as dense:
+                evaluate_bounds(variants, factors, k, p, q, rsvd_distribution(factors, q, p))
+            errors.append(dense.value)
+        assert isinstance(errors[-1], RankDeficiencyError)
+
+        def refused(self):
+            raise AssertionError('the covariance was formed')
+
+        monkeypatch.setattr(GaussianSketch, 'covariance', property(refused))
+        for (variants, factors, k, p, q), error in zip(requests, errors):
+            with pytest.raises(type(error), match=f'^{re.escape(str(error))}$'):
+                evaluate_bounds(variants, factors, k, p, q)
 
     def test_report_serialization_keys(self):
         f = random_factors(84)

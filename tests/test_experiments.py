@@ -18,6 +18,7 @@ import sketchbound
 from sketchbound import experiments, sketching
 from sketchbound.deterministic import angle_operators
 from sketchbound.experiments import (
+    THEOREM_VARIANTS,
     VARIANTS,
     SweepConfig,
     emit,
@@ -510,12 +511,16 @@ class TestRunSweep:
         assert row.bounds['thm3'] == pytest.approx(row.bounds['cor_frobenius'], rel=1e-10)
         assert row.bounds['thm4'] == pytest.approx(row.bounds['cor_spectral'], rel=1e-10)
 
-    def test_theorem_variants_project_covariance_once_per_cell(self, projection_calls):
-        config = small_config(n=60, k_list=(3, 5), oversampling_list=(4, 8), q_list=(0,),
+    def test_theorem_variants_form_no_covariance(self, projection_calls, monkeypatch):
+        reads = []
+        monkeypatch.setattr(GaussianSketch, 'covariance', property(reads.append))
+        config = small_config(n=60, k_list=(3, 5), oversampling_list=(4, 8), q_list=(0, 2),
                               norm_list=('frobenius',), trials=1, bound_variants=VARIANTS)
         rows = run_sweep(config)
-        assert len(rows) == 4
-        assert len(projection_calls) == 4
+        assert len(rows) == 8
+        assert all(math.isfinite(row.bounds[name]) for row in rows for name in THEOREM_VARIANTS)
+        assert projection_calls == []
+        assert reads == []
 
     def test_builds_the_problem_without_a_draw_or_a_qr(self, monkeypatch):
         # every trial draws through sketching.standard_gaussian; the problem,

@@ -159,6 +159,18 @@ class TestRsvdDistribution:
         sk = rsvd_distribution(f, 0, 3)
         assert np.allclose(sk.covariance, np.diag([9.0, 4.0, 1.0]), atol=1e-12)
 
+    def test_covariance_formed_on_first_read_as_the_eager_product(self):
+        f = svd(np.random.default_rng(10).standard_normal((30, 12)))
+        for q in (0, 1, 2):
+            sk = rsvd_distribution(f, q, 6)
+            assert 'covariance' not in vars(sk)
+            u = f.left()
+            lam = np.zeros(30)
+            lam[:12] = f.sigma ** (4 * q + 2)
+            c = (u * lam) @ u.T
+            assert sk.covariance.tobytes() == (0.5 * (c + c.T)).tobytes()
+            assert sk.covariance is sk.covariance  # cached
+
     def test_mean_is_zero(self):
         f = svd(np.random.default_rng(6).standard_normal((5, 4)))
         for q in (0, 1, 3):
