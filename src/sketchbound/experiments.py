@@ -4,11 +4,13 @@ errors, and reproducible parameter sweeps emitted as CSV/JSON.
 Residual norms are evaluated in the left singular basis: for any unitarily
 invariant norm, ``||(I - pi(Z)) A|| = ||(I - pi(U^T Z)) Sigma||``, so each
 trial reduces to an SVD of the rotated sketch plus small Gram computations;
-no dense projector is ever formed.  Randomized-SVD trials are drawn in that
-basis from the start: ``U^T (A A^T)^q A G = (R R^T)^q R G`` with
-``R = diag(sigma) V^T``, so no trial forms ``A G`` or multiplies by ``U^T``.
-A sweep's synthetic problem is ``diag(sigma)``, with ``U = V = I``: ``V^T G``
-is standard Gaussian for any fixed orthogonal ``V``, so no trial's law changes.
+no dense projector is ever formed.  One rule gives every residual,
+``||(I - q q^T) Sigma[:, k:]||``, with ``k = 0`` for the full one.
+Randomized-SVD trials are drawn in that basis from the start:
+``U^T (A A^T)^q A G = Sigma^(2q+1) V^T G``, and ``V^T G`` is standard
+Gaussian for any fixed ``V`` with orthonormal columns, so every trial draws
+``Sigma^(2q+1) G`` from one ``diag(sigma)`` and reads no ``U``, ``V`` or ``A``.
+A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``.
 
 Every Monte Carlo trial, of a sweep or of :func:`empirical_error`, is keyed
 by ``(q, p, t)``: trial ``t`` of the sketches with ``q`` power passes and
@@ -60,7 +62,7 @@ import scipy.sparse.linalg
 
 from . import expectation, rsvd
 from .deterministic import _check_head_rank, _operator_norms
-from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _as_matrix
+from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors
 from .sketching import (
     GaussianSketch,
     RsvdSketch,
@@ -164,8 +166,7 @@ def synthetic_matrix(n, seed, *, left_basis=False):
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
     if left_basis:
         identity = np.eye(n)
-        factors = SvdFactors(identity, sigma, identity)
-        return factors.rotated(), factors
+        return np.diag(sigma), SvdFactors(identity, sigma, identity)
     with _one_blas_thread():
         v = _haar_orthogonal(n, SeededStream(seed, 1))
         u = _haar_orthogonal(n, SeededStream(seed, 0))
@@ -205,38 +206,34 @@ def _gram_top_eigenvalue(diag_sq, b):
     return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
 
 
-def _explicit_residual_norm(q, b, diag, which):
-    """``||diag_embed(diag) - q b||`` formed explicitly; cancellation-free."""
-    resid = -(q @ b)
-    m = diag.size
-    resid[np.arange(m), np.arange(m)] += diag
+def _explicit_residual_norm(q, b, sigma, k, which):
+    """``||Sigma[:, k:] - q b[:, k:]||``, the residual formed explicitly; cancellation-free."""
+    resid = -(q @ b[:, k:])
+    cols = np.arange(sigma.size - k)
+    resid[cols + k, cols] += sigma[k:]
     if which == 'frobenius':
         return float(np.linalg.norm(resid))
     return float(np.linalg.norm(resid, 2)) if min(resid.shape) else 0.0
 
 
-def _residual_norm(q, b, diag, trace, noise_floor, which):
-    """``||diag_embed(diag) - q b||`` from the Gram ``G = diag^2 - b^T b``
-    whose trace is ``trace``, or from the explicit residual at the noise floor."""
-    value_sq = trace
-    if which == 'spectral' and trace > 0.5 * noise_floor:
-        value_sq = _gram_top_eigenvalue(diag**2, b)
-    if value_sq <= noise_floor:
-        return _explicit_residual_norm(q, b, diag, which)
-    return math.sqrt(value_sq)
+def _sketch_basis(w, sigma):
+    """``(q, b)`` of one rotated sketch ``w``, the part of a trial that no ``k``
+    enters: ``q`` is the orthonormal basis of range(w) and ``b = q[:n]^T Sigma``, ``n = sigma.size``."""
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    keep = s > RANK_TOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    q = u[:, keep]
+    return q, q[:sigma.size, :].T * sigma[None, :]
 
 
-def _sketch_residuals(w, sigma, norms):
-    """Basis of one rotated sketch ``w`` and its full residual norms, the part
-    of a trial that no ``k`` enters.
+def _residual_norms(q, b, sigma, k, norms):
+    """``{norm: ||(I - q q^T) Sigma[:, k:]||}`` for the basis ``(q, b)`` of
+    :func:`_sketch_basis`: ``k = 0`` gives the full residual, and ``k > 0`` the
+    residual of the tail, whose columns are the last ``n - k`` of the full one.
 
-    Returns ``(q, b, {norm: residual_full})``: ``q`` is the orthonormal basis
-    of range(w) and ``b = q[:m]^T Sigma``, which :func:`_tail_residuals` reads.
-    Residuals are evaluated through small Gram differences
-    ``G = diag^2 - b^T b``; values that land at or below the noise floor
-    ``1e-12 ||Sigma||_F^2`` are recomputed from the explicitly formed
-    residual, since the difference form cannot resolve below sqrt(eps) times
-    the data scale.
+    Values are read from the Gram ``G = diag(sigma[k:]^2) - b[:, k:]^T b[:, k:]``;
+    values that land at or below the noise floor ``1e-12 ||Sigma||_F^2`` are
+    recomputed from the explicitly formed residual, since the difference form
+    cannot resolve below sqrt(eps) times the data scale.
 
     ``G`` is PSD, so ``lambda_max(G) <= tr(G)``, the Frobenius square the
     kernel forms anyway; a trace at most half the floor therefore certifies
@@ -246,72 +243,71 @@ def _sketch_residuals(w, sigma, norms):
     that half-floor margin, so every value keeps the bits the eigensolve
     would have led to.
     """
-    u, s, _ = np.linalg.svd(w, full_matrices=False)
-    keep = s > RANK_TOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
-    q = u[:, keep]
-    b = q[:sigma.size, :].T * sigma[None, :]
     sig_sq = sigma**2
     noise_floor = 1e-12 * float(np.sum(sig_sq))
-    trace = float(np.sum(sig_sq) - np.sum(b**2))
-    return q, b, {which: _residual_norm(q, b, sigma, trace, noise_floor, which) for which in norms}
+    tail_sq, b_tail = sig_sq[k:], b[:, k:]
+    trace = float(np.sum(tail_sq) - np.sum(b_tail**2))
+    values = {}
+    for which in norms:
+        value_sq = trace
+        if which == 'spectral' and trace > 0.5 * noise_floor:
+            value_sq = _gram_top_eigenvalue(tail_sq, b_tail)
+        values[which] = (_explicit_residual_norm(q, b, sigma, k, which) if value_sq <= noise_floor
+                         else math.sqrt(value_sq))
+    return values
 
 
-def _tail_residuals(q, b, sigma, k, norms):
-    """``{norm: residual_tail_projected}`` of the sketch whose basis ``q`` and
-    ``b`` :func:`_sketch_residuals` returned: the residual of the tail
-    ``Sigma`` with its first ``k`` singular values zeroed, by the same rules."""
-    sig_sq = sigma**2
-    noise_floor = 1e-12 * float(np.sum(sig_sq))
-    sigma_tail = sigma.copy()
-    sigma_tail[:k] = 0.0
-    b_tail = b.copy()
-    b_tail[:, :k] = 0.0
-    trace = float(np.sum(sig_sq[k:]) - np.sum(b_tail**2))
-    return {which: _residual_norm(q, b_tail, sigma_tail, trace, noise_floor, which) for which in norms}
+def _rsvd_draw(trial_matrix, sketch, stream):
+    """:func:`_collect_residuals`' draw of an :class:`RsvdSketch`: ``Sigma^(2q+1) G``
+    from ``stream(t)`` and the shared ``trial_matrix``, ``diag(sigma)``; it has no mean."""
+    def draw(t):
+        w = sketch.draw(trial_matrix, stream(t), check_finite=False)
+        return w, w
+    return draw
 
 
-def _collect_residuals(factors, sketch, ks, trials, norms, stream):
+def _gaussian_draw(factors, sketch, stream):
+    """:func:`_collect_residuals`' draw of a :class:`GaussianSketch`: a sample from
+    ``stream(t)``, rotated by the full left factor."""
+    u_full = factors.left()
+    rotated_mean = u_full.T @ sketch.mean if np.any(sketch.mean) else None
+
+    def draw(t):
+        w = u_full.T @ sample(sketch, stream(t))
+        return w, w if rotated_mean is None else w - rotated_mean
+    return draw
+
+
+def _collect_residuals(sigma, draw, ks, trials, norms):
     """Run trials once and evaluate every ``k`` in ``ks`` on each sketch.
 
-    Trial ``t`` draws from ``stream(t)``.  Returns ``{k: (residuals,
-    excluded)}``, where ``residuals`` maps each norm to a ``(kept, 2)`` array
-    of full and projected-tail residuals, one row per trial kept for that
-    ``k``.  The basis and the full residuals of a sketch are computed once,
-    whatever the number of ks; only the head-rank check and the tail
-    residual are per ``k``.
+    Trial ``t`` reads ``draw(t)``: a rotated sketch ``w = U^T Z`` and its
+    centered part ``w - U^T E[Z]``, whose head block must have full row rank.
+    Returns ``{k: (residuals, excluded)}``, where ``residuals`` maps each norm
+    to a ``(kept, 2)`` array of full and projected-tail residuals, one row per
+    trial kept for that ``k``.  The basis and the full residuals of a sketch
+    are computed once, whatever the number of ks; only the head-rank check and
+    the tail residual are per ``k``.
 
-    An :class:`RsvdSketch` is drawn from ``factors.rotated()``, already in the
-    left singular basis; a :class:`GaussianSketch` is sampled, then rotated.
-    Trials whose rotated head block fails the row-rank check are excluded and
+    Trials whose centered head block fails the row-rank check are excluded and
     counted; the hypothesis holds with probability one, so exclusions flag
     numerical degeneracy rather than expected behavior.
     """
-    sigma = factors.sigma
-    gaussian = isinstance(sketch, GaussianSketch)
-    if gaussian:
-        u_full = factors.left()
-    else:
-        # validated once here, so the per-trial draws skip the check
-        rotated = _as_matrix(factors.rotated(), 'the rotated matrix')
-    rotated_mean = u_full.T @ sketch.mean if gaussian and np.any(sketch.mean) else None
     residuals = {k: {which: np.empty((trials, 2)) for which in norms} for k in ks}
     kept = dict.fromkeys(ks, 0)
     for t in range(trials):
-        if gaussian:
-            w = u_full.T @ sample(sketch, stream(t))
-        else:
-            w = sketch.draw(rotated, stream(t), check_finite=False)
+        w, centered = draw(t)
         ranked = []
         for k in ks:
-            head = w[:k] - rotated_mean[:k] if rotated_mean is not None else w[:k]
             with contextlib.suppress(RankDeficiencyError):
-                _check_head_rank(head, w)
+                _check_head_rank(centered[:k], w)
                 ranked.append(k)
         if not ranked:
             continue
-        q, b, full = _sketch_residuals(w, sigma, norms)
+        q, b = _sketch_basis(w, sigma)
+        full = _residual_norms(q, b, sigma, 0, norms)
         for k in ranked:
-            tail = _tail_residuals(q, b, sigma, k, norms)
+            tail = _residual_norms(q, b, sigma, k, norms)
             for which in norms:
                 residuals[k][which][kept[k]] = full[which], tail[which]
             kept[k] += 1
@@ -365,8 +361,9 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     whose SVD is ``factors``: the residuals depend on ``A`` through them alone.
 
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
-    an :class:`RsvdSketch` (``(A A^T)^q A G``, drawn in the left singular
-    basis as ``Sigma^(2q+1) V^T G``).  Trial ``t`` reads
+    an :class:`RsvdSketch` (``(A A^T)^q A G``, whose rotation
+    ``Sigma^(2q+1) V^T G`` has the law of ``Sigma^(2q+1) G``: each trial draws
+    that from one ``diag(sigma)``, built per call).  Trial ``t`` reads
     ``_trial_stream(seed, q, p, t)``, as in a sweep (``q = 0`` for a
     :class:`GaussianSketch` of ``p`` columns); the trials run serially at one
     BLAS thread, so concurrent calls, and sweeps, take turns.
@@ -375,11 +372,14 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
     if metric not in METRICS:
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
-    q, p = (0, sketch.shape[1]) if isinstance(sketch, GaussianSketch) else (sketch.q, sketch.p)
+    gaussian = isinstance(sketch, GaussianSketch)
+    q, p = (0, sketch.shape[1]) if gaussian else (sketch.q, sketch.p)
     _check_trial_keys(seed, trials, p, (q,))
+    stream = functools.partial(_trial_stream, seed, q, p)
     with _one_blas_thread():
-        residuals, excluded = _collect_residuals(
-            factors, sketch, (k,), trials, (norm,), functools.partial(_trial_stream, seed, q, p))[k]
+        draw = (_gaussian_draw(factors, sketch, stream) if gaussian
+                else _rsvd_draw(np.diag(factors.sigma), sketch, stream))
+        residuals, excluded = _collect_residuals(factors.sigma, draw, (k,), trials, (norm,))[k]
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
     return _stats(residuals[norm], factors.sigma, k, norm, metric, excluded)
@@ -552,24 +552,25 @@ def _map_cells(work, count, workers):
     return results
 
 
-def _sweep_trials(factors, cells, trials, norms, seed):
-    """``(residuals, excluded)`` of each ``(k, q, p)`` of ``cells``, in order.
+def _sweep_trials(sigma, cells, trials, norms, seed):
+    """``(residuals, excluded)`` of each ``(k, q, p)`` of ``cells`` on ``sigma``, in order.
 
     The cells that share ``(q, p)`` are one unit of work: trial ``t`` draws
-    one sketch from ``_trial_stream(seed, q, p, t)``, and
-    :func:`_collect_residuals` evaluates each of their ks on it.  The units
-    run on one thread per CPU at one BLAS thread (serially, at the caller's
-    BLAS threads, where no thread setter is found).
+    one sketch from ``_trial_stream(seed, q, p, t)`` and one ``diag(sigma)``,
+    shared by all units, and :func:`_collect_residuals` evaluates each of their
+    ks on it.  The units run on one thread per CPU at one BLAS thread
+    (serially, at the caller's BLAS threads, where no thread setter is found).
     """
     groups = {}
     for k, q, p in cells:
         groups.setdefault((q, p), []).append(k)
     units = list(groups.items())
+    trial_matrix = np.diag(sigma)
 
     def group_trials(i):
         (q, p), ks = units[i]
-        return _collect_residuals(factors, RsvdSketch(q=q, p=p), ks, trials, norms,
-                                  functools.partial(_trial_stream, seed, q, p))
+        draw = _rsvd_draw(trial_matrix, RsvdSketch(q=q, p=p), functools.partial(_trial_stream, seed, q, p))
+        return _collect_residuals(sigma, draw, ks, trials, norms)
 
     with _one_blas_thread() as threaded:
         results = _map_cells(group_trials, len(units), len(os.sched_getaffinity(0)) if threaded else 1)
@@ -592,8 +593,8 @@ def run_sweep(config: SweepConfig):
     """
     with _one_blas_thread():
         # the bounds read sigma alone and the residuals' law A only through sigma,
-        # so the problem is diag(sigma) and one factors object serves both the
-        # trials and the theorem variants
+        # so the problem is diag(sigma): its factors serve the theorem variants,
+        # and its spectrum the trials
         factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
         grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
                                  sorted(config.oversampling_list))
@@ -606,7 +607,7 @@ def run_sweep(config: SweepConfig):
             reports = evaluate_bounds(config.bound_variants, factors, k, p, q)
             bounds.append({name: report['bound'] for name, report in reports.items()})
             cells.append((k, q, rho, p))
-        trials = _sweep_trials(factors, [(k, q, p) for k, q, _, p in cells], config.trials,
+        trials = _sweep_trials(factors.sigma, [(k, q, p) for k, q, _, p in cells], config.trials,
                                config.norm_list, config.seed)
     rows = []
     for (k, q, rho, p), cell_bound, (residuals, excluded) in zip(cells, bounds, trials):

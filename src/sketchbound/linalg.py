@@ -84,7 +84,7 @@ class SvdFactors:
     """Thin SVD ``A = U diag(sigma) V^T`` with head/tail partition accessors.
 
     ``u`` and ``v`` are stored thin; the orthonormal complement needed by the
-    tail accessors is appended lazily and cached, as is the rotated matrix.
+    tail accessors is appended lazily and cached.  ``sigma`` is checked once, here.
     """
 
     def __init__(self, u, sigma, v):
@@ -92,9 +92,8 @@ class SvdFactors:
         self._v = np.asarray(v, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
-        self._rotated = None
-        if np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
-            raise ValueError('singular values must be non-negative and sorted descending')
+        if not np.all(np.isfinite(self.sigma)) or np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
+            raise ValueError('singular values must be finite, non-negative and sorted descending')
 
     @property
     def rows(self):
@@ -120,12 +119,6 @@ class SvdFactors:
         if self._u_full is None:
             self._u_full = self._complete(self._u)
         return self._u_full
-
-    def rotated(self):
-        """``diag(sigma) V^T``: ``U^T A`` without its structurally zero rows."""
-        if self._rotated is None:
-            self._rotated = self.sigma[:, None] * self._v.T
-        return self._rotated
 
     def _check_k(self, k):
         if not 1 <= k <= self.sigma.size:

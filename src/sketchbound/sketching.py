@@ -72,8 +72,9 @@ def standard_gaussian(rows, cols, stream: SeededStream):
 class GaussianSketch:
     """Matrix Gaussian distribution ``Z ~ N(mean, covariance)`` per column.
 
-    Built from the covariance's eigenpairs ``(w, vec)``, clipped at zero,
-    from which every derived quantity follows by one rule: ``rank`` counts
+    Built from the covariance's eigenpairs ``(w, vec)``, clipped at zero
+    (``vec`` may leave out eigenvectors of zero eigenvalues, so it can be
+    thin), from which every derived quantity follows by one rule: ``rank`` counts
     the eigenvalues above ``_EIG_RANK_TOL`` (1e-12) times the largest, and
     ``min_nonzero_eigenvalue`` is the smallest of those (0.0 for a zero
     covariance).  ``covariance`` (unless given) and its PSD root ``cov_sqrt``
@@ -144,17 +145,17 @@ def rsvd_sketch(a, q, p, stream: SeededStream, *, check_finite=True):
 
 def rsvd_distribution(factors, q, p) -> GaussianSketch:
     """Distribution of the randomized-SVD sketch: zero mean, covariance
-    ``U (Sigma Sigma^T)^(2q+1) U^T``, whose eigenpairs are the factors' own,
-    ``U`` and ``sigma^(4q+2)`` padded with zeros, so no eigendecomposition
-    and, until the covariance or its root is read, no n x n product is formed.
+    ``U (Sigma Sigma^T)^(2q+1) U^T``, whose eigenpairs are the factors' own
+    thin ones, ``sigma^(4q+2)`` and ``U``, so no eigendecomposition, no
+    completion of ``U`` and, until the covariance or its root is read, no
+    n x n product is formed.
     """
     if q < 0:
         raise ValueError('q must be non-negative')
     if p < 1:
         raise ValueError('p must be positive')
-    lam = np.zeros(factors.rows)
-    lam[:factors.sigma.size] = factors.sigma ** (4 * q + 2)
-    return GaussianSketch(np.zeros((factors.rows, p)), lam, factors.left())
+    return GaussianSketch(np.zeros((factors.rows, p)), factors.sigma ** (4 * q + 2),
+                          factors.left_head(factors.sigma.size))
 
 
 @dataclass(frozen=True)

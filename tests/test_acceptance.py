@@ -90,7 +90,7 @@ def _sweep_residuals():
     grid, from the trial phase that ``run_sweep`` runs."""
     _, factors = _synthetic_problem()
     cell_list = [(k, rho) for k in (5, 15) for rho in RHO_GRID]
-    results = _sweep_trials(factors, [(k, 0, k + rho) for k, rho in cell_list], TRIALS,
+    results = _sweep_trials(factors.sigma, [(k, 0, k + rho) for k, rho in cell_list], TRIALS,
                             ('spectral', 'frobenius'), ACC_SEED)
     cells = {cell: residuals for cell, (residuals, _) in zip(cell_list, results)}
     return cells, sum(excluded for _, excluded in results)

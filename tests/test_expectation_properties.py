@@ -5,8 +5,9 @@ projects onto ``diag(sigma^(4q+2))``, and Theorems 3-5 reduce to the closed
 forms of ``sketchbound.rsvd``. Without a sketch, ``evaluate_bounds`` builds
 that projection from the spectrum; its theorem reports are compared with the
 closed forms on ``SvdFactors(I, sigma, I)``, over spectra spanning up to six
-decades, with ties at k, exactly zero tails and q <= 3, and on a ``j^-2``
-spectrum whose graded head the dense projection refuses as singular.
+decades, with ties at k, exactly zero tails and q <= 3, on a ``j^-2``
+spectrum whose graded head the dense projection refuses as singular, and on
+the thin factors of a tall matrix, whose left factor is never completed.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from sketchbound.deterministic import phi
 from sketchbound.experiments import evaluate_bounds
-from sketchbound.linalg import RankDeficiencyError, SvdFactors
+from sketchbound.linalg import RankDeficiencyError, SvdFactors, svd
 from sketchbound.sketching import rsvd_distribution
 
 THEOREMS = ('thm3', 'thm3_squared', 'thm4', 'thm5')
@@ -44,11 +45,15 @@ def spectra(draw):
     return sigma, k, p, q
 
 
-def assert_theorems_match_closed_forms(sigma, k, p, q):
+def diagonal(sigma):
     identity = np.eye(sigma.size)
-    reports = evaluate_bounds(THEOREMS + CLOSED_FORMS, SvdFactors(identity, sigma, identity), k, p, q)
+    return SvdFactors(identity, sigma, identity)
+
+
+def assert_theorems_match_closed_forms(factors, k, p, q):
+    reports = evaluate_bounds(THEOREMS + CLOSED_FORMS, factors, k, p, q)
     a_k, b_k = reports['cor_frobenius']['a_k'], reports['cor_frobenius']['b_k']
-    squared = min(a_k, k * phi(math.sqrt(b_k / k)) ** 2 * sigma[0] ** 2)
+    squared = min(a_k, k * phi(math.sqrt(b_k / k)) ** 2 * factors.sigma[0] ** 2)
     pairs = (
         ('thm3', reports['cor_frobenius']['bound']),
         ('thm3_squared', squared),
@@ -63,15 +68,28 @@ def assert_theorems_match_closed_forms(sigma, k, p, q):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(spectra())
 def test_theorem_variants_equal_the_closed_forms(request):
-    assert_theorems_match_closed_forms(*request)
+    sigma, k, p, q = request
+    assert_theorems_match_closed_forms(diagonal(sigma), k, p, q)
 
 
 def test_graded_spectrum_the_dense_projection_refuses():
     n, k, p, q = 1000, 15, 30, 2
-    sigma = np.arange(1, n + 1, dtype=float) ** -2.0
-    identity = np.eye(n)
-    factors = SvdFactors(identity, sigma, identity)
+    factors = diagonal(np.arange(1, n + 1, dtype=float) ** -2.0)
     # the head diag(sigma^10) has condition number 15^20, past RANK_TOL
     with pytest.raises(RankDeficiencyError):
         evaluate_bounds(THEOREMS, factors, k, p, q, rsvd_distribution(factors, q, p))
-    assert_theorems_match_closed_forms(sigma, k, p, q)
+    assert_theorems_match_closed_forms(factors, k, p, q)
+
+
+def test_thin_factors_complete_no_left_factor(monkeypatch):
+    rng = np.random.default_rng(30)
+    u, _ = np.linalg.qr(rng.standard_normal((400, 20)))
+    v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    factors = svd((u * 10.0 ** (-np.arange(20) / 10)) @ v.T)  # U is 400 x 20
+
+    def refused(q):
+        raise AssertionError('the left factor was completed')
+
+    monkeypatch.setattr(SvdFactors, '_complete', staticmethod(refused))
+    for q in (0, 1, 2):
+        assert_theorems_match_closed_forms(factors, 5, 12, q)

@@ -106,20 +106,19 @@ class TestSyntheticMatrix:
 
     def test_left_basis_problem_is_the_diagonal_spectrum(self):
         _, f = synthetic_matrix(40, seed=3)
-        rotated, g = synthetic_matrix(40, seed=3, left_basis=True)
-        assert np.array_equal(rotated, np.diag(f.sigma))
-        assert np.array_equal(np.signbit(rotated), np.zeros((40, 40), dtype=bool))
+        matrix, g = synthetic_matrix(40, seed=3, left_basis=True)
+        assert np.array_equal(matrix, np.diag(f.sigma))
+        assert np.array_equal(np.signbit(matrix), np.zeros((40, 40), dtype=bool))
         assert np.array_equal(g.sigma, f.sigma)
         assert np.array_equal(g.left(), np.eye(40)) and np.array_equal(g._v, np.eye(40))
         assert g._v is g.left()  # one identity serves both factors
-        assert rotated is g.rotated()
         # no stream enters the problem
-        assert np.array_equal(synthetic_matrix(40, seed=4, left_basis=True)[0], rotated)
+        assert np.array_equal(synthetic_matrix(40, seed=4, left_basis=True)[0], matrix)
 
 
 class TestDiagonalProblemLaw:
-    """The diagonal problem of a sweep has the residual law of the dense Haar
-    problem: ``V^T G`` is standard Gaussian for any fixed orthogonal ``V``."""
+    """Trials drawn from ``diag(sigma)`` have the residual law of draws through
+    the dense Haar ``A``: ``V^T G`` is standard Gaussian for any fixed orthogonal ``V``."""
 
     TRIALS = 300
     CASES = {12: (3, 8), 30: (5,)}  # p -> the ks evaluated on its sketches
@@ -127,14 +126,19 @@ class TestDiagonalProblemLaw:
     @pytest.mark.parametrize('q', (0, 1, 2))
     def test_residual_means_match_the_dense_haar_problem(self, q):
         norms = ('spectral', 'frobenius')
-        _, diagonal = synthetic_matrix(60, 0, left_basis=True)
-        _, dense = synthetic_matrix(60, 61)
+        a, dense = synthetic_matrix(60, 61)
+        sigma = dense.sigma
+
+        def through_a(t):
+            # the reference side: A's own sketch, rotated into its left singular basis
+            w = dense.left().T @ rsvd_sketch(a, q, p, SeededStream(2000 + q, t))
+            return w, w
+
         for p, ks in self.CASES.items():
-            sketch = RsvdSketch(q=q, p=p)
-            got = experiments._collect_residuals(diagonal, sketch, ks, self.TRIALS, norms,
-                                                 functools.partial(SeededStream, 1000 + q))
-            want = experiments._collect_residuals(dense, sketch, ks, self.TRIALS, norms,
-                                                  functools.partial(SeededStream, 2000 + q))
+            draw = experiments._rsvd_draw(np.diag(sigma), RsvdSketch(q=q, p=p),
+                                          functools.partial(SeededStream, 1000 + q))
+            got = experiments._collect_residuals(sigma, draw, ks, self.TRIALS, norms)
+            want = experiments._collect_residuals(sigma, through_a, ks, self.TRIALS, norms)
             for k in ks:
                 assert got[k][1] == want[k][1] == 0
                 for which in norms:
@@ -196,9 +200,9 @@ def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
 
 
 def trial_residuals(w, sigma, k, norms):
-    """``{norm: (full, tail)}`` of one rotated sketch through both kernel parts."""
-    q, b, full = experiments._sketch_residuals(w, sigma, norms)
-    tail = experiments._tail_residuals(q, b, sigma, k, norms)
+    """``{norm: (full, tail)}`` of one rotated sketch, by the kernel's one residual rule."""
+    q, b = experiments._sketch_basis(w, sigma)
+    full, tail = (experiments._residual_norms(q, b, sigma, j, norms) for j in (0, k))
     return {which: (full[which], tail[which]) for which in norms}
 
 
@@ -217,9 +221,9 @@ class TestRoundOffCertificate:
             gram_calls.append(value)
             return value
 
-        def recording_explicit(q, b, diag, which):
-            explicit_calls.append((q, b, diag, which))
-            return explicit(q, b, diag, which)
+        def recording_explicit(q, b, sigma, k, which):
+            explicit_calls.append((q, b, sigma, k, which))
+            return explicit(q, b, sigma, k, which)
 
         monkeypatch.setattr(experiments, '_gram_top_eigenvalue', counting_gram)
         monkeypatch.setattr(experiments, '_explicit_residual_norm', recording_explicit)
@@ -236,16 +240,17 @@ class TestRoundOffCertificate:
         _, factors = rank_deficient_problem(rows + cols, rows, cols, rank)
         noise_floor = 1e-12 * float(np.sum(factors.sigma**2))
         for p in (rank, rank + 2):
-            w = RsvdSketch(q=q, p=p).draw(factors.rotated(), SeededStream(q, p))
+            w = RsvdSketch(q=q, p=p).draw(np.diag(factors.sigma), SeededStream(q, p))
             del explicit_calls[:]
             out = trial_residuals(w, factors.sigma, k, ('spectral', 'frobenius'))
             assert gram_calls == []
             # one explicit residual per norm and side: the full ones, then the tails
-            assert [args[3] for args in explicit_calls] == ['spectral', 'frobenius'] * 2
+            assert [args[4] for args in explicit_calls] == ['spectral', 'frobenius'] * 2
+            assert [args[3] for args in explicit_calls] == [0, 0, k, k]
             for which, calls in (('spectral', explicit_calls[::2]), ('frobenius', explicit_calls[1::2])):
                 assert out[which] == tuple(explicit(*args) for args in calls)
-            for _, b, diag, _ in explicit_calls[::2]:
-                assert gram(diag**2, b) <= noise_floor
+            for _, b, sigma, j, _ in explicit_calls[::2]:
+                assert gram(sigma[j:]**2, b[:, j:]) <= noise_floor
 
     def test_a_trace_just_above_half_the_floor_runs_the_eigensolve(self, spies):
         gram_calls, explicit_calls, _, explicit = spies
@@ -283,10 +288,11 @@ class TestEmpiricalError:
         a, f = synthetic_matrix(40, seed=9)
         stats = empirical_error(f, RsvdSketch(q=0, p=12), k=3, trials=5,
                                 norm='spectral', metric='old', seed=10)
-        # trial t draws from the sweep's key of (q, p, t) = (0, 12, t)
+        # trial t draws from the sweep's key of (q, p, t) = (0, 12, t), through
+        # A V = U Sigma, whose sketch rotates to the trial's Sigma G
         full = []
         for t in range(5):
-            q = orthonormal_basis(rsvd_sketch(a, 0, 12, SeededStream(10, 1 << 63 | 12 << 24 | t)))
+            q = orthonormal_basis(rsvd_sketch(a @ f._v, 0, 12, SeededStream(10, 1 << 63 | 12 << 24 | t)))
             full.append(np.linalg.norm(a - q @ (q.T @ a), 2))
         assert stats.values == pytest.approx(np.array(full) - f.sigma[3], abs=1e-10)
 
@@ -383,6 +389,16 @@ class TestEmpiricalError:
         with pytest.raises(RankDeficiencyError):
             angle_operators(f, rsvd_sketch(a, 0, p, SeededStream(3, 0)), k)
 
+    def test_rsvd_trials_read_the_spectrum_alone(self):
+        # the same spectrum with U = V = I gives the same values, bit for bit
+        a, _ = synthetic_matrix(50, seed=23)
+        f = svd(a)
+        g = SvdFactors(np.eye(50), f.sigma, np.eye(50))
+        for q in (0, 2):
+            for which in ('spectral', 'frobenius'):
+                got, want = (empirical_error(h, RsvdSketch(q=q, p=12), 4, 5, which, seed=24) for h in (f, g))
+                assert np.array_equal(got.values, want.values)
+
     def test_rsvd_trials_never_complete_the_left_factor(self, monkeypatch):
         a = np.random.default_rng(21).standard_normal((30, 12))
         f = svd(a)  # tall: U is 30x12, so left() would append a null space
@@ -436,6 +452,35 @@ class TestEmpiricalError:
             empirical_error(f, RsvdSketch(q=0, p=5), 2, 5, norm='nuclear')
         with pytest.raises(ValueError):
             empirical_error(f, RsvdSketch(q=0, p=5), 2, 5, metric='weird')
+
+
+class TestRsvdSketchBinding:
+    """Every RSVD trial draws through ``sketching.rsvd_sketch``, the binding a
+    profiler wraps to time the sketches: once per trial, from an r x r matrix."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        shapes = []
+        draw = sketching.rsvd_sketch
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return draw(a, *args, **kwargs)
+
+        monkeypatch.setattr(sketching, 'rsvd_sketch', counting)
+        return shapes
+
+    def test_run_sweep_draws_once_per_trial(self, shapes):
+        config = small_config(n=50, k_list=(3, 5), oversampling_list=(2, 4), q_list=(0, 1), trials=3)
+        run_sweep(config)
+        # the ks share each (q, p): p is 5, 7 for k=3 and 7, 9 for k=5
+        assert shapes == [(50, 50)] * (2 * 3 * config.trials)
+
+    @pytest.mark.parametrize('shape', [(30, 12), (12, 30), (20, 20)])
+    def test_empirical_error_draws_once_per_trial(self, shapes, shape):
+        f = svd(np.random.default_rng(25).standard_normal(shape))
+        empirical_error(f, RsvdSketch(q=1, p=6), 3, 4, seed=26)
+        assert shapes == [(min(shape),) * 2] * 4
 
 
 @pytest.fixture
@@ -536,19 +581,22 @@ class TestRunSweep:
         rows = run_sweep(small_config(n=40, bound_variants=VARIANTS))
         assert len(rows) == 8
 
-    def test_one_rotated_matrix_per_sweep(self, monkeypatch):
-        returned = []
-        original = SvdFactors.rotated
+    def test_every_trial_draws_from_one_shared_diagonal(self, monkeypatch):
+        matrices = []
+        draw = sketching.rsvd_sketch
 
-        def recording(self):
-            returned.append(original(self))
-            return returned[-1]
+        def recording(a, *args, **kwargs):
+            matrices.append(a)
+            return draw(a, *args, **kwargs)
 
-        monkeypatch.setattr(SvdFactors, 'rotated', recording)
-        rows = run_sweep(small_config(bound_variants=VARIANTS))
-        # the problem build, then one read per (q, p) group, here one per cell
-        assert len(returned) == 1 + len(rows) // 2
-        assert all(r is returned[0] for r in returned)
+        monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: {0, 1})
+        monkeypatch.setattr(sketching, 'rsvd_sketch', recording)
+        config = small_config(bound_variants=VARIANTS)
+        rows = run_sweep(config)
+        # one draw per trial of each (q, p) group, here one group per cell
+        assert len(matrices) == config.trials * len(rows) // 2
+        assert all(a is matrices[0] for a in matrices)
+        assert np.array_equal(matrices[0], np.diag(synthetic_matrix(config.n, config.seed)[1].sigma))
 
     def test_worker_count_does_not_change_the_bytes(self, monkeypatch, tmp_path):
         config = small_config(n=60, k_list=(3, 5), oversampling_list=(2, 5, 9), q_list=(0, 1, 2),
@@ -668,17 +716,17 @@ class TestRunSweep:
 
     @pytest.mark.parametrize('workers', (1, 2))
     def test_a_failing_cell_surfaces(self, monkeypatch, blas_threads, workers):
-        collect = experiments._collect_residuals
+        draw = sketching.rsvd_sketch
         counts = [get() for get, _ in blas_threads]
 
-        def failing(factors, sketch, *args, **kwargs):
+        def failing(a, q, p, *args, **kwargs):
             # the grid's third cell: k=3, q=1, oversampling 2
-            if sketch == RsvdSketch(q=1, p=5):
+            if (q, p) == (1, 5):
                 raise RuntimeError('cell 2 failed')
-            return collect(factors, sketch, *args, **kwargs)
+            return draw(a, q, p, *args, **kwargs)
 
         monkeypatch.setattr(os, 'sched_getaffinity', lambda pid: set(range(workers)))
-        monkeypatch.setattr(experiments, '_collect_residuals', failing)
+        monkeypatch.setattr(sketching, 'rsvd_sketch', failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match='cell 2 failed'):
             run_sweep(small_config())
@@ -731,7 +779,7 @@ class TestRunSweep:
     def test_ks_sharing_a_sketch_get_identical_full_residuals(self):
         _, factors = synthetic_matrix(60, 21, left_basis=True)
         norms = ('spectral', 'frobenius')
-        results = experiments._sweep_trials(factors, [(3, 1, 9), (5, 1, 9), (3, 1, 12)], 4, norms, 21)
+        results = experiments._sweep_trials(factors.sigma, [(3, 1, 9), (5, 1, 9), (3, 1, 12)], 4, norms, 21)
         (shared_a, excluded_a), (shared_b, excluded_b), (other, _) = results
         assert excluded_a == excluded_b == 0
         for which in norms:

@@ -1,14 +1,14 @@
 """Property-based check of the randomized-SVD Monte Carlo path.
 
-RSVD trials are drawn in the left singular basis, from ``diag(sigma) V^T``,
-and their residuals come from small Gram differences. Each sketch is
-evaluated for several ks at once, as a sweep evaluates the ks that share
-``(q, p)``, and every trial is compared, for each k, with a dense oracle that
-draws the same sketch through A itself,
-``rsvd_sketch(A, q, p, SeededStream(seed, t))``, and forms the residuals of A
-and of its tail explicitly. The instances are tall, wide, square and
-rank-deficient, with q <= 2 and p up to the row count, so the rotated sketch
-is wide whenever p exceeds min(rows, cols).
+RSVD trials are drawn in the left singular basis, as ``Sigma^(2q+1) G`` from
+``diag(sigma)``, and their residuals come from small Gram differences. Each
+sketch is evaluated for several ks at once, as a sweep evaluates the ks that
+share ``(q, p)``, and every trial is compared, for each k, with a dense oracle
+that draws the same sketch through ``A V = U Sigma``,
+``rsvd_sketch(A V, q, p, SeededStream(seed, t)) = U Sigma^(2q+1) G``, and
+forms the residuals of A and of its tail explicitly. The instances are tall,
+wide, square and rank-deficient, with q <= 2 and p up to the row count, so
+the rotated sketch is wide whenever p exceeds min(rows, cols).
 """
 
 import functools
@@ -16,7 +16,7 @@ import functools
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sketchbound.experiments import NORMS, _collect_residuals
+from sketchbound.experiments import NORMS, _collect_residuals, _rsvd_draw
 from sketchbound.linalg import RANK_TOL, norm, svd
 from sketchbound.sketching import RsvdSketch, SeededStream, rsvd_sketch
 
@@ -68,10 +68,10 @@ def test_rsvd_trials_match_dense_residuals(instance):
     factors = svd(a)
     scale = float(np.linalg.norm(a))
     # every k is evaluated on the same sketches, drawn once per trial
-    results = _collect_residuals(factors, RsvdSketch(q=q, p=p), ks, TRIALS, NORMS,
-                                 functools.partial(SeededStream, seed))
+    draw = _rsvd_draw(np.diag(factors.sigma), RsvdSketch(q=q, p=p), functools.partial(SeededStream, seed))
+    results = _collect_residuals(factors.sigma, draw, ks, TRIALS, NORMS)
     for t in range(TRIALS):
-        z = rsvd_sketch(a, q, p, SeededStream(seed, t))
+        z = rsvd_sketch(a @ factors._v, q, p, SeededStream(seed, t))
         for k in ks:
             residuals, excluded = results[k]
             assert excluded == 0

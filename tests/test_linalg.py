@@ -3,6 +3,7 @@ import pytest
 
 from sketchbound.linalg import (
     RankDeficiencyError,
+    SvdFactors,
     canonical_angle_sines,
     frobenius_norm,
     norm,
@@ -73,12 +74,11 @@ class TestSvd:
         with pytest.raises(ValueError):
             f.left_head(0)
 
-    def test_rotated_is_cached(self):
-        a = np.random.default_rng(3).standard_normal((7, 5))
-        f = svd(a)
-        rotated = f.rotated()
-        assert f.rotated() is rotated
-        assert np.array_equal(rotated, f.sigma[:, None] * f._v.T)
+    @pytest.mark.parametrize('sigma', ([1.0, np.nan], [np.inf, 1.0]))
+    def test_factors_reject_nonfinite_singular_values(self, sigma):
+        # NaN passes the sorted and non-negative test; it is refused at construction
+        with pytest.raises(ValueError, match='finite'):
+            SvdFactors(np.eye(2), sigma, np.eye(2))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
