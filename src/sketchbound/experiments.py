@@ -153,10 +153,10 @@ def synthetic_matrix(n, seed, *, left_basis=False):
     """Square test matrix with ten unit singular values and a ``j^(-1/2)`` tail.
 
     The singular vector factors are drawn Haar-uniformly, ``U`` from stream
-    index 0 and ``V`` from index 1; the exact factors are returned alongside
-    the assembled matrix, built at one BLAS thread since the Haar QR's last
-    bits depend on the thread count.  With ``left_basis`` the problem is built
-    in both singular bases: ``U = V = I`` (one shared identity), the matrix is
+    index 0 and ``V`` from index 1; the matrix, built at one BLAS thread since
+    the Haar QR's last bits depend on the thread count, is returned with
+    ``SvdFactors(U, sigma, n)``, which keeps no ``V``.  With ``left_basis`` the
+    problem is built in both singular bases: ``U = V = I``, the matrix is
     ``diag(sigma)`` and the seed is unused, since a trial reads ``A`` only
     through ``Sigma V^T G`` and ``V^T G`` is standard Gaussian for any fixed
     orthogonal ``V``: a Haar ``V`` cannot change the law of any residual.
@@ -165,12 +165,11 @@ def synthetic_matrix(n, seed, *, left_basis=False):
         raise ValueError('need n >= 11 for the synthetic spectrum')
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
     if left_basis:
-        identity = np.eye(n)
-        return np.diag(sigma), SvdFactors(identity, sigma, identity)
+        return np.diag(sigma), SvdFactors(np.eye(n), sigma, n)
     with _one_blas_thread():
         v = _haar_orthogonal(n, SeededStream(seed, 1))
         u = _haar_orthogonal(n, SeededStream(seed, 0))
-        return (u * sigma) @ v.T, SvdFactors(u, sigma, v)
+        return (u * sigma) @ v.T, SvdFactors(u, sigma, n)
 
 
 @dataclass(frozen=True)
@@ -636,10 +635,14 @@ def emit(rows, output_format='csv', path='sweep.csv'):
     """Write sweep rows to CSV or JSON, atomically.
 
     Floats carry 17 significant digits, so parsing the file back reproduces
-    the rows bit for bit.
+    the rows bit for bit.  A cell whose every trial was excluded, so whose
+    mean is NaN, is refused before anything is written.
     """
     if not rows:
         raise ValueError('no rows to emit')
+    empty = ', '.join(dict.fromkeys(f'k={r.k} p={r.p} q={r.q}' for r in rows if not math.isfinite(r.empirical_mean)))
+    if empty:
+        raise ValueError(f'every trial excluded by the head rank check in cell(s) {empty}; no file written')
     variant_names = list(rows[0].bounds)
     if any(list(r.bounds) != variant_names for r in rows):
         raise ValueError('all rows must carry the same bound variants')

@@ -6,6 +6,7 @@ number of threads.
 
 from __future__ import annotations
 
+import operator
 import pathlib
 from dataclasses import dataclass
 
@@ -83,25 +84,25 @@ def _symmetrize(a, name='matrix', tol=SYM_TOL):
 class SvdFactors:
     """Thin SVD ``A = U diag(sigma) V^T`` with head/tail partition accessors.
 
-    ``u`` and ``v`` are stored thin; the orthonormal complement needed by the
-    tail accessors is appended lazily and cached.  ``sigma`` is checked once, here.
+    ``V`` is not kept, only ``cols``, the column count of ``A``: bounds and trials
+    read ``A`` through ``U^T Z`` or ``Sigma V^T G``, and ``V^T G`` is standard
+    Gaussian.  ``u`` is thin or square; the complement needed by the tail accessors
+    is appended lazily and cached.  ``sigma`` and ``cols`` are checked once, here.
     """
 
-    def __init__(self, u, sigma, v):
+    def __init__(self, u, sigma, cols):
         self._u = np.asarray(u, dtype=float)
-        self._v = np.asarray(v, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
+        self.cols = operator.index(cols)
         self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
         if not np.all(np.isfinite(self.sigma)) or np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
             raise ValueError('singular values must be finite, non-negative and sorted descending')
+        if self.sigma.size > min(self.rows, self.cols):
+            raise ValueError(f'{self.sigma.size} singular values for a {self.rows}x{self.cols} matrix')
 
     @property
     def rows(self):
         return self._u.shape[0]
-
-    @property
-    def cols(self):
-        return self._v.shape[0]
 
     def rank(self):
         """Numerical rank: count of singular values above ``PINV_TOL * sigma[0]``."""
@@ -152,10 +153,10 @@ def svd(a) -> SvdFactors:
     """
     a = _as_matrix(a)
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f'SVD did not converge on a {a.shape} input: {exc}') from exc
-    return SvdFactors(u, s, vh.T)
+    return SvdFactors(u, s, a.shape[1])
 
 
 def orthonormal_basis(z):

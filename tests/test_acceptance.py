@@ -210,8 +210,7 @@ def test_criterion_05_oversampling_sweep_domination():
         _, factors = _synthetic_problem()
         cells, excluded_total = _sweep_residuals()
         sigma = factors.sigma
-        eye = np.eye(SYNTHETIC_N)
-        diag_factors = SvdFactors(eye, sigma, eye.copy())
+        diag_factors = SvdFactors(np.eye(SYNTHETIC_N), sigma, SYNTHETIC_N)
         ok = excluded_total == 0
         worst_slack = np.inf
         ratios = {}
@@ -245,8 +244,7 @@ def test_criterion_06_numeric_anchor():
     with _Timer() as timer:
         _, factors = _synthetic_problem()
         sigma = factors.sigma
-        eye = np.eye(SYNTHETIC_N)
-        diag_factors = SvdFactors(eye, sigma, eye.copy())
+        diag_factors = SvdFactors(np.eye(SYNTHETIC_N), sigma, SYNTHETIC_N)
         k = 20
         values = {}
         for p in (32, 102):
@@ -329,8 +327,8 @@ def test_criterion_09_cross_module_consistency():
             rng = np.random.default_rng(ACC_SEED + 300 + index)
             sigma = np.sort(np.exp(rng.uniform(np.log(0.7), np.log(1.4), m)))[::-1]
             qu, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            qv, _ = np.linalg.qr(rng.standard_normal((m, m)))
-            factors = SvdFactors(qu, sigma, qv)
+            rng.standard_normal((m, m))  # V's draw, kept so that k, p and q keep their values
+            factors = SvdFactors(qu, sigma, m)
             k = int(rng.integers(1, 6))
             p = int(rng.integers(k + 2, 11))
             q = int(rng.integers(0, 3))

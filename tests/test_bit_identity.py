@@ -9,8 +9,8 @@ it only when bound values are meant to change, from the root of a checkout:
 
     PYTHONPATH=src python3 tests/test_bit_identity.py
 
-which prints, for each group, the keys that moved and the largest relative
-change of each.
+which prints, for each group, the keys that moved and the largest change of
+each, absolute and relative to the largest old magnitude in the group.
 """
 
 import functools
@@ -242,32 +242,63 @@ def _leaves(value, path=()):
         yield path, value
 
 
-def _relative_change(old, new):
-    """``|new - old| / |old|`` of two ``float.hex`` leaves; inf where one is
-    missing, is not a float or ``old`` is zero."""
+def _float(leaf):
+    """A ``float.hex`` leaf as a float; None where it is missing or not a float."""
+    try:
+        return float.fromhex(leaf)
+    except (TypeError, ValueError):
+        return None
+
+
+def _absolute_change(old, new):
+    """``|new - old|`` of two ``float.hex`` leaves; inf where one is missing or
+    is not a float."""
     if old == new:
         return 0.0
-    try:
-        old, new = float.fromhex(old), float.fromhex(new)
-    except (TypeError, ValueError):
-        return math.inf
-    return abs(new - old) / abs(old) if old else math.inf
+    old, new = _float(old), _float(new)
+    return math.inf if old is None or new is None else abs(new - old)
 
 
 def moved_keys(old, new):
     """One line per group: its keys whose values moved from ``old`` to
-    ``new``, each with its largest relative change."""
+    ``new``, each with its largest absolute change and that change relative
+    to the largest finite old magnitude in the group, so that a move of
+    round-off size reads as one even where the old value is round-off too."""
     lines = []
     for group in dict.fromkeys([*new, *old]):
         before, after = old.get(group, {}), new.get(group, {})
+        olds = (abs(x) for _, leaf in _leaves(before) if (x := _float(leaf)) is not None and math.isfinite(x))
+        scale = max(olds, default=0.0)
         moved = {}
         for key in dict.fromkeys([*before, *after]):
             was, now = dict(_leaves(before.get(key))), dict(_leaves(after.get(key)))
             if was != now:
-                moved[key] = max(_relative_change(was.get(path), now.get(path)) for path in {*was, *now})
-        summary = ', '.join(f'{key} {change:.2e}' for key, change in moved.items())
-        lines.append(f'{group}: {len(moved)} of {len(after)} keys moved' + (f': {summary}' if moved else ''))
+                moved[key] = max(_absolute_change(was.get(path), now.get(path)) for path in {*was, *now})
+        line = f'{group}: {len(moved)} of {len(after)} keys moved'
+        if moved:
+            line += (f' (largest change, absolute / relative to the largest old magnitude {scale:.2e}): '
+                     + ', '.join(f'{key} {change:.2e} / {change / scale if scale else math.inf:.2e}'
+                                 for key, change in moved.items()))
+        lines.append(line)
     return lines
+
+
+def test_moved_keys_reads_changes_against_the_groups_largest_value():
+    # the old value 2^-52 halves: relative to itself that is 0.5, against the
+    # group's largest magnitude 4 it is 2.78e-17, a round-off move
+    old = {'roundoff': {'tiny': (2.0**-52).hex(), 'pair': {'spectral': (4.0).hex(), 'frobenius': (3.0).hex()},
+                        'still': (1.0).hex()},
+           'other': {'a': (1.0).hex()}}
+    new = {'roundoff': {'tiny': (2.0**-53).hex(), 'pair': {'spectral': (4.0).hex(), 'frobenius': (3.5).hex()},
+                        'still': (1.0).hex()},
+           'other': {'a': (1.0).hex(), 'b': 'x'}, 'fresh': {'c': (2.0).hex()}}
+    heading = '(largest change, absolute / relative to the largest old magnitude'
+    assert moved_keys(old, new) == [
+        f'roundoff: 2 of 3 keys moved {heading} 4.00e+00): tiny 1.11e-16 / 2.78e-17, pair 5.00e-01 / 1.25e-01',
+        f'other: 1 of 2 keys moved {heading} 1.00e+00): b inf / inf',
+        f'fresh: 1 of 1 keys moved {heading} 0.00e+00): c inf / inf',
+    ]
+    assert moved_keys(old, old) == ['roundoff: 0 of 3 keys moved', 'other: 0 of 1 keys moved']
 
 
 if __name__ == '__main__':

@@ -94,8 +94,7 @@ class TestProjectCovariance:
 class TestFromSpectrum:
     def test_matches_the_dense_projection_bit_for_bit(self):
         sigma = np.concatenate([np.ones(4), np.arange(2, 17, dtype=float) ** -0.5])
-        identity = np.eye(sigma.size)
-        f = SvdFactors(identity, sigma, identity)
+        f = SvdFactors(np.eye(sigma.size), sigma, sigma.size)
         for q in (0, 1, 2):
             lam = sigma ** (4 * q + 2)
             dense = project_covariance(np.diag(lam), f, 3)
@@ -108,9 +107,8 @@ class TestFromSpectrum:
 
     def test_graded_head_needs_only_positive_entries(self):
         lam = np.array([1.0, 1e-30, 1e-31, 0.0])
-        identity = np.eye(4)
         with pytest.raises(RankDeficiencyError):
-            project_covariance(np.diag(lam), SvdFactors(identity, np.sqrt(lam), identity), 2)
+            project_covariance(np.diag(lam), SvdFactors(np.eye(4), np.sqrt(lam), 4), 2)
         pc = ProjectedCovariance.from_spectrum(lam, 2)
         assert pc.conditional_trace == 1e-31
         assert pc.conditional_top_eigenvalue == 1e-31
@@ -263,10 +261,9 @@ class TestMeanShiftTerm:
 def rank_deficient_factors(seed, n=10, m=6, rank=3):
     rng = np.random.default_rng(seed)
     qu, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    qv, _ = np.linalg.qr(rng.standard_normal((m, m)))
     sigma = np.zeros(m)
     sigma[:rank] = [4.0, 2.0, 1.0]
-    return SvdFactors(qu[:, :m], sigma, qv)
+    return SvdFactors(qu[:, :m], sigma, m)
 
 
 class TestTheoremBounds:
@@ -284,7 +281,7 @@ class TestTheoremBounds:
         rng = np.random.default_rng(51)
         qu, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         sigma = np.array([2.0, 2.0, 2.0, 1.0, 0.5, 0.4, 0.3, 0.2])
-        f = SvdFactors(qu, sigma, np.eye(8))
+        f = SvdFactors(qu, sigma, 8)
         sketch = rsvd_distribution(f, 0, 4)
         report = expected_spectral_tail_bound(f, sketch, 2, 4)
         assert report.mean_term == 0.0
@@ -353,11 +350,11 @@ class TestTheoremBounds:
             evaluate_bounds(['thm3', 'thm3_squared'], f, 4, 5, 0, sketch)
         singular = GaussianSketch.from_moments(np.zeros((12, 5)), np.diag([1.0, 0.0] * 6))
         with pytest.raises(RankDeficiencyError):
-            evaluate_bounds(['thm4'], SvdFactors(np.eye(12, 9), f.sigma, np.eye(9)), 2, 5, 0, singular)
+            evaluate_bounds(['thm4'], SvdFactors(np.eye(12, 9), f.sigma, 9), 2, 5, 0, singular)
         # without a sketch, the RSVD request raises what its dense route raises,
         # k outside [1, p - 2] or a head entry sigma_2^6 underflowed to zero,
         # before any covariance is formed
-        underflowed = SvdFactors(np.eye(7), np.array([1.0, 1e-200, 1e-250, 0.0, 0.0, 0.0, 0.0]), np.eye(7))
+        underflowed = SvdFactors(np.eye(7), np.array([1.0, 1e-200, 1e-250, 0.0, 0.0, 0.0, 0.0]), 7)
         requests = [(variants, factors, k, p, q)
                     for variants in (['thm3_squared', 'thm3'], ['thm5', 'thm4'])
                     for factors, k, p, q in ((f, 4, 5, 0), (f, 0, 5, 0), (underflowed, 2, 5, 1))]

@@ -4,7 +4,7 @@ For ``Z = (A A^T)^q A G`` the covariance ``U diag(sigma^(4q+2)) U^T``
 projects onto ``diag(sigma^(4q+2))``, and Theorems 3-5 reduce to the closed
 forms of ``sketchbound.rsvd``. Without a sketch, ``evaluate_bounds`` builds
 that projection from the spectrum; its theorem reports are compared with the
-closed forms on ``SvdFactors(I, sigma, I)``, over spectra spanning up to six
+closed forms on ``SvdFactors(I, sigma, n)``, over spectra spanning up to six
 decades, with ties at k, exactly zero tails and q <= 3, on a ``j^-2``
 spectrum whose graded head the dense projection refuses as singular, and on
 the thin factors of a tall matrix, whose left factor is never completed.
@@ -46,8 +46,7 @@ def spectra(draw):
 
 
 def diagonal(sigma):
-    identity = np.eye(sigma.size)
-    return SvdFactors(identity, sigma, identity)
+    return SvdFactors(np.eye(sigma.size), sigma, sigma.size)
 
 
 def assert_theorems_match_closed_forms(factors, k, p, q):

@@ -21,6 +21,7 @@ from sketchbound.experiments import (
     THEOREM_VARIANTS,
     VARIANTS,
     SweepConfig,
+    SweepRow,
     emit,
     empirical_error,
     load_rows,
@@ -98,8 +99,8 @@ class TestSyntheticMatrix:
         script = (
             'import hashlib\n'
             'from sketchbound import experiments\n'
-            '_, factors = experiments.synthetic_matrix(1000, 5)\n'
-            'print(hashlib.sha256(factors.left().tobytes() + factors._v.tobytes()).hexdigest())\n'
+            'a, factors = experiments.synthetic_matrix(1000, 5)\n'
+            'print(hashlib.sha256(a.tobytes() + factors.left().tobytes()).hexdigest())\n'
         )
         hashes = {fresh_interpreter(script, (), pinning) for pinning in ({}, {'OPENBLAS_NUM_THREADS': '1'})}
         assert len(hashes) == 1
@@ -110,8 +111,7 @@ class TestSyntheticMatrix:
         assert np.array_equal(matrix, np.diag(f.sigma))
         assert np.array_equal(np.signbit(matrix), np.zeros((40, 40), dtype=bool))
         assert np.array_equal(g.sigma, f.sigma)
-        assert np.array_equal(g.left(), np.eye(40)) and np.array_equal(g._v, np.eye(40))
-        assert g._v is g.left()  # one identity serves both factors
+        assert np.array_equal(g.left(), np.eye(40)) and g.cols == 40
         # no stream enters the problem
         assert np.array_equal(synthetic_matrix(40, seed=4, left_basis=True)[0], matrix)
 
@@ -196,7 +196,7 @@ def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
     sigma = np.zeros(r)
     sigma[:rank] = [3.0, 2.0, 1.0, 0.5][:rank]
     a = (qu[:, :r] * sigma) @ qv[:, :r].T
-    return a, SvdFactors(qu[:, :r], sigma, qv[:, :r])
+    return a, SvdFactors(qu[:, :r], sigma, m)
 
 
 def trial_residuals(w, sigma, k, norms):
@@ -290,9 +290,10 @@ class TestEmpiricalError:
                                 norm='spectral', metric='old', seed=10)
         # trial t draws from the sweep's key of (q, p, t) = (0, 12, t), through
         # A V = U Sigma, whose sketch rotates to the trial's Sigma G
+        v = np.linalg.svd(a, full_matrices=False)[2].T
         full = []
         for t in range(5):
-            q = orthonormal_basis(rsvd_sketch(a @ f._v, 0, 12, SeededStream(10, 1 << 63 | 12 << 24 | t)))
+            q = orthonormal_basis(rsvd_sketch(a @ v, 0, 12, SeededStream(10, 1 << 63 | 12 << 24 | t)))
             full.append(np.linalg.norm(a - q @ (q.T @ a), 2))
         assert stats.values == pytest.approx(np.array(full) - f.sigma[3], abs=1e-10)
 
@@ -393,7 +394,7 @@ class TestEmpiricalError:
         # the same spectrum with U = V = I gives the same values, bit for bit
         a, _ = synthetic_matrix(50, seed=23)
         f = svd(a)
-        g = SvdFactors(np.eye(50), f.sigma, np.eye(50))
+        g = SvdFactors(np.eye(50), f.sigma, 50)
         for q in (0, 2):
             for which in ('spectral', 'frobenius'):
                 got, want = (empirical_error(h, RsvdSketch(q=q, p=12), 4, 5, which, seed=24) for h in (f, g))
@@ -931,6 +932,16 @@ class TestEmit:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], 'csv', tmp_path / 'x.csv')
+
+    @pytest.mark.parametrize('output_format', ('csv', 'json'))
+    def test_rows_of_cells_with_every_trial_excluded_are_refused(self, tmp_path, output_format):
+        rows = [SweepRow(k=k, p=k + 4, oversampling=4, q=1, norm=norm, metric='general',
+                         empirical_mean=mean, empirical_std=0.0, bounds={'cor_frobenius': 1.0})
+                for k, mean in ((2, 0.5), (3, math.nan), (5, math.nan)) for norm in experiments.NORMS]
+        with pytest.raises(ValueError, match=r'every trial excluded by the head rank check in '
+                                             r'cell\(s\) k=3 p=7 q=1, k=5 p=9 q=1; no file written'):
+            emit(rows, output_format, tmp_path / f'rows.{output_format}')
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_bytes(self, tmp_path):
         config = small_config()

@@ -78,7 +78,27 @@ class TestSvd:
     def test_factors_reject_nonfinite_singular_values(self, sigma):
         # NaN passes the sorted and non-negative test; it is refused at construction
         with pytest.raises(ValueError, match='finite'):
-            SvdFactors(np.eye(2), sigma, np.eye(2))
+            SvdFactors(np.eye(2), sigma, 2)
+
+    @pytest.mark.parametrize('shape', [(7, 4), (4, 7)])
+    def test_factors_keep_the_column_count_and_no_right_factor(self, shape):
+        a = RNG.standard_normal(shape)
+        f = svd(a)
+        f.left()  # the completed U of the tall case is cached too
+        assert (f.rows, f.cols) == a.shape and f.sigma.size == min(a.shape)
+        v_shapes = {(shape[1], min(shape)), (min(shape), shape[1])}
+        assert all(np.shape(value) not in v_shapes for value in vars(f).values() if isinstance(value, np.ndarray))
+
+    @pytest.mark.parametrize('cols', [2.0, '2', None])
+    def test_factors_refuse_a_non_integer_column_count(self, cols):
+        with pytest.raises(TypeError):
+            SvdFactors(np.eye(2), [1.0, 0.5], cols)
+        assert SvdFactors(np.eye(2), [1.0, 0.5], np.int64(2)).cols == 2
+
+    @pytest.mark.parametrize('u, cols', [(np.eye(3), 2), (np.eye(2), 3)])
+    def test_factors_refuse_more_singular_values_than_rows_or_columns(self, u, cols):
+        with pytest.raises(ValueError, match=rf'3 singular values for a {u.shape[0]}x{cols} matrix'):
+            SvdFactors(u, [3.0, 2.0, 1.0], cols)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
