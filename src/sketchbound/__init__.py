@@ -36,7 +36,6 @@ from .experiments import (
     SweepRow,
     empirical_error,
     emit,
-    load_rows,
     run_sweep,
     synthetic_matrix,
 )

@@ -7,7 +7,8 @@ Subcommands::
     sketchbound sweep --config sweep.json
     sketchbound empirical --matrix A.mtx --k 5 --p 20 --q 0 --trials 50 --seed 7
 
-Exit codes: 0 on success, 2 on precondition violations, 1 on I/O errors.
+Exit codes: 0 on success, 2 on precondition violations (a malformed request
+or sweep config, or an SVD that does not converge), 1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import experiments
-from .linalg import read_matrix_market, svd, write_matrix_market
+from .linalg import FactorizationError, _write_atomic, read_matrix_market, svd, write_matrix_market
 from .sketching import GaussianSketch, RsvdSketch, rsvd_distribution
 
 # the evaluator's own dispatch tables, bound here under the names that
@@ -36,53 +37,50 @@ def _build_parser():
     gen.add_argument('--seed', type=int, default=0)
     gen.add_argument('--out', required=True)
 
-    bounds = sub.add_parser('bounds', help='evaluate bound variants as a JSON report')
-    src = bounds.add_mutually_exclusive_group(required=True)
+    # the problem and request flags that bounds and empirical share
+    problem = argparse.ArgumentParser(add_help=False)
+    src = problem.add_mutually_exclusive_group(required=True)
     src.add_argument('--matrix', help='Matrix Market file holding A')
     src.add_argument('--synthetic-n', type=int, help='use the synthetic test matrix of this order')
+    problem.add_argument('--k', type=int, required=True)
+    problem.add_argument('--p', type=int, required=True)
+    problem.add_argument('--q', type=int, default=0)
+    problem.add_argument('--out', help='write the JSON report here instead of stdout')
+
+    bounds = sub.add_parser('bounds', parents=[problem], help='evaluate bound variants as a JSON report')
     bounds.add_argument('--seed', type=int, default=0, help='seed for the synthetic matrix')
-    bounds.add_argument('--k', type=int, required=True)
-    bounds.add_argument('--p', type=int, required=True)
-    bounds.add_argument('--q', type=int, default=0)
     bounds.add_argument('--variant',
                         help='comma-separated list among: ' + ', '.join(experiments.VARIANTS))
     bounds.add_argument('--mean', help='Matrix Market file with the sketch mean (thm variants)')
     bounds.add_argument('--cov', help='Matrix Market file with the sketch covariance (thm variants)')
-    bounds.add_argument('--out', help='write the JSON report here instead of stdout')
 
     sweep = sub.add_parser('sweep', help='run a sweep described by a JSON config file')
     sweep.add_argument('--config', required=True)
 
-    emp = sub.add_parser('empirical', help='Monte Carlo residual statistics as JSON')
-    src = emp.add_mutually_exclusive_group(required=True)
-    src.add_argument('--matrix')
-    src.add_argument('--synthetic-n', type=int)
-    emp.add_argument('--k', type=int, required=True)
-    emp.add_argument('--p', type=int, required=True)
-    emp.add_argument('--q', type=int, default=0)
+    emp = sub.add_parser('empirical', parents=[problem], help='Monte Carlo residual statistics as JSON')
     emp.add_argument('--trials', type=int, default=100)
     emp.add_argument('--seed', type=int, default=0,
                      help='seed of the trial streams, keyed as a sweep keys them; a --synthetic-n problem '
                           'draws nothing, so mean and std are those of the sweep row (k, p, q) of this seed')
     emp.add_argument('--norm', choices=experiments.NORMS, default='frobenius')
     emp.add_argument('--metric', choices=experiments.METRICS, default='general')
-    emp.add_argument('--out')
     return parser
 
 
-def _load_problem(args, left_basis=False):
-    """SVD factors of the requested matrix, read by every bound and trial alone."""
+def _load_problem(args, seed=None):
+    """SVD factors of the requested matrix, read by every bound and trial alone;
+    the synthetic problem of no seed is ``diag(sigma)``."""
     if args.matrix is not None:
         return svd(read_matrix_market(args.matrix))
-    return experiments.synthetic_matrix(args.synthetic_n, args.seed, left_basis=left_basis)[1]
+    return experiments.synthetic_matrix(args.synthetic_n, seed)[1]
 
 
 def _write_json(report, out):
-    payload = json.dumps(report, indent=2)
+    payload = json.dumps(report, indent=2) + '\n'
     if out:
-        experiments._write_atomic(out, payload + '\n')
+        _write_atomic(out, lambda handle: handle.write(payload.encode()))
     else:
-        print(payload)
+        print(payload, end='')
 
 
 def _cmd_gen_matrix(args):
@@ -93,13 +91,10 @@ def _cmd_gen_matrix(args):
 
 
 def _cmd_bounds(args):
-    factors = _load_problem(args)
+    factors = _load_problem(args, args.seed)
     variants = list(experiments.VARIANTS)
     if args.variant is not None:
         variants = [v.strip() for v in args.variant.split(',') if v.strip()]
-        unknown = set(variants) - set(experiments.VARIANTS)
-        if unknown:
-            raise ValueError(f'unknown variants: {sorted(unknown)}')
     if (args.mean is None) != (args.cov is None):
         raise ValueError('--mean and --cov must be given together')
     sketch = None
@@ -131,7 +126,7 @@ def _cmd_sweep(args):
 def _cmd_empirical(args):
     # the residuals' law depends on A only through sigma, so a synthetic
     # problem is diag(sigma); bounds keep the real U
-    factors = _load_problem(args, left_basis=True)
+    factors = _load_problem(args)
     stats = experiments.empirical_error(
         factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,
         norm=args.norm, metric=args.metric, seed=args.seed,
@@ -163,7 +158,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f'sketchbound: I/O error: {exc}', file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, FactorizationError) as exc:
         print(f'sketchbound: {exc}', file=sys.stderr)
         return 2
 

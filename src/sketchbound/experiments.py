@@ -10,7 +10,8 @@ Randomized-SVD trials are drawn in that basis from the start:
 ``U^T (A A^T)^q A G = Sigma^(2q+1) V^T G``, and ``V^T G`` is standard
 Gaussian for any fixed ``V`` with orthonormal columns, so every trial draws
 ``Sigma^(2q+1) G`` from one ``diag(sigma)`` and reads no ``U``, ``V`` or ``A``.
-A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``.
+A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``: the
+unseeded :func:`synthetic_matrix`.
 
 Every Monte Carlo trial, of a sweep or of :func:`empirical_error`, is keyed
 by ``(q, p, t)``: trial ``t`` of the sketches with ``q`` power passes and
@@ -39,6 +40,9 @@ The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
 ``sketchbound bounds`` command, which passes it a sketch to project; a sweep
 passes none, so its theorem variants project the RSVD sketch from the spectrum.
+
+:func:`emit` writes through :func:`linalg._write_atomic`, the package's one
+file writer; its CSV and JSON files read back with ``csv`` and ``json``.
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import operator
 import os
 import threading
-import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +66,7 @@ import scipy.sparse.linalg
 
 from . import expectation, rsvd
 from .deterministic import _check_head_rank, _operator_norms
-from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors
+from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _write_atomic
 from .sketching import (
     GaussianSketch,
     RsvdSketch,
@@ -79,7 +83,6 @@ __all__ = [
     'empirical_error',
     'emit',
     'evaluate_bounds',
-    'load_rows',
     'run_sweep',
     'synthetic_matrix',
 ]
@@ -149,22 +152,22 @@ def _haar_orthogonal(n, stream):
     return q * signs
 
 
-def synthetic_matrix(n, seed, *, left_basis=False):
-    """Square test matrix with ten unit singular values and a ``j^(-1/2)`` tail.
+def synthetic_matrix(n, seed=None):
+    """Square test matrix with ten unit singular values and a ``j^(-1/2)`` tail,
+    returned with its factors ``SvdFactors(U, sigma, n)``, which keep no ``V``.
 
-    The singular vector factors are drawn Haar-uniformly, ``U`` from stream
-    index 0 and ``V`` from index 1; the matrix, built at one BLAS thread since
-    the Haar QR's last bits depend on the thread count, is returned with
-    ``SvdFactors(U, sigma, n)``, which keeps no ``V``.  With ``left_basis`` the
-    problem is built in both singular bases: ``U = V = I``, the matrix is
-    ``diag(sigma)`` and the seed is unused, since a trial reads ``A`` only
-    through ``Sigma V^T G`` and ``V^T G`` is standard Gaussian for any fixed
-    orthogonal ``V``: a Haar ``V`` cannot change the law of any residual.
+    With no seed the problem is built in both singular bases: ``U = V = I``
+    and the matrix is ``diag(sigma)``, since a trial reads ``A`` only through
+    ``Sigma V^T G`` and ``V^T G`` is standard Gaussian for any fixed orthogonal
+    ``V``: a Haar ``V`` cannot change the law of any residual.  With a seed the
+    singular vector factors are drawn Haar-uniformly, ``U`` from stream index 0
+    and ``V`` from index 1, and the matrix is built at one BLAS thread, since
+    the Haar QR's last bits depend on the thread count.
     """
     if n < 11:
         raise ValueError('need n >= 11 for the synthetic spectrum')
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
-    if left_basis:
+    if seed is None:
         return np.diag(sigma), SvdFactors(np.eye(n), sigma, n)
     with _one_blas_thread():
         v = _haar_orthogonal(n, SeededStream(seed, 1))
@@ -341,7 +344,9 @@ def _check_trial_keys(seed, trials, p, qs):
     """Raise ``ValueError`` unless ``seed``, ``trials``, the widest sketch's
     ``p`` and each q of ``qs`` are integers that key :func:`_trial_stream`
     injectively, with the seed in ``[0, 2**64)``."""
-    try:  # numpy integers pass, floats do not
+    try:  # numpy integers pass, floats and booleans do not
+        if any(isinstance(key, bool) for key in (seed, trials, p, *qs)):
+            raise TypeError('a boolean is not an integer key')
         seed, trials, p, *qs = map(operator.index, (seed, trials, p, *qs))
     except TypeError as error:
         raise ValueError(f'seed, trials, p and q must be integers: {error}') from None
@@ -408,8 +413,15 @@ HMT_VARIANTS = {
 VARIANTS = tuple(RSVD_VARIANTS) + tuple(THEOREM_VARIANTS) + tuple(HMT_VARIANTS)
 
 
+def _check_variants(variants):
+    unknown = [name for name in variants if name not in VARIANTS]
+    if unknown:
+        raise ValueError(f'unknown bound variants: {unknown}')
+
+
 def evaluate_bounds(variants, factors, k, p, q, sketch=None):
-    """Report of each named variant, ``{name: {'bound': ..., constants...}}``.
+    """Report of each named variant, ``{name: {'bound': ..., constants...}}``;
+    a name outside :data:`VARIANTS` raises ``ValueError`` before any is evaluated.
 
     The closed forms and the HMT baselines depend on ``factors.sigma`` only.
     The theorem variants evaluate ``sketch``, a :class:`GaussianSketch`
@@ -417,6 +429,7 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     for all of them; by default ``rsvd_distribution(factors, q, p)``, whose
     covariance ``U diag(lam) U^T`` projects onto ``diag(lam)`` with no n x n matrix.
     """
+    _check_variants(variants)
     reports = {}
     profile = projection = None
     for name in variants:
@@ -459,7 +472,21 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list', 'bound_variants'):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f'{name} must be a list, got {getattr(self, name)!r}')
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for v in (self.n, *self.k_list, *self.oversampling_list, *self.q_list)):
+            raise ValueError('n and the entries of k_list, oversampling_list and q_list must be integers')
+        if self.metric not in METRICS:
+            raise ValueError(f'metric must be one of {METRICS}')
+        if any(norm not in NORMS for norm in self.norm_list):
+            raise ValueError(f'norms must be among {NORMS}')
+        _check_variants(self.bound_variants)
+        if self.output_format not in ('csv', 'json'):
+            raise ValueError("output_format must be 'csv' or 'json'")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ValueError(f'output_path must be a string or null, got {self.output_path!r}')
         for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list'):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f'{name} has duplicate entries')
@@ -467,24 +494,20 @@ class SweepConfig:
             raise ValueError('k must be positive')
         _check_trial_keys(self.seed, self.trials,
                           max(self.k_list, default=0) + max(self.oversampling_list, default=0), self.q_list)
-        if self.metric not in METRICS:
-            raise ValueError(f'metric must be one of {METRICS}')
-        if any(norm not in NORMS for norm in self.norm_list):
-            raise ValueError(f'norms must be among {NORMS}')
-        unknown = set(self.bound_variants) - set(VARIANTS)
-        if unknown:
-            raise ValueError(f'unknown bound variants: {sorted(unknown)}')
-        if self.output_format not in ('csv', 'json'):
-            raise ValueError("output_format must be 'csv' or 'json'")
 
     @classmethod
     def from_json(cls, path):
         with open(path) as handle:
             data = json.load(handle)
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
+        if not isinstance(data, dict):
+            raise ValueError(f'a sweep config must be a JSON object, got {type(data).__name__}')
+        fields = dataclasses.fields(cls)
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise ValueError(f'unknown sweep config keys: {sorted(unknown)}')
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f'missing sweep config keys: {missing}')
         return cls(**data)
 
 
@@ -594,7 +617,7 @@ def run_sweep(config: SweepConfig):
         # the bounds read sigma alone and the residuals' law A only through sigma,
         # so the problem is diag(sigma): its factors serve the theorem variants,
         # and its spectrum the trials
-        factors = synthetic_matrix(config.n, config.seed, left_basis=True)[1]
+        factors = synthetic_matrix(config.n)[1]
         grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
                                  sorted(config.oversampling_list))
         cells, bounds = [], []
@@ -632,11 +655,11 @@ def _row_cells(row, variant_names):
 
 
 def emit(rows, output_format='csv', path='sweep.csv'):
-    """Write sweep rows to CSV or JSON, atomically.
+    """Write sweep rows to CSV or JSON, atomically, one line at a time.
 
-    Floats carry 17 significant digits, so parsing the file back reproduces
-    the rows bit for bit.  A cell whose every trial was excluded, so whose
-    mean is NaN, is refused before anything is written.
+    Floats carry 17 significant digits, so parsing the file back with ``csv``
+    or ``json`` reproduces the rows bit for bit.  A cell whose every trial was
+    excluded, so whose mean is NaN, is refused before anything is written.
     """
     if not rows:
         raise ValueError('no rows to emit')
@@ -647,48 +670,10 @@ def emit(rows, output_format='csv', path='sweep.csv'):
     if any(list(r.bounds) != variant_names for r in rows):
         raise ValueError('all rows must carry the same bound variants')
     if output_format == 'csv':
-        lines = [','.join(list(_BASE_COLUMNS) + variant_names)]
-        lines.extend(','.join(_row_cells(row, variant_names)) for row in rows)
-        payload = '\n'.join(lines) + '\n'
+        lines = itertools.chain([','.join(list(_BASE_COLUMNS) + variant_names)],
+                                (','.join(_row_cells(row, variant_names)) for row in rows))
     elif output_format == 'json':
-        payload = json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + '\n'
+        lines = [json.dumps([dataclasses.asdict(row) for row in rows], indent=2)]
     else:
         raise ValueError("output_format must be 'csv' or 'json'")
-    _write_atomic(path, payload)
-
-
-def _write_atomic(path, payload):
-    """Write ``payload`` to ``path`` through a temporary file in its directory, made
-    as ``open`` makes files, and ``os.replace``: a failed write leaves ``path`` intact."""
-    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f'.emit-{uuid.uuid4().hex}')
-    try:
-        with open(tmp_path, 'x') as handle:
-            handle.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def load_rows(path, output_format='csv'):
-    """Parse a file produced by :func:`emit` back into sweep rows."""
-    if output_format == 'json':
-        with open(path) as handle:
-            data = json.load(handle)
-        return [SweepRow(**row) for row in data]
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    header = lines[0].split(',')
-    variant_names = header[len(_BASE_COLUMNS):]
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(',')
-        base = dict(zip(_BASE_COLUMNS, cells))
-        rows.append(SweepRow(
-            k=int(base['k']), p=int(base['p']), oversampling=int(base['oversampling']),
-            q=int(base['q']), norm=base['norm'], metric=base['metric'],
-            empirical_mean=float(base['empirical_mean']), empirical_std=float(base['empirical_std']),
-            bounds={name: float(value) for name, value in zip(variant_names, cells[len(_BASE_COLUMNS):])},
-        ))
-    return rows
+    _write_atomic(path, lambda handle: handle.writelines(f'{line}\n'.encode() for line in lines))

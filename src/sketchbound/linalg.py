@@ -1,13 +1,16 @@
-"""Dense linear-algebra kernels: factorizations, norms, and PSD-ordering checks.
+"""Dense linear-algebra kernels: factorizations, norms, and PSD-ordering checks,
+plus Matrix Market I/O and the package's one file writer, :func:`_write_atomic`.
 
-Everything here is a pure function of its inputs and safe to call from any
+Every kernel is a pure function of its inputs and safe to call from any
 number of threads.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import pathlib
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,18 +90,22 @@ class SvdFactors:
     ``V`` is not kept, only ``cols``, the column count of ``A``: bounds and trials
     read ``A`` through ``U^T Z`` or ``Sigma V^T G``, and ``V^T G`` is standard
     Gaussian.  ``u`` is thin or square; the complement needed by the tail accessors
-    is appended lazily and cached.  ``sigma`` and ``cols`` are checked once, here.
+    is appended lazily and cached.  ``u``, ``sigma`` and ``cols`` are checked once,
+    here: ``u`` is 2-D with a column for every singular value.
     """
 
     def __init__(self, u, sigma, cols):
         self._u = np.asarray(u, dtype=float)
         self.sigma = np.asarray(sigma, dtype=float)
         self.cols = operator.index(cols)
-        self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
         if not np.all(np.isfinite(self.sigma)) or np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
             raise ValueError('singular values must be finite, non-negative and sorted descending')
         if self.sigma.size > min(self.rows, self.cols):
             raise ValueError(f'{self.sigma.size} singular values for a {self.rows}x{self.cols} matrix')
+        if self._u.ndim != 2 or self._u.shape[1] < self.sigma.size:
+            raise ValueError(f'U must be 2-D with a column per singular value, got shape {self._u.shape} '
+                             f'for {self.sigma.size} singular values')
+        self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
 
     @property
     def rows(self):
@@ -248,14 +255,26 @@ def canonical_angle_sines(q1, q2):
     return np.sort(sines)[::-1]
 
 
+def _write_atomic(path, write):
+    """Create or replace the file ``path``: ``write`` streams its bytes into a
+    binary temporary file in the same directory, made as ``open`` makes files,
+    which ``os.replace`` then moves onto ``path``.  A write that fails partway
+    leaves an earlier ``path`` as it was and no temporary file behind."""
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f'.tmp-{uuid.uuid4().hex}')
+    try:
+        with open(tmp_path, 'xb') as handle:
+            write(handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def write_matrix_market(path, m):
-    """Write a dense matrix in Matrix Market array format."""
+    """Write a dense matrix in Matrix Market array format to ``path`` as given, atomically."""
     m = _as_matrix(m)
-    scipy.io.mmwrite(str(path), m)
-    # mmwrite appends .mtx only when the suffix is missing; keep paths literal
-    p = pathlib.Path(path)
-    if p.suffix != '.mtx' and not p.exists() and p.with_name(p.name + '.mtx').exists():
-        p.with_name(p.name + '.mtx').rename(p)
+    _write_atomic(path, lambda handle: scipy.io.mmwrite(handle, m))
 
 
 def read_matrix_market(path):

@@ -3,8 +3,9 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.io
 
-from sketchbound import cli, experiments, sketching
+from sketchbound import cli, experiments, linalg, sketching
 from sketchbound.cli import main
 from sketchbound.experiments import VARIANTS, empirical_error, synthetic_matrix
 from sketchbound.linalg import read_matrix_market, write_matrix_market
@@ -34,6 +35,25 @@ class TestGenMatrix:
         expected, _ = synthetic_matrix(20, 3)
         assert np.allclose(a, expected, atol=1e-14)
         assert str(out) in capsys.readouterr().out
+
+    def test_failed_write_leaves_the_earlier_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / 'a'  # no .mtx suffix is appended
+        out.write_text('earlier matrix\n')
+        mmwrite = scipy.io.mmwrite
+
+        def failing(target, m):
+            mmwrite(target, m)
+            raise OSError('disk full')
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.io, 'mmwrite', failing)
+            assert run_cli('gen-matrix', '--n', '20', '--out', str(out)) == 1
+        assert 'disk full' in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ['a']
+        assert out.read_text() == 'earlier matrix\n'
+        assert run_cli('gen-matrix', '--n', '20', '--out', str(out)) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ['a']
+        assert np.array_equal(read_matrix_market(out), synthetic_matrix(20, 0)[0])
 
 
 class TestBounds:
@@ -157,16 +177,63 @@ class TestBounds:
             raise OSError('replace failed')
 
         with monkeypatch.context() as patch:
-            patch.setattr(experiments.os, 'replace', failing)
+            patch.setattr(linalg.os, 'replace', failing)
             assert run_cli(*request) == 1
         assert 'replace failed' in capsys.readouterr().err
         assert out.read_text() == 'previous report\n'
-        assert [path.name for path in tmp_path.iterdir()] == ['report.json']  # no .emit-* left
+        assert [path.name for path in tmp_path.iterdir()] == ['report.json']  # no .tmp-* left
         assert run_cli(*request) == 0
         assert json.loads(out.read_text())['k'] == 2
         plain = tmp_path / 'plain.json'
         plain.write_text('')
         assert out.stat().st_mode == plain.stat().st_mode  # the mode a plain open gives
+
+
+def _sweep_request(document):
+    def request(tmp_path, monkeypatch):
+        path = tmp_path / 'config.json'
+        path.write_text(json.dumps(document))
+        return ('sweep', '--config', str(path))
+    return request
+
+
+def _unconverged_svd_request(tmp_path, monkeypatch):
+    path = tmp_path / 'a.mtx'
+    write_matrix_market(path, np.eye(12))
+
+    def unconverged(*args, **kwargs):
+        raise np.linalg.LinAlgError('SVD did not converge')
+
+    monkeypatch.setattr(np.linalg, 'svd', unconverged)
+    return ('bounds', '--matrix', str(path), '--k', '2', '--p', '6')
+
+
+SWEEP = {'n': 30, 'k_list': [3], 'oversampling_list': [3], 'trials': 2}
+
+
+@pytest.mark.parametrize('make_request, message', [
+    (_sweep_request([SWEEP]), 'a sweep config must be a JSON object, got list'),
+    (_sweep_request({'k_list': [3], 'oversampling_list': [3]}), "missing sweep config keys: ['n']"),
+    (_sweep_request({**SWEEP, 'k_list': 5}), 'k_list must be a list, got 5'),
+    (_sweep_request({**SWEEP, 'n': 'abc'}), 'n and the entries of k_list, oversampling_list and q_list must be'),
+    (_sweep_request({**SWEEP, 'n': 40.5}), 'n and the entries of k_list, oversampling_list and q_list must be'),
+    (_sweep_request({**SWEEP, 'q_list': [True]}), 'n and the entries of k_list, oversampling_list and q_list must'),
+    (_sweep_request({**SWEEP, 'trials': True}), 'seed, trials, p and q must be integers'),
+    (_sweep_request({**SWEEP, 'output_path': 5}), 'output_path must be a string or null, got 5'),
+    (_sweep_request({**SWEEP, 'norm_list': 'spectral'}), "norm_list must be a list, got 'spectral'"),
+    (_sweep_request({**SWEEP, 'bound_variants': 'thm3'}), "bound_variants must be a list, got 'thm3'"),
+    (_unconverged_svd_request, 'SVD did not converge on a (12, 12) input'),
+], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
+        'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged'])
+def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_request, message):
+    monkeypatch.chdir(tmp_path)  # a sweep with no output_path writes to the working directory
+    argv = make_request(tmp_path, monkeypatch)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == '' and 'Traceback' not in captured.err
+    assert f'sketchbound: {message}' in captured.err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
 def matrix_alive_at(monkeypatch, matrix_path, name):
@@ -310,7 +377,7 @@ class TestEmpirical:
 
     @pytest.mark.parametrize('norm', ('spectral', 'frobenius'))
     def test_synthetic_problem_draws_nothing(self, monkeypatch, capsys, norm):
-        _, factors = synthetic_matrix(40, 4, left_basis=True)
+        _, factors = synthetic_matrix(40)
         stats = empirical_error(factors, RsvdSketch(q=1, p=9), 3, 6, norm=norm, seed=4)
         streams = []
         gaussian = sketching.standard_gaussian

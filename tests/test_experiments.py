@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import functools
 import json
@@ -24,7 +25,6 @@ from sketchbound.experiments import (
     SweepRow,
     emit,
     empirical_error,
-    load_rows,
     run_sweep,
     synthetic_matrix,
 )
@@ -107,13 +107,13 @@ class TestSyntheticMatrix:
 
     def test_left_basis_problem_is_the_diagonal_spectrum(self):
         _, f = synthetic_matrix(40, seed=3)
-        matrix, g = synthetic_matrix(40, seed=3, left_basis=True)
+        matrix, g = synthetic_matrix(40)
         assert np.array_equal(matrix, np.diag(f.sigma))
         assert np.array_equal(np.signbit(matrix), np.zeros((40, 40), dtype=bool))
         assert np.array_equal(g.sigma, f.sigma)
         assert np.array_equal(g.left(), np.eye(40)) and g.cols == 40
         # no stream enters the problem
-        assert np.array_equal(synthetic_matrix(40, seed=4, left_basis=True)[0], matrix)
+        assert np.array_equal(synthetic_matrix(40)[0], matrix)
 
 
 class TestDiagonalProblemLaw:
@@ -333,7 +333,7 @@ class TestEmpiricalError:
     @pytest.mark.parametrize('q', (0, 1, 2))
     def test_equals_the_sweep_row_of_its_cell(self, q):
         config = small_config(n=120, k_list=(3, 8), oversampling_list=(2, 9), q_list=(q,), trials=5, seed=11)
-        _, f = synthetic_matrix(config.n, config.seed, left_basis=True)
+        _, f = synthetic_matrix(config.n)
         for metric in experiments.METRICS:
             rows = run_sweep(dataclasses.replace(config, metric=metric))
             assert len(rows) == 2 * 2 * 2
@@ -366,9 +366,11 @@ class TestEmpiricalError:
         (4, 0, 2**24, 0, dict(oversampling_list=(2**24 - 3,))),
         (2.0, 0, 5, 0, dict(trials=2.0)),
         (4, 0, 5, 1.5, dict(seed=1.5)),
+        (True, 0, 5, 0, dict(trials=True)),
+        (4, 0, 5, True, dict(seed=True)),
     ])
     def test_rejects_keys_outside_the_trial_fields(self, monkeypatch, trials, q, p, seed, grid):
-        _, f = synthetic_matrix(20, seed=20, left_basis=True)
+        _, f = synthetic_matrix(20)
 
         def refused(*args, **kwargs):
             raise AssertionError('trials ran')
@@ -778,7 +780,7 @@ class TestRunSweep:
         assert len(set(fields.values())) == len(fields)
 
     def test_ks_sharing_a_sketch_get_identical_full_residuals(self):
-        _, factors = synthetic_matrix(60, 21, left_basis=True)
+        _, factors = synthetic_matrix(60)
         norms = ('spectral', 'frobenius')
         results = experiments._sweep_trials(factors.sigma, [(3, 1, 9), (5, 1, 9), (3, 1, 12)], 4, norms, 21)
         (shared_a, excluded_a), (shared_b, excluded_b), (other, _) = results
@@ -828,6 +830,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match='master_seed must be in'):
             small_config(seed=seed)
         small_config(seed=2**64 - 1)
+
+    def test_unknown_variants_are_refused_as_the_config_refuses_them(self):
+        with pytest.raises(ValueError) as config_error:
+            small_config(bound_variants=('cor_frobenius', 'bogus'))
+        with pytest.raises(ValueError) as bounds_error:
+            experiments.evaluate_bounds(['cor_frobenius', 'bogus'], synthetic_matrix(20)[1], 2, 6, 0)
+        assert str(bounds_error.value) == str(config_error.value) == "unknown bound variants: ['bogus']"
 
     def test_from_json(self, tmp_path):
         path = tmp_path / 'config.json'
@@ -911,15 +920,17 @@ class TestEmit:
         rows = run_sweep(small_config())
         path = tmp_path / 'sweep.csv'
         emit(rows, 'csv', path)
-        loaded = load_rows(path, 'csv')
-        assert loaded == rows
+        with open(path, newline='') as handle:
+            header, *lines = csv.reader(handle)
+        parsed = [SweepRow(*map(int, line[:4]), *line[4:6], *map(float, line[6:8]),
+                           bounds=dict(zip(header[8:], map(float, line[8:])))) for line in lines]
+        assert parsed == rows
 
     def test_json_round_trip(self, tmp_path):
         rows = run_sweep(small_config(trials=2))
         path = tmp_path / 'sweep.json'
         emit(rows, 'json', path)
-        loaded = load_rows(path, 'json')
-        assert loaded == rows
+        assert [SweepRow(**row) for row in json.loads(path.read_text())] == rows
 
     def test_header_layout(self, tmp_path):
         rows = run_sweep(small_config(trials=1, oversampling_list=(4,), q_list=(0,)))

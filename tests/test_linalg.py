@@ -100,6 +100,14 @@ class TestSvd:
         with pytest.raises(ValueError, match=rf'3 singular values for a {u.shape[0]}x{cols} matrix'):
             SvdFactors(u, [3.0, 2.0, 1.0], cols)
 
+    @pytest.mark.parametrize('u', [np.eye(5)[:, :2], np.ones(5)])
+    def test_factors_refuse_a_left_factor_narrower_than_the_spectrum(self, u):
+        with pytest.raises(ValueError, match='U must be 2-D with a column per singular value'):
+            SvdFactors(u, [3.0, 2.0, 1.0], 5)
+        # square and thin factors pass, as criterion 9's 26x26 U with 18 singular values does
+        assert SvdFactors(np.eye(5)[:, :3], [3.0, 2.0, 1.0], 5).left_head(3).shape == (5, 3)
+        assert SvdFactors(np.eye(26), np.linspace(18.0, 1.0, 18), 20).left_tail(18).shape == (26, 8)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
