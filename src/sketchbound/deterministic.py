@@ -44,11 +44,14 @@ __all__ = [
 
 
 def phi(x):
-    """The tangent-to-sine map ``x -> x / sqrt(1 + x^2)`` for x >= 0."""
+    """The tangent-to-sine map ``x -> x / sqrt(1 + x^2)`` for x >= 0; 1.0
+    where ``x^2`` overflows (x above about 1.34e154, and x = inf)."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError('phi is defined for non-negative arguments')
-    out = x / np.sqrt(1.0 + x * x)
+    with np.errstate(over='ignore', invalid='ignore'):
+        sq = x * x
+        out = np.where(np.isinf(sq), 1.0, x / np.sqrt(1.0 + sq))
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,7 +9,9 @@ no dense projector is ever formed.  One rule gives every residual,
 Randomized-SVD trials are drawn in that basis from the start:
 ``U^T (A A^T)^q A G = Sigma^(2q+1) V^T G``, and ``V^T G`` is standard
 Gaussian for any fixed ``V`` with orthonormal columns, so every trial draws
-``Sigma^(2q+1) G`` from one ``diag(sigma)`` and reads no ``U``, ``V`` or ``A``.
+``Sigma^(2q+1) G`` through one sparse ``diag(sigma)`` and reads no ``U``, ``V``
+or ``A``.  Each of its ``2q + 1`` products is one rounded multiply per entry,
+the bits a dense ``np.diag(sigma)`` product gives, at O(np) cost and memory.
 A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``: the
 unseeded :func:`synthetic_matrix`.
 
@@ -29,9 +31,10 @@ threads of the first call that reads them).  Without a thread setter
 (another BLAS, or no ``/proc``) they run serially at the caller's BLAS
 threads.  The dense synthetic matrix is built at one BLAS thread too.
 
-Serial trials cost a large dense input the BLAS threads' speed-up: on 2
-cores, 50 :func:`empirical_error` trials on the n=2000 synthetic matrix took
-1.56x as long as at two BLAS threads.  Spreading the trials of the
+Serial trials at one BLAS thread cost no speed-up: on 2 cores, 50
+:func:`empirical_error` trials (k=5, p=20) on the n=2000 synthetic spectrum
+took 0.80x (q=0) and 0.87x (q=2) as long as at two BLAS threads, medians of
+five alternating pairs.  Spreading the trials of the
 benchmark's 500x400 ``empirical_small`` over two threads cut p90 latency by
 10% but raised peak RSS by 11%: single-matrix ``eigvalsh`` and
 ``svd(compute_uv=False)`` hold numpy's interpreter lock.
@@ -261,9 +264,10 @@ def _residual_norms(q, b, sigma, k, norms):
 
 def _rsvd_draw(trial_matrix, sketch, stream):
     """:func:`_collect_residuals`' draw of an :class:`RsvdSketch`: ``Sigma^(2q+1) G``
-    from ``stream(t)`` and the shared ``trial_matrix``, ``diag(sigma)``; it has no mean."""
+    from ``stream(t)`` and the shared ``trial_matrix``, the sparse ``diag(sigma)``
+    (a dense one gives the same bits); it has no mean."""
     def draw(t):
-        w = sketch.draw(trial_matrix, stream(t), check_finite=False)
+        w = sketch.draw(trial_matrix, stream(t))
         return w, w
     return draw
 
@@ -367,7 +371,7 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     ``sketch`` is either a :class:`GaussianSketch` (drawn via its moments) or
     an :class:`RsvdSketch` (``(A A^T)^q A G``, whose rotation
     ``Sigma^(2q+1) V^T G`` has the law of ``Sigma^(2q+1) G``: each trial draws
-    that from one ``diag(sigma)``, built per call).  Trial ``t`` reads
+    that through one sparse ``diag(sigma)``, built per call).  Trial ``t`` reads
     ``_trial_stream(seed, q, p, t)``, as in a sweep (``q = 0`` for a
     :class:`GaussianSketch` of ``p`` columns); the trials run serially at one
     BLAS thread, so concurrent calls, and sweeps, take turns.
@@ -382,7 +386,7 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     stream = functools.partial(_trial_stream, seed, q, p)
     with _one_blas_thread():
         draw = (_gaussian_draw(factors, sketch, stream) if gaussian
-                else _rsvd_draw(np.diag(factors.sigma), sketch, stream))
+                else _rsvd_draw(scipy.sparse.diags_array(factors.sigma), sketch, stream))
         residuals, excluded = _collect_residuals(factors.sigma, draw, (k,), trials, (norm,))[k]
     if excluded:
         logger.warning('%d of %d trials excluded by the head rank check', excluded, trials)
@@ -487,6 +491,8 @@ class SweepConfig:
             raise ValueError("output_format must be 'csv' or 'json'")
         if not isinstance(self.output_path, (str, type(None))):
             raise ValueError(f'output_path must be a string or null, got {self.output_path!r}')
+        if self.output_path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.output_path))):
+            raise ValueError(f'output_path {self.output_path!r} is in a directory that does not exist')
         for name in ('k_list', 'oversampling_list', 'q_list', 'norm_list'):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f'{name} has duplicate entries')
@@ -578,16 +584,16 @@ def _sweep_trials(sigma, cells, trials, norms, seed):
     """``(residuals, excluded)`` of each ``(k, q, p)`` of ``cells`` on ``sigma``, in order.
 
     The cells that share ``(q, p)`` are one unit of work: trial ``t`` draws
-    one sketch from ``_trial_stream(seed, q, p, t)`` and one ``diag(sigma)``,
-    shared by all units, and :func:`_collect_residuals` evaluates each of their
-    ks on it.  The units run on one thread per CPU at one BLAS thread
+    one sketch from ``_trial_stream(seed, q, p, t)`` and one sparse
+    ``diag(sigma)``, shared by all units, and :func:`_collect_residuals`
+    evaluates each of their ks on it.  The units run on one thread per CPU at one BLAS thread
     (serially, at the caller's BLAS threads, where no thread setter is found).
     """
     groups = {}
     for k, q, p in cells:
         groups.setdefault((q, p), []).append(k)
     units = list(groups.items())
-    trial_matrix = np.diag(sigma)
+    trial_matrix = scipy.sparse.diags_array(sigma)
 
     def group_trials(i):
         (q, p), ks = units[i]

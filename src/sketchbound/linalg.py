@@ -67,11 +67,11 @@ class NotPositiveSemidefiniteError(ValueError):
         self.offending_eigenvalue = offending_eigenvalue
 
 
-def _as_matrix(a, name='matrix', check_finite=True):
+def _as_matrix(a, name='matrix'):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f'{name} must be 2-D with at least one row and column, got shape {a.shape}')
-    if check_finite and not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise ValueError(f'{name} contains non-finite entries')
     return a
 
@@ -259,15 +259,18 @@ def _write_atomic(path, write):
     """Create or replace the file ``path``: ``write`` streams its bytes into a
     binary temporary file in the same directory, made as ``open`` makes files,
     which ``os.replace`` then moves onto ``path``.  A write that fails partway
-    leaves an earlier ``path`` as it was and no temporary file behind."""
+    leaves an earlier ``path`` as it was and no temporary file behind; an
+    ``OSError`` it raises names ``path``, not the temporary file."""
     tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f'.tmp-{uuid.uuid4().hex}')
     try:
         with open(tmp_path, 'xb') as handle:
             write(handle)
         os.replace(tmp_path, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -278,10 +281,12 @@ def write_matrix_market(path, m):
 
 
 def read_matrix_market(path):
-    """Read a Matrix Market file into a dense ndarray."""
+    """Read a real Matrix Market file into a dense ndarray; a complex one is refused."""
     if not pathlib.Path(path).is_file():
         raise FileNotFoundError(f'no such Matrix Market file: {path}')
     m = scipy.io.mmread(str(path))
+    if np.iscomplexobj(m):
+        raise ValueError(f'{path} holds a complex matrix; only real ones are supported')
     if scipy.sparse.issparse(m):
         m = m.toarray()
     return _as_matrix(np.asarray(m, dtype=float), str(path))

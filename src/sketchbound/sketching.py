@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.special import ndtri
 
 from .linalg import NotPositiveSemidefiniteError, _as_matrix, _symmetrize
@@ -128,13 +129,20 @@ def sample(sketch: GaussianSketch, stream: SeededStream):
     return sketch.mean + sketch.cov_sqrt @ standard_gaussian(n, p, stream)
 
 
-def rsvd_sketch(a, q, p, stream: SeededStream, *, check_finite=True):
+def rsvd_sketch(a, q, p, stream: SeededStream):
     """Randomized-SVD sketch ``Z = (A A^T)^q A G`` with G standard Gaussian.
 
-    ``check_finite=False`` skips the scan of ``A`` for non-finite entries; a
-    caller drawing many sketches from one matrix checks it once instead.
+    ``A`` is dense or a ``scipy.sparse`` array; only its check differs by type
+    (a sparse ``A`` must be 2-D with finite stored entries), and both run the
+    same ``2q + 1`` products.
     """
-    a = _as_matrix(a, 'A', check_finite)
+    if scipy.sparse.issparse(a):
+        if a.ndim != 2 or min(a.shape) < 1:
+            raise ValueError(f'A must be 2-D with at least one row and column, got shape {a.shape}')
+        if not np.all(np.isfinite(a.data)):
+            raise ValueError('A contains non-finite entries')
+    else:
+        a = _as_matrix(a, 'A')
     if q < 0:
         raise ValueError('q must be non-negative')
     z = a @ standard_gaussian(a.shape[1], p, stream)
@@ -169,6 +177,6 @@ class RsvdSketch:
         if self.q < 0 or self.p < 1:
             raise ValueError('need q >= 0 and p >= 1')
 
-    def draw(self, a, stream: SeededStream, *, check_finite=True):
-        return rsvd_sketch(a, self.q, self.p, stream, check_finite=check_finite)
+    def draw(self, a, stream: SeededStream):
+        return rsvd_sketch(a, self.q, self.p, stream)
 

@@ -163,6 +163,12 @@ class TestBounds:
         assert run_cli('bounds', '--synthetic-n', '30', '--k', '5', '--p', '6',
                        '--variant', 'cor_frobenius') == 2
 
+    def test_complex_matrix_file_is_precondition_error(self, tmp_path, capsys):
+        path = tmp_path / 'c.mtx'
+        scipy.io.mmwrite(str(path), np.diag([1 + 5j, 1 + 7j, 1 + 9j]))
+        assert run_cli('bounds', '--matrix', str(path), '--k', '1', '--p', '3', '--variant', 'cor_frobenius') == 2
+        assert 'complex' in capsys.readouterr().err
+
     def test_missing_matrix_file_is_io_error(self, tmp_path):
         assert run_cli('bounds', '--matrix', str(tmp_path / 'none.mtx'),
                        '--k', '2', '--p', '6', '--variant', 'cor_frobenius') == 1
@@ -321,6 +327,19 @@ class TestSweep:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli('sweep', '--config', str(tmp_path / 'none.json')) == 1
+
+    def test_missing_output_directory_is_refused_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError('a trial ran')
+
+        monkeypatch.setattr(experiments, '_sweep_trials', refused)
+        out = tmp_path / 'absent' / 'rows.csv'
+        config_path = tmp_path / 'config.json'
+        config_path.write_text(json.dumps({'n': 30, 'k_list': [3], 'oversampling_list': [3],
+                                           'output_path': str(out)}))
+        assert run_cli('sweep', '--config', str(config_path)) == 2
+        assert 'does not exist' in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_every_trial_of_a_cell_excluded_is_precondition_error(self, tmp_path, capsys):
         # k=150 leaves the q=5 sketch's head numerically rank-deficient in every trial

@@ -40,6 +40,15 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(-0.1)
 
+    def test_is_one_where_the_square_overflows(self):
+        assert phi(1e155) == phi(np.inf) == 1.0
+        assert np.array_equal(phi(np.array([0.5, 1e155, np.inf])), [phi(0.5), 1.0, 1.0])
+
+    def test_keeps_its_bits_wherever_the_square_is_finite(self):
+        x = np.concatenate([np.geomspace(1e-300, 1.3e154, 4001), [np.sqrt(np.finfo(float).max)]])
+        assert np.all(np.isfinite(x * x))
+        assert phi(x).tobytes() == (x / np.sqrt(1.0 + x * x)).tobytes()
+
     def test_increasing_and_concave(self):
         x = np.linspace(0.0, 5.0, 200)
         y = phi(x)

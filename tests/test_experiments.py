@@ -8,11 +8,13 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 import sketchbound
@@ -486,6 +488,45 @@ class TestRsvdSketchBinding:
         assert shapes == [(min(shape),) * 2] * 4
 
 
+class TestSparseTrialMatrix:
+    """Trials sketch through a sparse ``diag(sigma)``: every off-diagonal term of
+    a dense diagonal product is an exact zero, so both give the same bits."""
+
+    @staticmethod
+    def _sigma():
+        sigma = np.sort(np.random.default_rng(27).uniform(0.0, 2.0, 60))[::-1]
+        sigma[-7:] = 0.0  # exact zeros, whose products keep their signs either way
+        return sigma
+
+    @pytest.mark.parametrize('q', range(4))
+    def test_sparse_and_dense_diagonals_draw_the_same_bits(self, q):
+        sigma = self._sigma()
+        sparse, dense = scipy.sparse.diags_array(sigma), np.diag(sigma)
+        for p in (3, 17):
+            stream = functools.partial(SeededStream, 28 + q)
+            got = experiments._rsvd_draw(sparse, RsvdSketch(q=q, p=p), stream)
+            want = experiments._rsvd_draw(dense, RsvdSketch(q=q, p=p), stream)
+            for t in range(3):
+                assert got(t)[0].tobytes() == want(t)[0].tobytes()
+            z = rsvd_sketch(sparse, q, p, SeededStream(29, q))
+            assert isinstance(z, np.ndarray)
+            assert z.tobytes() == rsvd_sketch(dense, q, p, SeededStream(29, q)).tobytes()
+
+    def test_one_sweep_cell_allocates_no_n_by_n_array(self):
+        n = 3000
+        # the synthetic spectrum, built without synthetic_matrix's dense diag(sigma)
+        sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
+        tracemalloc.start()
+        try:
+            results = experiments._sweep_trials(sigma, [(5, 0, 15), (5, 2, 15)], 2, ('frobenius',), 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(excluded == 0 for _, excluded in results)
+        # a dense diag(sigma) alone is n * n * 8 bytes, 72 MB
+        assert peak < n * n * 8 / 4, peak
+
+
 @pytest.fixture
 def blas_threads():
     """The process's BLAS thread controls, each set to two threads for the test."""
@@ -599,7 +640,7 @@ class TestRunSweep:
         # one draw per trial of each (q, p) group, here one group per cell
         assert len(matrices) == config.trials * len(rows) // 2
         assert all(a is matrices[0] for a in matrices)
-        assert np.array_equal(matrices[0], np.diag(synthetic_matrix(config.n, config.seed)[1].sigma))
+        assert np.array_equal(matrices[0].toarray(), np.diag(synthetic_matrix(config.n, config.seed)[1].sigma))
 
     def test_worker_count_does_not_change_the_bytes(self, monkeypatch, tmp_path):
         config = small_config(n=60, k_list=(3, 5), oversampling_list=(2, 5, 9), q_list=(0, 1, 2),

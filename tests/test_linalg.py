@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.io
 
 from sketchbound.linalg import (
     RankDeficiencyError,
@@ -272,3 +273,16 @@ class TestMatrixMarket:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_matrix_market(tmp_path / 'absent.mtx')
+
+    def test_complex_file_is_refused(self, tmp_path):
+        path = tmp_path / 'c.mtx'
+        scipy.io.mmwrite(str(path), np.diag([1 + 5j, 1 + 7j]))
+        with pytest.raises(ValueError, match='complex'):
+            read_matrix_market(path)
+
+    def test_failed_write_names_the_target_not_the_temporary_file(self, tmp_path):
+        path = tmp_path / 'absent' / 'm.mtx'
+        with pytest.raises(FileNotFoundError) as info:
+            write_matrix_market(path, np.eye(2))
+        assert info.value.filename == str(path)
+        assert '.tmp-' not in str(info.value)

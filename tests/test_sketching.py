@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from sketchbound.linalg import NotPositiveSemidefiniteError, svd
 from sketchbound.sketching import (
@@ -143,6 +144,20 @@ class TestRsvdSketch:
         g = standard_gaussian(4, 3, stream)
         explicit = a @ a.T @ a @ g
         assert np.max(np.abs(z - explicit)) < 1e-12
+
+    @pytest.mark.parametrize('q', (0, 2))
+    def test_sparse_matrix_matches_its_dense_copy(self, q):
+        a = scipy.sparse.random_array((40, 30), density=0.2, rng=np.random.default_rng(6), format='csr')
+        dense = a.toarray()
+        z = rsvd_sketch(a, q, 5, SeededStream(15))
+        want = rsvd_sketch(dense, q, 5, SeededStream(15))
+        assert np.linalg.norm(z - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_sparse_matrix_with_a_nan_is_refused(self):
+        a = scipy.sparse.random_array((20, 10), density=0.3, rng=np.random.default_rng(7), format='csr')
+        a.data[3] = np.nan
+        with pytest.raises(ValueError, match='non-finite'):
+            rsvd_sketch(a, 0, 3, SeededStream(16))
 
     def test_draw_helper(self):
         a = np.eye(4)
