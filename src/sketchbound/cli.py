@@ -133,8 +133,7 @@ def _cmd_empirical(args):
     )
     if not stats.trials:
         # the mean of no trials is NaN, which JSON cannot carry
-        raise ValueError(f'all {stats.excluded_trials} trials excluded by the head rank check '
-                         f'(rank(A) < k={args.k}?); no report written')
+        raise ValueError(f'all {stats.excluded_trials} trials excluded by the head rank check; no report written')
     _write_json({
         'k': args.k, 'p': args.p, 'q': args.q, 'norm': args.norm, 'metric': args.metric,
         'trials': stats.trials, 'excluded_trials': stats.excluded_trials,

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import rsvd
 from .deterministic import phi
 from .linalg import (
     RANK_TOL,
@@ -203,14 +204,15 @@ def tangent_norm_constants(pc: ProjectedCovariance, n_mat, p) -> TangentMomentCo
         + math.e * math.sqrt(p) / (p - k) * cond_fro * math.sqrt(top_m)
     )
     sampling_frobenius = cond_fro * math.sqrt(trace_m) / math.sqrt(p - k - 1)
-    return TangentMomentConstants(
-        dep_spectral=dep_spectral,
-        dep_frobenius=dep_frobenius,
-        sampling_spectral=sampling_spectral,
-        sampling_frobenius=sampling_frobenius,
-        total_spectral=dep_spectral + sampling_spectral,
-        total_frobenius_sq=dep_frobenius**2 + sampling_frobenius**2,
-    )
+    try:
+        total_frobenius_sq = dep_frobenius**2 + sampling_frobenius**2
+    except OverflowError:
+        total_frobenius_sq = math.inf
+    total_spectral = dep_spectral + sampling_spectral
+    if not math.isfinite(total_spectral + total_frobenius_sq):
+        raise ValueError('the tangent moment constants overflow: the projected covariance is too ill-conditioned')
+    return TangentMomentConstants(dep_spectral, dep_frobenius, sampling_spectral, sampling_frobenius,
+                                  total_spectral, total_frobenius_sq)
 
 
 def mean_shift_term(sketch: GaussianSketch, head_norm, p) -> float:
@@ -244,25 +246,16 @@ class ExpectationBoundReport:
 
 
 def project_sketch(factors: SvdFactors, sketch: GaussianSketch, k, p) -> ProjectedCovariance:
-    """Validate a bound request and project its sketch covariance.
+    """Check a bound request by :func:`rsvd._check_request` and project its sketch covariance.
 
     Every theorem variant of one ``(factors, sketch, k, p)`` request needs the
     same projection, so it can be built once and passed to each of them as
     their optional ``projection``; without it, each variant builds its own.
     """
-    _check_request(factors, sketch, k, p)
-    return project_covariance(sketch.covariance, factors, k)
-
-
-def _check_request(factors, sketch, k, p):
-    # The derivation assumes p <= min(rank(A), rank(C)), but the bounds need only a
-    # nonsingular projected head block (checked by the projection) and stay valid
-    # for rank-deficient tails, so the rank hypotheses are deliberately not enforced.
-    if not 1 <= k <= p - 2:
-        raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
+    rsvd._check_request(factors.sigma, k, p, 0)
     if sketch.shape[1] != p:
         raise ValueError(f'sketch has {sketch.shape[1]} columns, expected p={p}')
-    factors.left_head(k)  # k within the spectrum, as the dense projection checks
+    return project_covariance(sketch.covariance, factors, k)
 
 
 def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:

@@ -374,7 +374,8 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     that through one sparse ``diag(sigma)``, built per call).  Trial ``t`` reads
     ``_trial_stream(seed, q, p, t)``, as in a sweep (``q = 0`` for a
     :class:`GaussianSketch` of ``p`` columns); the trials run serially at one
-    BLAS thread, so concurrent calls, and sweeps, take turns.
+    BLAS thread, so concurrent calls, and sweeps, take turns.  A request that
+    :func:`rsvd._check_request` refuses raises ``ValueError`` before any trial.
     """
     if norm not in NORMS:
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
@@ -383,6 +384,7 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     gaussian = isinstance(sketch, GaussianSketch)
     q, p = (0, sketch.shape[1]) if gaussian else (sketch.q, sketch.p)
     _check_trial_keys(seed, trials, p, (q,))
+    rsvd._check_request(factors.sigma, k, p, q)
     stream = functools.partial(_trial_stream, seed, q, p)
     with _one_blas_thread():
         draw = (_gaussian_draw(factors, sketch, stream) if gaussian
@@ -425,7 +427,8 @@ def _check_variants(variants):
 
 def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     """Report of each named variant, ``{name: {'bound': ..., constants...}}``;
-    a name outside :data:`VARIANTS` raises ``ValueError`` before any is evaluated.
+    a name outside :data:`VARIANTS`, or a request that :func:`rsvd._check_request`
+    refuses, raises ``ValueError`` before any is evaluated.
 
     The closed forms and the HMT baselines depend on ``factors.sigma`` only.
     The theorem variants evaluate ``sketch``, a :class:`GaussianSketch`
@@ -434,6 +437,7 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     covariance ``U diag(lam) U^T`` projects onto ``diag(lam)`` with no n x n matrix.
     """
     _check_variants(variants)
+    rsvd._check_request(factors.sigma, k, p, q)
     reports = {}
     profile = projection = None
     for name in variants:
@@ -443,14 +447,11 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
             result = RSVD_VARIANTS[name](profile)
             reports[name] = {'bound': result.bound, **result.constants}
         elif name in THEOREM_VARIANTS:
-            if sketch is None:  # each variant's first error would be the projection's
+            if sketch is None:
                 sketch = rsvd_distribution(factors, q, p)
-                expectation._check_request(factors, sketch, k, p)
                 projection = expectation.ProjectedCovariance.from_spectrum(sketch._w, k)
             elif projection is None:
-                # a rejected request is left to the variant, which raises its own first error
-                with contextlib.suppress(ValueError):
-                    projection = expectation.project_sketch(factors, sketch, k, p)
+                projection = expectation.project_sketch(factors, sketch, k, p)
             result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
             reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
         else:
@@ -618,6 +619,7 @@ def run_sweep(config: SweepConfig):
     BLAS runs at one thread until the sweep returns or raises (see the module
     docstring), and process-wide: other threads calling it meanwhile get one
     thread too, and sweeps started from several threads run one at a time.
+    A cell that :func:`rsvd._check_request` refuses is skipped with a warning.
     """
     with _one_blas_thread():
         # the bounds read sigma alone and the residuals' law A only through sigma,
@@ -629,7 +631,9 @@ def run_sweep(config: SweepConfig):
         cells, bounds = [], []
         for k, q, rho in grid:
             p = k + rho
-            if k > p - 2 or p > factors.rank():
+            try:
+                rsvd._check_request(factors.sigma, k, p, q)
+            except ValueError:
                 logger.warning('skipping invalid cell k=%d, p=%d, q=%d', k, p, q)
                 continue
             reports = evaluate_bounds(config.bound_variants, factors, k, p, q)

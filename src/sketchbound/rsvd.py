@@ -31,11 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectrumProfile:
-    """Spectrum plus sketch parameters (target rank k, columns p, powers q).
-
-    ``sigma`` must be descending and strictly positive through index ``p``;
-    trailing zeros are allowed and represent an exactly rank-deficient tail.
-    """
+    """Spectrum plus sketch parameters (target rank k, columns p, powers q):
+    ``sigma`` is finite, non-negative and descending, and ``(k, p, q)`` passes
+    :func:`_check_request`; trailing zeros represent a rank-deficient tail."""
 
     sigma: np.ndarray
     k: int
@@ -49,14 +47,7 @@ class SpectrumProfile:
             raise ValueError('sigma must be a finite vector')
         if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
             raise ValueError('sigma must be non-negative and sorted descending')
-        if self.q < 0:
-            raise ValueError('q must be non-negative')
-        if not 1 <= self.k <= self.p - 2:
-            raise ValueError(f'need 1 <= k <= p - 2, got k={self.k}, p={self.p}')
-        if self.p > sigma.size:
-            raise ValueError(f'p={self.p} exceeds the spectrum length {sigma.size}')
-        if sigma[self.k - 1] <= 0:
-            raise ValueError('the head spectrum must be strictly positive')
+        _check_request(sigma, self.k, self.p, self.q)
 
     @classmethod
     def from_spectrum(cls, sigma, k, p, q):
@@ -72,6 +63,28 @@ class SpectrumProfile:
     def positive_tail(self):
         tail = self.sigma[self.k:]
         return tail[tail > 0]
+
+
+def _check_request(sigma, k, p, q):
+    """Raise ``ValueError`` unless ``(k, p, q)`` on the descending spectrum ``sigma``
+    of ``A`` has a bound: the one rule of bounds, empirical errors and sweep cells.
+
+    It asks ``q >= 0``, ``1 <= k <= p - 2`` (the inverse-Wishart moment of HMT 2011,
+    section 10, divides by ``p - k - 1``), ``p <= sigma.size`` and ``sigma_k >
+    PINV_TOL * sigma_1``, i.e. ``rank(A) >= k``.  The derivation also assumes ``p <=
+    min(rank(A), rank(C))``, deliberately not enforced: the bounds need only a
+    nonsingular projected head block (checked by the projection) and stay valid
+    for rank-deficient tails.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if q < 0:
+        raise ValueError('q must be non-negative')
+    if not 1 <= k <= p - 2:
+        raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
+    if p > sigma.size:
+        raise ValueError(f'p={p} exceeds the spectrum length {sigma.size}')
+    if not sigma[k - 1] > PINV_TOL * sigma[0]:
+        raise ValueError(f'need rank(A) >= k={k}: sigma_k={sigma[k - 1]:.3e} is not above {PINV_TOL:g} sigma_1')
 
 
 @dataclass(frozen=True)
@@ -200,24 +213,15 @@ def _tail_norm_sq(sigma, k):
     return float(np.sum(tail**2))
 
 
-def _check_hmt_args(sigma, k, p):
-    sigma = np.asarray(sigma, dtype=float)
-    if not 1 <= k < sigma.size:
-        raise ValueError(f'need 1 <= k < len(sigma), got k={k}')
-    if p < k + 2:
-        raise ValueError(f'need p >= k + 2, got p={p}, k={k}')
-    return sigma
-
-
 def hmt_frobenius(sigma, k, p) -> float:
     """Reference baseline on ``E||(I - pi(Z)) A||_F`` for the plain sketch."""
-    sigma = _check_hmt_args(sigma, k, p)
+    _check_request(sigma, k, p, 0)
     return math.sqrt(1.0 + k / (p - k - 1)) * math.sqrt(_tail_norm_sq(sigma, k))
 
 
 def hmt_spectral(sigma, k, p) -> float:
     """Reference baseline on ``E||(I - pi(Z)) A||_2`` for the plain sketch."""
-    sigma = _check_hmt_args(sigma, k, p)
+    _check_request(sigma, k, p, 0)
     return (1.0 + math.sqrt(k / (p - k - 1))) * float(sigma[k]) + \
         math.e * math.sqrt(p) / (p - k) * math.sqrt(_tail_norm_sq(sigma, k))
 
@@ -227,13 +231,11 @@ def hmt_power(sigma, k, p, q) -> float:
 
     Computed in ratio form so that tiny spectra cannot underflow.
     """
-    sigma = _check_hmt_args(sigma, k, p)
-    if q < 0:
-        raise ValueError('q must be non-negative')
+    _check_request(sigma, k, p, q)
     s_next = float(sigma[k])
     if s_next == 0.0:
         return 0.0
-    tail = sigma[k:]
+    tail = np.asarray(sigma[k:], dtype=float)
     tail = tail[tail > 0]
     ratio_sum = float(np.sum((tail / s_next) ** (2 * (2 * q + 1))))
     c1 = 1.0 + math.sqrt(k / (p - k - 1))

@@ -214,7 +214,21 @@ def _unconverged_svd_request(tmp_path, monkeypatch):
     return ('bounds', '--matrix', str(path), '--k', '2', '--p', '6')
 
 
+def _cli_request(*argv):
+    return lambda tmp_path, monkeypatch: argv
+
+
+def _overflowing_moments_request(tmp_path, monkeypatch):
+    # head and tail covariance eigenvalues 1e-160 and 1e160 overflow the squared tangent constants
+    a, mean, cov = (tmp_path / name for name in ('a.mtx', 'mean.mtx', 'cov.mtx'))
+    write_matrix_market(a, np.diag(np.linspace(2, 1, 12)))
+    write_matrix_market(mean, np.zeros((12, 5)))
+    write_matrix_market(cov, np.diag([1e-160] * 2 + [1e160] * 10))
+    return ('bounds', '--matrix', str(a), '--k', '2', '--p', '5', '--mean', str(mean), '--cov', str(cov))
+
+
 SWEEP = {'n': 30, 'k_list': [3], 'oversampling_list': [3], 'trials': 2}
+EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
 
 
 @pytest.mark.parametrize('make_request, message', [
@@ -229,8 +243,18 @@ SWEEP = {'n': 30, 'k_list': [3], 'oversampling_list': [3], 'trials': 2}
     (_sweep_request({**SWEEP, 'norm_list': 'spectral'}), "norm_list must be a list, got 'spectral'"),
     (_sweep_request({**SWEEP, 'bound_variants': 'thm3'}), "bound_variants must be a list, got 'thm3'"),
     (_unconverged_svd_request, 'SVD did not converge on a (12, 12) input'),
+    (_overflowing_moments_request, 'the tangent moment constants overflow'),
+    (_cli_request(*EMPIRICAL_30, '--k', '0', '--p', '5'), 'need 1 <= k <= p - 2, got k=0, p=5'),
+    (_cli_request(*EMPIRICAL_30, '--k', '-3', '--p', '5'), 'need 1 <= k <= p - 2, got k=-3, p=5'),
+    (_cli_request(*EMPIRICAL_30, '--k', '31', '--p', '35'), 'p=35 exceeds the spectrum length 30'),
+    (_cli_request(*EMPIRICAL_30, '--k', '2', '--p', '3'), 'need 1 <= k <= p - 2, got k=2, p=3'),
+    (_cli_request(*EMPIRICAL_30, '--k', '2', '--p', '40'), 'p=40 exceeds the spectrum length 30'),
+    (_cli_request('bounds', '--synthetic-n', '30', '--k', '2', '--p', '6', '--q', '-1', '--variant', 'hmt_frobenius'),
+     'q must be non-negative'),
 ], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
-        'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged'])
+        'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged', 'constants-overflow',
+        'empirical-k-zero', 'empirical-k-negative', 'empirical-k-above-n', 'empirical-p-below-k-plus-2',
+        'empirical-p-above-n', 'bounds-q-negative'])
 def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_request, message):
     monkeypatch.chdir(tmp_path)  # a sweep with no output_path writes to the working directory
     argv = make_request(tmp_path, monkeypatch)
@@ -240,6 +264,28 @@ def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, ca
     assert captured.out == '' and 'Traceback' not in captured.err
     assert f'sketchbound: {message}' in captured.err
     assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize('k, p, q', [
+    (2, 6, 0), (2, 6, 1), (0, 5, 0), (-3, 5, 0), (31, 35, 0), (2, 3, 0), (2, 40, 0), (2, 6, -1),
+])
+def test_bounds_empirical_and_a_sweep_agree_on_a_request(caplog, capsys, k, p, q):
+    """Every bound variant alone, ``empirical`` and a one-cell sweep all answer
+    the request on the n=30 synthetic problem, or all refuse it: the commands
+    exit 2, and the sweep refuses its config or skips the cell with a warning."""
+    request = ('--synthetic-n', '30', '--k', str(k), '--p', str(p), '--q', str(q))
+    codes = {run_cli('bounds', *request, '--variant', name) for name in VARIANTS}
+    codes.add(run_cli('empirical', *request, '--trials', '2'))
+    try:
+        config = experiments.SweepConfig(n=30, k_list=[k], oversampling_list=[p - k], q_list=[q], trials=2,
+                                         bound_variants=VARIANTS)
+    except ValueError:
+        rows = []
+    else:
+        with caplog.at_level('WARNING', logger='sketchbound.experiments'):
+            rows = experiments.run_sweep(config)
+        assert bool(rows) != (f'skipping invalid cell k={k}, p={p}, q={q}' in caplog.text)
+    assert codes == ({0} if rows else {2})
 
 
 def matrix_alive_at(monkeypatch, matrix_path, name):
@@ -374,6 +420,7 @@ class TestEmpirical:
         assert 'master_seed' in capsys.readouterr().err
 
     def test_every_trial_excluded_is_precondition_error(self, tmp_path, capsys):
+        # k above the rank of A is refused by the request rule before any trial
         rng = np.random.default_rng(0)
         matrix, out = tmp_path / 'rank3.mtx', tmp_path / 'report.json'
         write_matrix_market(matrix, rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10)))
@@ -381,10 +428,19 @@ class TestEmpirical:
         assert run_cli('empirical', *request, '--trials', '3', '--out', str(out)) == 2
         captured = capsys.readouterr()
         assert captured.out == ''
-        assert 'sketchbound: all 3 trials excluded by the head rank check' in captured.err
+        assert 'sketchbound: need rank(A) >= k=5' in captured.err
         assert not out.exists()
-        # the bounds of the same request are refused too
+        # the bounds of the same request are refused by the same rule
         assert run_cli('bounds', *request) == 2
+        assert 'sketchbound: need rank(A) >= k=5' in capsys.readouterr().err
+        # a request the rule accepts, whose q=5 sketch grades the head rows below the
+        # head rank check's relative cutoff, so that every trial is excluded
+        synthetic = ('--synthetic-n', '200', '--k', '150', '--p', '154', '--q', '5', '--trials', '3')
+        assert run_cli('empirical', *synthetic, '--out', str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ''
+        assert 'sketchbound: all 3 trials excluded by the head rank check; no report written' in captured.err
+        assert not out.exists()
 
     def test_deterministic_across_runs(self, capsys):
         args = ('empirical', '--synthetic-n', '25', '--k', '2', '--p', '6',

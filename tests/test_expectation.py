@@ -341,23 +341,23 @@ class TestTheoremBounds:
         for fn in (expected_frobenius_gap_bound, expected_spectral_gap_bound, expected_spectral_tail_bound):
             assert fn(f, sketch, k, p, pc) == fn(f, sketch, k, p)
 
-    def test_shared_projection_keeps_each_variants_first_error(self, monkeypatch):
+    def test_request_errors_come_first_whatever_the_variant_order(self, monkeypatch):
         f = random_factors(87)
         sketch = GaussianSketch.from_moments(np.ones((12, 5)), np.eye(12))
-        with pytest.raises(ValueError, match='zero-mean'):
-            evaluate_bounds(['thm3_squared', 'thm3'], f, 4, 5, 0, sketch)  # k > p - 2 too
-        with pytest.raises(ValueError, match='1 <= k <= p - 2'):
-            evaluate_bounds(['thm3', 'thm3_squared'], f, 4, 5, 0, sketch)
+        for variants in (['thm3_squared', 'thm3'], ['thm3', 'thm3_squared']):
+            with pytest.raises(ValueError, match='1 <= k <= p - 2'):  # not the zero-mean error
+                evaluate_bounds(variants, f, 4, 5, 0, sketch)
         singular = GaussianSketch.from_moments(np.zeros((12, 5)), np.diag([1.0, 0.0] * 6))
         with pytest.raises(RankDeficiencyError):
             evaluate_bounds(['thm4'], SvdFactors(np.eye(12, 9), f.sigma, 9), 2, 5, 0, singular)
-        # without a sketch, the RSVD request raises what its dense route raises,
-        # k outside [1, p - 2] or a head entry sigma_2^6 underflowed to zero,
-        # before any covariance is formed
+        # without a sketch, the RSVD request raises what its dense route raises before
+        # any covariance is formed: k outside [1, p - 2], a head entry sigma_2 = 1e-200
+        # below the rule's rank cutoff, or one above it whose sigma_2^30 underflows to zero
         underflowed = SvdFactors(np.eye(7), np.array([1.0, 1e-200, 1e-250, 0.0, 0.0, 0.0, 0.0]), 7)
+        graded = SvdFactors(np.eye(7), np.array([1.0, 1e-11, 1e-12, 0.0, 0.0, 0.0, 0.0]), 7)
         requests = [(variants, factors, k, p, q)
                     for variants in (['thm3_squared', 'thm3'], ['thm5', 'thm4'])
-                    for factors, k, p, q in ((f, 4, 5, 0), (f, 0, 5, 0), (underflowed, 2, 5, 1))]
+                    for factors, k, p, q in ((f, 4, 5, 0), (f, 0, 5, 0), (underflowed, 2, 5, 1), (graded, 2, 5, 7))]
         errors = []
         for variants, factors, k, p, q in requests:
             with pytest.raises(ValueError) as dense:

@@ -388,11 +388,16 @@ class TestEmpiricalError:
         a, f = rank_deficient_problem()
         k, p = 5, 7  # the head block has a zero row: rank(A) = 4 < k
         for which in ('spectral', 'frobenius'):
-            stats = empirical_error(f, RsvdSketch(q=0, p=p), k, trials=6, norm=which, seed=3)
-            assert stats.trials == 0
-            assert stats.excluded_trials == 6
+            with pytest.raises(ValueError, match=r'^need rank\(A\) >= k=5: sigma_k=0\.000e\+00'):
+                empirical_error(f, RsvdSketch(q=0, p=p), k, trials=6, norm=which, seed=3)
         with pytest.raises(RankDeficiencyError):
             angle_operators(f, rsvd_sketch(a, 0, p, SeededStream(3, 0)), k)
+        # the request rule accepts this cell, but its q=5 sketch grades the head rows
+        # below the head rank check's relative cutoff, so every trial is excluded
+        graded = synthetic_matrix(200)[1]
+        for which in ('spectral', 'frobenius'):
+            stats = empirical_error(graded, RsvdSketch(q=5, p=154), 150, trials=3, norm=which, seed=3)
+            assert (stats.trials, stats.excluded_trials) == (0, 3)
 
     def test_rsvd_trials_read_the_spectrum_alone(self):
         # the same spectrum with U = V = I gives the same values, bit for bit
