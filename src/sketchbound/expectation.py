@@ -35,7 +35,7 @@ from .linalg import (
     frobenius_norm,
     spectral_norm,
 )
-from .sketching import GaussianSketch
+from .sketching import RsvdSketch
 
 __all__ = [
     'ExpectationBoundReport',
@@ -215,12 +215,12 @@ def tangent_norm_constants(pc: ProjectedCovariance, n_mat, p) -> TangentMomentCo
                                   total_spectral, total_frobenius_sq)
 
 
-def mean_shift_term(sketch: GaussianSketch, head_norm, p) -> float:
-    """Extra bound term caused by a nonzero sketch mean; 0 for a centered sketch.
+def mean_shift_term(sketch, head_norm, p) -> float:
+    """Extra bound term caused by a nonzero sketch mean; 0 for a centered one, as an :class:`RsvdSketch` is.
 
     Requires ``p < rank(covariance)`` when the mean is nonzero.
     """
-    if not np.any(sketch.mean):
+    if isinstance(sketch, RsvdSketch) or not np.any(sketch.mean):
         return 0.0
     r = sketch.rank
     if p >= r:
@@ -245,16 +245,22 @@ class ExpectationBoundReport:
         return asdict(self)
 
 
-def project_sketch(factors: SvdFactors, sketch: GaussianSketch, k, p) -> ProjectedCovariance:
-    """Check a bound request by :func:`rsvd._check_request` and project its sketch covariance.
+def project_sketch(factors: SvdFactors, sketch, k, p) -> ProjectedCovariance:
+    """Check a bound request by :func:`rsvd._check_request` and project its sketch
+    covariance, the one place that chooses how: an :class:`RsvdSketch` ``(q, p)``, of
+    covariance ``U diag(sigma^(4q+2)) U^T`` (HMT 2011, section 10), onto its own
+    diagonal from ``sigma`` alone; a :class:`GaussianSketch` densely.
 
     Every theorem variant of one ``(factors, sketch, k, p)`` request needs the
     same projection, so it can be built once and passed to each of them as
     their optional ``projection``; without it, each variant builds its own.
     """
     rsvd._check_request(factors.sigma, k, p, 0)
-    if sketch.shape[1] != p:
-        raise ValueError(f'sketch has {sketch.shape[1]} columns, expected p={p}')
+    columns = sketch.p if isinstance(sketch, RsvdSketch) else sketch.shape[1]
+    if columns != p:
+        raise ValueError(f'sketch has {columns} columns, expected p={p}')
+    if isinstance(sketch, RsvdSketch):
+        return ProjectedCovariance.from_spectrum(factors.sigma ** (4 * sketch.q + 2), k)
     return project_covariance(sketch.covariance, factors, k)
 
 
@@ -266,7 +272,7 @@ def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> Expe
 
 def expected_frobenius_gap_sq_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Tighter bound on the squared Frobenius gap; centered sketches only."""
-    if np.any(sketch.mean):
+    if not isinstance(sketch, RsvdSketch) and np.any(sketch.mean):
         raise ValueError('the squared-gap bound requires a zero-mean sketch')
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     return _frobenius_report(pc, factors, sketch, k, p, squared=True)

@@ -13,7 +13,7 @@ Gaussian for any fixed ``V`` with orthonormal columns, so every trial draws
 or ``A``.  Each of its ``2q + 1`` products is one rounded multiply per entry,
 the bits a dense ``np.diag(sigma)`` product gives, at O(np) cost and memory.
 A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``: the
-unseeded :func:`synthetic_matrix`.
+unseeded :func:`synthetic_matrix`, which holds no n x n array.
 
 Every Monte Carlo trial, of a sweep or of :func:`empirical_error`, is keyed
 by ``(q, p, t)``: trial ``t`` of the sketches with ``q`` power passes and
@@ -42,7 +42,7 @@ benchmark's 500x400 ``empirical_small`` over two threads cut p90 latency by
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
 ``sketchbound bounds`` command, which passes it a sketch to project; a sweep
-passes none, so its theorem variants project the RSVD sketch from the spectrum.
+passes none, so its theorem variants project ``RsvdSketch(q, p)`` from the spectrum.
 
 :func:`emit` writes through :func:`linalg._write_atomic`, the package's one
 file writer; its CSV and JSON files read back with ``csv`` and ``json``.
@@ -74,7 +74,6 @@ from .sketching import (
     GaussianSketch,
     RsvdSketch,
     SeededStream,
-    rsvd_distribution,
     sample,
     standard_gaussian,
 )
@@ -162,7 +161,8 @@ def synthetic_matrix(n, seed=None):
     With no seed the problem is built in both singular bases: ``U = V = I``
     and the matrix is ``diag(sigma)``, since a trial reads ``A`` only through
     ``Sigma V^T G`` and ``V^T G`` is standard Gaussian for any fixed orthogonal
-    ``V``: a Haar ``V`` cannot change the law of any residual.  With a seed the
+    ``V``: a Haar ``V`` cannot change the law of any residual.  It holds no n x n
+    array: the matrix is sparse, and ``U`` a read-only O(n) view.  With a seed the
     singular vector factors are drawn Haar-uniformly, ``U`` from stream index 0
     and ``V`` from index 1, and the matrix is built at one BLAS thread, since
     the Haar QR's last bits depend on the thread count.
@@ -171,7 +171,9 @@ def synthetic_matrix(n, seed=None):
         raise ValueError('need n >= 11 for the synthetic spectrum')
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
     if seed is None:
-        return np.diag(sigma), SvdFactors(np.eye(n), sigma, n)
+        # U = I read-only, as n overlapping windows onto one unit vector of 2n - 1 floats
+        u = np.lib.stride_tricks.sliding_window_view(np.eye(1, 2 * n - 1, n - 1)[0], n)[::-1]
+        return scipy.sparse.diags_array(sigma), SvdFactors(u, sigma, n)
     with _one_blas_thread():
         v = _haar_orthogonal(n, SeededStream(seed, 1))
         u = _haar_orthogonal(n, SeededStream(seed, 0))
@@ -431,13 +433,14 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     refuses, raises ``ValueError`` before any is evaluated.
 
     The closed forms and the HMT baselines depend on ``factors.sigma`` only.
-    The theorem variants evaluate ``sketch``, a :class:`GaussianSketch`
-    expressed against ``factors``, whose projected covariance is built once
-    for all of them; by default ``rsvd_distribution(factors, q, p)``, whose
-    covariance ``U diag(lam) U^T`` projects onto ``diag(lam)`` with no n x n matrix.
+    The theorem variants evaluate ``sketch``, whose projected covariance
+    :func:`expectation.project_sketch` builds once for all of them: by default
+    ``RsvdSketch(q, p)``, which reads ``factors.sigma`` alone too, or a
+    :class:`GaussianSketch` expressed against ``factors``.
     """
     _check_variants(variants)
     rsvd._check_request(factors.sigma, k, p, q)
+    sketch = RsvdSketch(q, p) if sketch is None else sketch
     reports = {}
     profile = projection = None
     for name in variants:
@@ -447,10 +450,7 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
             result = RSVD_VARIANTS[name](profile)
             reports[name] = {'bound': result.bound, **result.constants}
         elif name in THEOREM_VARIANTS:
-            if sketch is None:
-                sketch = rsvd_distribution(factors, q, p)
-                projection = expectation.ProjectedCovariance.from_spectrum(sketch._w, k)
-            elif projection is None:
+            if projection is None:
                 projection = expectation.project_sketch(factors, sketch, k, p)
             result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
             reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
@@ -623,8 +623,7 @@ def run_sweep(config: SweepConfig):
     """
     with _one_blas_thread():
         # the bounds read sigma alone and the residuals' law A only through sigma,
-        # so the problem is diag(sigma): its factors serve the theorem variants,
-        # and its spectrum the trials
+        # so the problem is the unseeded diag(sigma), which holds no n x n array
         factors = synthetic_matrix(config.n)[1]
         grid = itertools.product(sorted(config.k_list), sorted(config.q_list),
                                  sorted(config.oversampling_list))

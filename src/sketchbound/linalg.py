@@ -111,12 +111,6 @@ class SvdFactors:
     def rows(self):
         return self._u.shape[0]
 
-    def rank(self):
-        """Numerical rank: count of singular values above ``PINV_TOL * sigma[0]``."""
-        if self.sigma[0] == 0.0:
-            return 0
-        return int(np.sum(self.sigma > PINV_TOL * self.sigma[0]))
-
     @staticmethod
     def _complete(q):
         comp = scipy.linalg.null_space(q.T)

@@ -168,7 +168,7 @@ def rsvd_distribution(factors, q, p) -> GaussianSketch:
 
 @dataclass(frozen=True)
 class RsvdSketch:
-    """Descriptor for drawing randomized-SVD sketches directly from a matrix."""
+    """The randomized-SVD sketch ``(A A^T)^q A G`` of ``p`` columns, for trials and theorem bounds alike."""
 
     q: int
     p: int

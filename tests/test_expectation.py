@@ -17,10 +17,10 @@ from sketchbound.expectation import (
     project_sketch,
     tangent_norm_constants,
 )
-from sketchbound.experiments import evaluate_bounds
+from sketchbound.experiments import THEOREM_VARIANTS, evaluate_bounds, synthetic_matrix
 from sketchbound.linalg import RankDeficiencyError, SvdFactors, svd
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound, spectral_bound
-from sketchbound.sketching import GaussianSketch, SeededStream, rsvd_distribution, standard_gaussian
+from sketchbound.sketching import GaussianSketch, RsvdSketch, SeededStream, rsvd_distribution, standard_gaussian
 
 
 def random_factors(seed, n=12, m=9):
@@ -380,3 +380,46 @@ class TestTheoremBounds:
         data = report.as_dict()
         assert set(data['constants']) == {'c_hat_k', 'd_hat_k'}
         assert {'norm', 'variant', 'k', 'p', 'mean_term', 'bound'} <= set(data)
+
+
+class TestRsvdSketchTheorems:
+    """An :class:`RsvdSketch` ``(q, p)`` is projected from the spectrum, whatever ``U`` is."""
+
+    @pytest.mark.parametrize('q', (0, 1, 2))
+    def test_theorems_equal_the_default_route_bit_for_bit(self, q):
+        f = random_factors(90 + q, n=15, m=11)
+        k, p = 3, 8
+        default = evaluate_bounds(list(THEOREM_VARIANTS), f, k, p, q)
+        # the default route's projection before it took an RsvdSketch
+        spectral = ProjectedCovariance.from_spectrum(f.sigma ** (4 * q + 2), k)
+        for name, theorem in THEOREM_VARIANTS.items():
+            report = theorem(f, RsvdSketch(q, p), k, p)
+            assert {'bound': report.bound, 'mean_term': report.mean_term, **report.constants} == default[name]
+            assert theorem(f, rsvd_distribution(f, q, p), k, p, spectral) == report
+
+    @pytest.mark.parametrize('k, p, q', [(15, 30, 2), (15, 30, 3), (40, 60, 2)])
+    def test_theorems_match_the_closed_forms_on_a_haar_basis(self, k, p, q):
+        # the dense projection of U diag(sigma^(4q+2)) U^T is off by up to 2e-9 here
+        _, f = synthetic_matrix(400, seed=3)
+        profile = SpectrumProfile.from_spectrum(f.sigma, k, p, q)
+        for theorem, closed in ((expected_frobenius_gap_bound, frobenius_bound),
+                                (expected_spectral_gap_bound, spectral_bound)):
+            want = closed(profile).bound
+            assert abs(theorem(f, RsvdSketch(q, p), k, p).bound - want) <= 1e-14 * want
+
+    def test_is_centered(self):
+        f = random_factors(93)
+        sketch = RsvdSketch(1, 6)
+        assert mean_shift_term(sketch, 2.0, 6) == 0.0
+        for theorem in THEOREM_VARIANTS.values():
+            assert theorem(f, sketch, 2, 6).mean_term == 0.0
+        report = expected_frobenius_gap_sq_bound(f, sketch, 2, 6)
+        assert report.variant == 'thm3_squared'
+        assert report.bound <= report.constants['a_k'] + 1e-15
+
+    def test_project_sketch_refuses_another_p(self):
+        f = random_factors(94)
+        with pytest.raises(ValueError, match='^sketch has 7 columns, expected p=6$'):
+            project_sketch(f, RsvdSketch(0, 7), 2, 6)
+        with pytest.raises(ValueError, match='^sketch has 5 columns, expected p=6$'):
+            expected_spectral_gap_bound(f, RsvdSketch(0, 5), 2, 6)

@@ -107,15 +107,22 @@ class TestSyntheticMatrix:
         hashes = {fresh_interpreter(script, (), pinning) for pinning in ({}, {'OPENBLAS_NUM_THREADS': '1'})}
         assert len(hashes) == 1
 
-    def test_left_basis_problem_is_the_diagonal_spectrum(self):
+    def test_left_basis_problem_is_the_diagonal_spectrum(self, monkeypatch):
         _, f = synthetic_matrix(40, seed=3)
+
+        def refused(self):
+            raise AssertionError('a stream was read')
+
+        # no stream enters the problem
+        monkeypatch.setattr(SeededStream, 'generator', refused)
         matrix, g = synthetic_matrix(40)
-        assert np.array_equal(matrix, np.diag(f.sigma))
-        assert np.array_equal(np.signbit(matrix), np.zeros((40, 40), dtype=bool))
+        assert scipy.sparse.issparse(matrix)
+        dense = matrix.toarray()
+        assert np.array_equal(dense, np.diag(f.sigma))
+        assert np.array_equal(np.signbit(dense), np.zeros((40, 40), dtype=bool))
         assert np.array_equal(g.sigma, f.sigma)
         assert np.array_equal(g.left(), np.eye(40)) and g.cols == 40
-        # no stream enters the problem
-        assert np.array_equal(synthetic_matrix(40)[0], matrix)
+        assert not g.left().flags.writeable
 
 
 class TestDiagonalProblemLaw:
@@ -529,6 +536,27 @@ class TestSparseTrialMatrix:
             tracemalloc.stop()
         assert all(excluded == 0 for _, excluded in results)
         # a dense diag(sigma) alone is n * n * 8 bytes, 72 MB
+        assert peak < n * n * 8 / 4, peak
+
+
+class TestSweepMemory:
+    """A sweep reads its problem through the spectrum alone, so nothing on its
+    path, bounds or trials, holds an n x n array."""
+
+    @pytest.mark.parametrize('q', (0, 2))
+    def test_one_cell_sweep_allocates_no_n_by_n_array(self, q):
+        n = 4000
+        config = SweepConfig(n=n, k_list=(5,), oversampling_list=(10,), q_list=(q,), trials=2, seed=31,
+                             bound_variants=VARIANTS)
+        tracemalloc.start()
+        try:
+            rows = run_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2 and all(math.isfinite(row.empirical_mean) for row in rows)
+        assert list(rows[0].bounds) == list(VARIANTS)
+        # one n x n float64 array is n * n * 8 bytes, 122 MiB
         assert peak < n * n * 8 / 4, peak
 
 
