@@ -69,10 +69,11 @@ def _build_parser():
 
 def _load_problem(args, seed=None):
     """SVD factors of the requested matrix, read by every bound and trial alone;
-    the synthetic problem of no seed is ``diag(sigma)``."""
+    the synthetic problem of no seed is ``diag(sigma)``, and a seeded one draws
+    only its ``U``."""
     if args.matrix is not None:
         return svd(read_matrix_market(args.matrix))
-    return experiments.synthetic_matrix(args.synthetic_n, seed)[1]
+    return experiments._synthetic_factors(args.synthetic_n, seed)
 
 
 def _write_json(report, out):

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 
+from sketchbound.linalg import svd
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -67,3 +69,39 @@ def test_bounds_requests_fire_every_expected_span(tmp_path):
         assert [spans.cli.main(argv) for argv in (zero_mean, mean_cov)] == [0, 0]
 
     assert set(workloads.BoundsCli.expected_spans) - _fired(spans, run) == set()
+
+
+def test_empirical_requests_fire_every_expected_span(tmp_path):
+    spans, workloads = _perfbench('spans'), _perfbench('workloads')
+    (rows, cols), rank, k = (150, 120), 8, 3
+    rng = np.random.default_rng(0)
+    path = str(tmp_path / 'a.mtx')
+    workloads.write_mtx(path, (workloads._haar(rng, rows, rank) * np.exp(-np.arange(rank) / 20.0))
+                        @ workloads._haar(rng, cols, rank).T)
+
+    def request(p):
+        def run():
+            assert spans.cli.main(['empirical', '--matrix', path, '--k', str(k), '--p', str(p), '--trials', '2',
+                                   '--norm', 'spectral', '--out', str(tmp_path / 'report.json')]) == 0
+        return run
+
+    # p above the rank: round-off residuals of more columns than the dense limit, by Lanczos
+    above = _fired(spans, request(rank + 4))
+    assert {'kernel.norm2', 'kernel.eigsh'} <= above and 'kernel.eigvalsh' not in above
+    # p below the rank: the dense Gram eigensolve
+    below = _fired(spans, request(rank - 2))
+    assert 'kernel.eigvalsh' in below and 'kernel.norm2' not in below
+    assert set(workloads.EmpiricalSmall.expected_spans) - (above | below) == set()
+
+
+def test_deterministic_bounds_fire_every_expected_span():
+    spans, workloads = _perfbench('spans'), _perfbench('workloads')
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((30, 20)) / np.arange(1, 21)
+    z = a @ rng.standard_normal((20, 9))
+    factors = svd(a)
+
+    def run():
+        assert len(workloads.det_reports(spans.deterministic, a, factors, z, 4)) == 3
+
+    assert set(workloads.DeterministicSamples.expected_spans) - _fired(spans, run) == set()

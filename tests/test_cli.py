@@ -70,6 +70,22 @@ class TestBounds:
         assert report['variants']['cor_frobenius']['a_k'] == pytest.approx(expected.constants['a_k'])
         assert 'hmt_power' in report['variants']
 
+    def test_seeded_synthetic_problem_draws_only_its_left_factor(self, monkeypatch, capsys):
+        _, factors = synthetic_matrix(60, 3)
+        drawn = []
+        haar = experiments._haar_orthogonal
+
+        def recording(n, stream):
+            drawn.append(stream.stream_index)
+            return haar(n, stream)
+
+        monkeypatch.setattr(experiments, '_haar_orthogonal', recording)
+        assert run_cli('bounds', '--synthetic-n', '60', '--seed', '3', '--k', '4', '--p', '8') == 0
+        assert drawn == [0]  # U's stream alone: no V, no matrix
+        loaded = experiments._synthetic_factors(60, 3)
+        assert np.array_equal(loaded.left(), factors.left()) and np.array_equal(loaded.sigma, factors.sigma)
+        assert loaded.cols == factors.cols
+
     def test_matrix_file_input(self, tmp_path, capsys):
         a, _ = synthetic_matrix(25, 2)
         path = tmp_path / 'a.mtx'

@@ -194,6 +194,142 @@ class TestGramTopEigenvalue:
         assert len(calls) == 1
         assert arpack == pytest.approx(dense, rel=1e-9)
 
+    @pytest.mark.parametrize('seed', (31, 32, 33))
+    @pytest.mark.parametrize('log2_scale', (-30, -40, 200))
+    def test_arpack_branch_is_scale_invariant(self, seed, log2_scale):
+        # sigma scaled by 2^-40 once left the unnormalized solve 4e-3 to 6e-3 low
+        diag_sq, b = self.problem(experiments._DENSE_GRAM_LIMIT + 1, seed)
+        diag_sq, b = np.ldexp(diag_sq, 2 * log2_scale), np.ldexp(b, log2_scale)
+        dense = float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1])
+        assert experiments._gram_top_eigenvalue(diag_sq, b) == pytest.approx(dense, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize('log2_scale', (-250, 250))
+    def test_arpack_branch_commutes_with_powers_of_two(self, log2_scale):
+        diag_sq, b = self.problem(experiments._DENSE_GRAM_LIMIT + 1, 31)
+        scaled = experiments._gram_top_eigenvalue(np.ldexp(diag_sq, 2 * log2_scale), np.ldexp(b, log2_scale))
+        assert scaled == math.ldexp(experiments._gram_top_eigenvalue(diag_sq, b), 2 * log2_scale)
+
+
+def low_rank_factors(rows, cols, rank, seed=0):
+    """Haar factors of a rows x cols matrix with the benchmark's ``exp(-j/20)``
+    head of ``rank`` values, then exact zeros."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    sigma = np.zeros(min(rows, cols))
+    sigma[:rank] = np.exp(-np.arange(rank) / 20.0)
+    return SvdFactors(u[:, :sigma.size], sigma, cols)
+
+
+class TestExplicitResidualNorm:
+    """Above ``_DENSE_RESIDUAL_LIMIT`` columns the explicit spectral residual is
+    ``||R v||`` for the Lanczos Ritz vector ``v`` of ``R^T R``, after ``R`` is
+    normalized by a power of two; below it, a dense SVD."""
+
+    @staticmethod
+    def dense_and_lanczos(monkeypatch, evaluate):
+        """``evaluate()`` on the dense path, then on the Lanczos path (checking that it ran)."""
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return eigsh(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, '_DENSE_RESIDUAL_LIMIT', math.inf)
+            dense = evaluate()
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', counting)
+        lanczos = evaluate()
+        assert calls
+        return dense, lanczos
+
+    @staticmethod
+    def roundoff_spectral(factors, sketch, ks):
+        """Full and tail spectral residuals of one trial whose sketch captures range(A)."""
+        if isinstance(sketch, RsvdSketch):
+            draw = experiments._rsvd_draw(scipy.sparse.diags_array(factors.sigma), sketch,
+                                          functools.partial(SeededStream, 11))
+        else:
+            draw = experiments._gaussian_draw(factors, sketch, functools.partial(SeededStream, 11))
+        q, b = experiments._sketch_basis(draw(0)[0], factors.sigma)
+        return [experiments._explicit_residual_norm(q, b, factors.sigma, k, 'spectral') for k in ks]
+
+    @pytest.mark.parametrize('q', (0, 1, 2))
+    @pytest.mark.parametrize('shape', [
+        (experiments._DENSE_RESIDUAL_LIMIT + 30, experiments._DENSE_RESIDUAL_LIMIT + 10),
+        (experiments._DENSE_RESIDUAL_LIMIT + 10, experiments._DENSE_RESIDUAL_LIMIT + 30),
+        (experiments._DENSE_RESIDUAL_LIMIT + 10,) * 2,
+        (500, 400), (400, 500), (400, 400),
+    ])
+    def test_agrees_with_the_dense_norm_on_roundoff_residuals(self, monkeypatch, shape, q):
+        factors = low_rank_factors(*shape, rank=12, seed=sum(shape) + q)
+        ks = (0, 5)
+        assert all(factors.sigma.size - k > experiments._DENSE_RESIDUAL_LIMIT for k in ks)
+        dense, lanczos = self.dense_and_lanczos(
+            monkeypatch, lambda: self.roundoff_spectral(factors, RsvdSketch(q=q, p=16), ks))
+        assert max(dense) < 1e-13
+        assert lanczos == pytest.approx(dense, rel=1e-9, abs=0)
+
+    def test_gaussian_sketch_residual_with_more_rows_than_columns(self, monkeypatch):
+        rows, cols, rank, p = 260, experiments._DENSE_RESIDUAL_LIMIT + 20, 8, 10
+        factors = low_rank_factors(rows, cols, rank, seed=7)
+        # a covariance on range(A), so p >= rank columns capture it
+        head = factors.left_head(rank)
+        sketch = GaussianSketch.from_moments(np.zeros((rows, p)), head @ head.T)
+        dense, lanczos = self.dense_and_lanczos(monkeypatch, lambda: self.roundoff_spectral(factors, sketch, (0, 3)))
+        # the sampled root of a rank-deficient covariance leaves a residual under the kernel's noise floor
+        assert max(dense) ** 2 <= 1e-12 * np.sum(factors.sigma**2)
+        assert lanczos == pytest.approx(dense, rel=1e-9, abs=0)
+
+    @staticmethod
+    def given_residual(r):
+        """``(q, b, sigma)`` whose explicit residual at ``k = 0`` is ``r``."""
+        return np.eye(r.shape[0]), -r, np.zeros(r.shape[1])
+
+    @staticmethod
+    def clustered_residual(m, log2_scale, seed=0):
+        """An m x m residual at round-off size whose singular values cluster within 1% of the top one."""
+        rng = np.random.default_rng(seed)
+        left, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        right, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        s = np.sort(1.0 - 1e-2 * rng.uniform(size=m))[::-1]
+        return np.ldexp((left * s) @ right.T, log2_scale)
+
+    def test_arpack_error_falls_back_to_dense(self, monkeypatch):
+        r = self.clustered_residual(experiments._DENSE_RESIDUAL_LIMIT + 1, -53)
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', failing)
+        assert experiments._explicit_residual_norm(*self.given_residual(r), 0, 'spectral') == np.linalg.norm(r, 2)
+
+    @pytest.mark.parametrize('log2_scale', (-53, -106, -500))
+    def test_clustered_roundoff_residual(self, log2_scale):
+        # unnormalized (theta below eps^(2/3) in R^T R), each came back 1.2e-4 low
+        r = self.clustered_residual(400, log2_scale)
+        got = experiments._explicit_residual_norm(*self.given_residual(r), 0, 'spectral')
+        assert got == pytest.approx(np.linalg.norm(r, 2), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize('log2_scale', (-500, 500))
+    def test_commutes_with_powers_of_two(self, log2_scale):
+        factors = low_rank_factors(150, 130, 12, seed=3)
+        w = RsvdSketch(q=1, p=16).draw(scipy.sparse.diags_array(factors.sigma), SeededStream(3))
+        q, b = experiments._sketch_basis(w, factors.sigma)
+        c = math.ldexp(1.0, log2_scale)
+        for k in (0, 5):
+            value = experiments._explicit_residual_norm(q, b, factors.sigma, k, 'spectral')
+            scaled = experiments._explicit_residual_norm(q, c * b, c * factors.sigma, k, 'spectral')
+            assert value > 0 and scaled == c * value
+
+    def test_small_residuals_stay_dense(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError('Lanczos below the limit')
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', refused)
+        r = self.clustered_residual(experiments._DENSE_RESIDUAL_LIMIT, -53)
+        assert experiments._explicit_residual_norm(*self.given_residual(r), 0, 'spectral') == np.linalg.norm(r, 2)
+
 
 def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
     """An n x m matrix whose singular values are the first ``rank`` of
@@ -241,6 +377,7 @@ class TestRoundOffCertificate:
     @pytest.mark.parametrize('q', [0, 1, 2])
     @pytest.mark.parametrize('rows, cols', [
         (40, 25), (25, 40), (30, 30),
+        (experiments._DENSE_RESIDUAL_LIMIT + 20, experiments._DENSE_RESIDUAL_LIMIT + 10),
         (experiments._DENSE_GRAM_LIMIT + 20, experiments._DENSE_GRAM_LIMIT + 10),
     ])
     def test_p_at_or_above_the_rank_skips_the_eigensolve(self, spies, rows, cols, q):
