@@ -52,6 +52,10 @@ depend neither on the caller's BLAS threads nor on the number of threads (a
 threads of the first call that reads them).  Without a thread setter
 (another BLAS, or no ``/proc``) they run serially at the caller's BLAS
 threads.  The dense synthetic matrix is built at one BLAS thread too.
+Threads take turns in ARPACK: one Lanczos solve runs at a time, under
+:data:`_LANCZOS_LOCK`, while the other threads draw and factor their sketches
+(the draw and the basis SVD release the interpreter lock).  The lock changes
+no operand, so no bit.
 
 Serial trials at one BLAS thread cost no speed-up: on 2 cores, 50
 :func:`empirical_error` trials (k=5, p=20) on the n=2000 synthetic spectrum
@@ -119,6 +123,7 @@ METRICS = ('general', 'old')
 _DENSE_GRAM_LIMIT = 600
 _DENSE_RESIDUAL_LIMIT = 90
 _BLAS_LOCK = threading.RLock()  # held while BLAS runs at one thread, process-wide
+_LANCZOS_LOCK = threading.Lock()  # held around each ARPACK solve; takes no other lock inside
 
 
 @functools.cache  # a ctypes.CDLL per sweep raised sweep_acceptance peak RSS from 107 to 114.6 MB
@@ -177,11 +182,15 @@ def _haar_orthogonal(n, stream):
     return q * signs
 
 
+def _check_synthetic_n(n):
+    if n < 11:
+        raise ValueError('need n >= 11 for the synthetic spectrum')
+
+
 def _synthetic_factors(n, seed=None):
     """The factors ``SvdFactors(U, sigma, n)`` of :func:`synthetic_matrix`,
     which draw no ``V`` and build no matrix: ``U`` is its ``U``, bit for bit."""
-    if n < 11:
-        raise ValueError('need n >= 11 for the synthetic spectrum')
+    _check_synthetic_n(n)
     sigma = np.concatenate([np.ones(10), np.arange(2, n - 8, dtype=float) ** -0.5])
     if seed is None:
         # U = I read-only, as n overlapping windows onto one unit vector of 2n - 1 floats
@@ -243,11 +252,19 @@ def _lanczos_top(matvec, m, vector):
     The caller normalizes the operator by a power of two first: ARPACK's
     stopping test is ``bound <= tol * max(eps^(2/3), |theta|)``, so an operator
     whose eigenvalues lie far below ``eps^(2/3)`` stops early, or fails.
+
+    Solves take turns under :data:`_LANCZOS_LOCK`.  ARPACK's reverse
+    communication holds the interpreter lock between dozens of small BLAS and
+    ufunc calls per solve, so two threads inside it at once hand that lock
+    back and forth: 40 Gram solves (m=995, p=60, one BLAS thread) split over
+    two threads ran at 0.74-0.77x the throughput of one thread.  Nothing
+    inside the lock takes another lock.
     """
     op = scipy.sparse.linalg.LinearOperator((m, m), matvec=matvec, dtype=float)
     try:
-        return scipy.sparse.linalg.eigsh(op, k=1, which='LA', v0=np.full(m, m**-0.5), tol=1e-10,
-                                         maxiter=20 * m, return_eigenvectors=vector)
+        with _LANCZOS_LOCK:
+            return scipy.sparse.linalg.eigsh(op, k=1, which='LA', v0=np.full(m, m**-0.5), tol=1e-10,
+                                             maxiter=20 * m, return_eigenvectors=vector)
     except scipy.sparse.linalg.ArpackError:
         return None  # solved densely by the caller
 
@@ -550,6 +567,7 @@ class SweepConfig:
         if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
                for v in (self.n, *self.k_list, *self.oversampling_list, *self.q_list)):
             raise ValueError('n and the entries of k_list, oversampling_list and q_list must be integers')
+        _check_synthetic_n(self.n)
         if self.metric not in METRICS:
             raise ValueError(f'metric must be one of {METRICS}')
         if any(norm not in NORMS for norm in self.norm_list):

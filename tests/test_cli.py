@@ -387,6 +387,19 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not (tmp_path / 'rows.csv').exists()
 
+    def test_too_small_n_is_refused_when_the_config_is_read(self, tmp_path, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError('the sweep ran')
+
+        monkeypatch.setattr(experiments, 'run_sweep', refused)
+        out = tmp_path / 'rows.csv'
+        config_path = tmp_path / 'config.json'
+        config_path.write_text(json.dumps({'n': 5, 'k_list': [3], 'oversampling_list': [3],
+                                           'output_path': str(out)}))
+        assert run_cli('sweep', '--config', str(config_path)) == 2
+        assert 'need n >= 11' in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli('sweep', '--config', str(tmp_path / 'none.json')) == 1
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import types
 
@@ -329,6 +331,74 @@ class TestExplicitResidualNorm:
         monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', refused)
         r = self.clustered_residual(experiments._DENSE_RESIDUAL_LIMIT, -53)
         assert experiments._explicit_residual_norm(*self.given_residual(r), 0, 'spectral') == np.linalg.norm(r, 2)
+
+
+class TestLanczosTurns:
+    """One ARPACK solve runs at a time, whichever thread calls it."""
+
+    @staticmethod
+    def solves():
+        """A Gram solve above ``_DENSE_GRAM_LIMIT`` and an explicit residual above ``_DENSE_RESIDUAL_LIMIT``."""
+        gram = TestGramTopEigenvalue.problem(experiments._DENSE_GRAM_LIMIT + 1, 34)
+        r = TestExplicitResidualNorm.clustered_residual(experiments._DENSE_RESIDUAL_LIMIT + 10, -53)
+        resid = TestExplicitResidualNorm.given_residual(r)
+        return [lambda: experiments._gram_top_eigenvalue(*gram),
+                lambda: experiments._explicit_residual_norm(*resid, 0, 'spectral')]
+
+    def test_threads_take_turns_and_keep_the_serial_bits(self, monkeypatch):
+        solves = self.solves()
+        serial = [solve() for solve in solves]
+        eigsh = scipy.sparse.linalg.eigsh
+        inside, overlaps, guard = [], [], threading.Lock()
+
+        def exclusive(*args, **kwargs):
+            with guard:
+                inside.append(None)
+                overlaps.append(len(inside))
+            try:
+                time.sleep(0.01)  # widen the window another solve could enter
+                return eigsh(*args, **kwargs)
+            finally:
+                with guard:
+                    inside.pop()
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', exclusive)
+        start = threading.Barrier(2)
+
+        def run(order):
+            start.wait()
+            return [solves[i]() for i in order]
+
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            results = list(pool.map(run, ([0, 1, 0, 1], [1, 0, 1, 0])))
+        assert len(overlaps) == 8 and max(overlaps) == 1
+        assert results == [serial * 2, serial[::-1] * 2]
+
+    def test_a_failed_solve_releases_the_turn(self, monkeypatch):
+        gram, resid = self.solves()
+        serial = resid()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, '_DENSE_GRAM_LIMIT', math.inf)
+            dense = gram()
+        eigsh = scipy.sparse.linalg.eigsh
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise scipy.sparse.linalg.ArpackError(-9999)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', first_fails)
+        assert gram() == dense
+        assert not experiments._LANCZOS_LOCK.locked()
+        results = []
+        # a daemon thread, so a solve left waiting for the turn cannot hang the test run
+        thread = threading.Thread(target=lambda: results.append(resid()), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), 'the solve after an ArpackError never got its turn'
+        assert results == [serial] and len(calls) == 2
 
 
 def rank_deficient_problem(seed=0, n=20, m=8, rank=4):
@@ -1019,6 +1089,8 @@ class TestRunSweep:
             small_config(bound_variants=('nonsense',))
         with pytest.raises(ValueError):
             small_config(trials=0)
+        with pytest.raises(ValueError, match='need n >= 11'):
+            small_config(n=10)
 
     @pytest.mark.parametrize('name, values', [
         ('k_list', (3, 5, 3)), ('oversampling_list', (2, 2)), ('q_list', (0, 1, 0)),
