@@ -7,8 +7,8 @@ Subcommands::
     sketchbound sweep --config sweep.json
     sketchbound empirical --matrix A.mtx --k 5 --p 20 --q 0 --trials 50 --seed 7
 
-Exit codes: 0 on success, 2 on precondition violations (a malformed request
-or sweep config, or an SVD that does not converge), 1 on I/O errors.
+Exit codes: 0 on success, 2 on precondition violations (a malformed request or
+sweep config, an SVD that does not converge, or an overflow), 1 on I/O errors.
 """
 
 from __future__ import annotations
@@ -77,7 +77,10 @@ def _load_problem(args, seed=None):
 
 
 def _write_json(report, out):
-    payload = json.dumps(report, indent=2) + '\n'
+    try:
+        payload = json.dumps(report, indent=2, allow_nan=False) + '\n'
+    except ValueError as exc:  # a non-finite value, which the message names
+        raise ValueError(f'{exc}; no report written') from None
     if out:
         _write_atomic(out, lambda handle: handle.write(payload.encode()))
     else:
@@ -158,7 +161,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f'sketchbound: I/O error: {exc}', file=sys.stderr)
         return 1
-    except (ValueError, FactorizationError) as exc:
+    except (ValueError, FactorizationError, OverflowError) as exc:
         print(f'sketchbound: {exc}', file=sys.stderr)
         return 2
 

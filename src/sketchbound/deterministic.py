@@ -24,9 +24,9 @@ import numpy as np
 
 from .linalg import (
     RANK_TOL,
-    RankDeficiencyError,
     SvdFactors,
     _as_matrix,
+    _check_head,
     norm as matrix_norm,
     orthonormal_basis,
     pseudo_inverse,
@@ -68,16 +68,8 @@ class AngleOperators:
 def _check_head_rank(omega_head, w):
     """Raise :class:`RankDeficiencyError` unless ``omega_head``, the head
     block of the sketch ``w``, has full numerical row rank."""
-    s_head = np.linalg.svd(omega_head, compute_uv=False)
-    # the scale guard catches head blocks that vanish outright, which a
-    # purely relative test on round-off noise would miss
-    degenerate = s_head[0] <= RANK_TOL * float(np.linalg.norm(w))
-    if degenerate or s_head[-1] <= RANK_TOL * s_head[0]:
-        raise RankDeficiencyError(
-            f'head block of the sketch is row-rank deficient: '
-            f'smallest singular value {s_head[-1]:.3e} (largest {s_head[0]:.3e})',
-            smallest_singular_value=float(s_head[-1]),
-        )
+    _check_head(np.linalg.svd(omega_head, compute_uv=False), float(np.linalg.norm(w)), RANK_TOL,
+                'head block of the sketch is row-rank deficient', 'singular value')
 
 
 def angle_operators(factors: SvdFactors, z, k) -> AngleOperators:

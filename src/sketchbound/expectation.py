@@ -28,9 +28,9 @@ from . import rsvd
 from .deterministic import phi
 from .linalg import (
     RANK_TOL,
-    RankDeficiencyError,
     SvdFactors,
     _as_matrix,
+    _check_head,
     _symmetrize,
     frobenius_norm,
     spectral_norm,
@@ -72,36 +72,36 @@ class ProjectedCovariance:
     @classmethod
     def from_spectrum(cls, lam, k):
         """Projection of ``U diag(lam) U^T`` onto the blocks of its own ``U``, with no
-        n x n matrix: a head ``diag(lam[:k])``, which needs positive entries but not
-        the ``RANK_TOL`` test, no cross block, and ``diag(lam[k:])`` as the conditional."""
-        _check_head(lam[:k], 0.0)
+        n x n matrix: a head ``diag(lam[:k])``, which needs positive entries and, at the
+        scale ``||lam||_2``, no relative test; no cross block, and ``diag(lam[k:])`` as the conditional."""
+        _check_head(lam[:k], scipy.linalg.norm(lam), 0.0, _SINGULAR_HEAD, 'eigenvalue')
         head = np.diag(lam[:k])
         return cls(head, np.zeros((lam.size - k, k)), float(np.sum(lam[k:])), float(np.max(lam[k:], initial=0.0)),
                    scipy.linalg.cho_factor(head))
 
 
-def _check_head(w, tol):
-    """Raise unless the head block's eigenvalues ``w`` are positive and above ``tol`` times the largest."""
-    smallest, largest = float(np.min(w)), float(np.max(w))
-    if largest <= 0.0 or smallest <= tol * largest:
-        raise RankDeficiencyError(f'projected covariance head block is numerically singular (smallest eigenvalue '
-                                  f'{smallest:.3e}, largest {largest:.3e})', smallest_singular_value=smallest)
+_SINGULAR_HEAD = 'projected covariance head block is numerically singular'
+
+
+def _symmetric_moments(m):
+    """Trace and top eigenvalue of the symmetric part of ``m``, each clipped at 0."""
+    m = 0.5 * (m + m.T)
+    return max(float(np.trace(m)), 0.0), max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
 
 
 def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
     """Project a sketch covariance onto the head/tail left singular blocks.
 
     Raises ``RankDeficiencyError`` if the head block is numerically singular,
-    where the expectation bounds do not apply.
+    where the expectation bounds do not apply: by the head rule against ``||C||_F``.
     """
     c = _symmetrize(_as_matrix(c, 'C'), 'C')
     u_head = factors.left_head(k)
     u_tail = factors.left_tail(k)
     c_head_cols = c @ u_head
-    head = _symmetrize(u_head.T @ c_head_cols, 'projected head block', tol=1e-10)
+    head, tail = (0.5 * (b + b.T) for b in (u_head.T @ c_head_cols, u_tail.T @ (c @ u_tail)))
     cross = u_tail.T @ c_head_cols
-    tail = _symmetrize(u_tail.T @ (c @ u_tail), 'projected tail block', tol=1e-10)
-    _check_head(np.linalg.eigvalsh(head), RANK_TOL)
+    _check_head(np.linalg.eigvalsh(head), scipy.linalg.norm(c.ravel()), RANK_TOL, _SINGULAR_HEAD, 'eigenvalue')
     head_cho = scipy.linalg.cho_factor(head)
     conditional = tail - cross @ scipy.linalg.cho_solve(head_cho, cross.T)
     conditional = 0.5 * (conditional + conditional.T)
@@ -127,8 +127,7 @@ def expect_product_norms(mean, covariance, n_mat):
     if n_mat.shape[0] != mean.shape[1]:
         raise ValueError('N must be conformable with the columns of M')
     mn = mean @ n_mat
-    trace_c = max(float(np.trace(covariance)), 0.0)
-    top_c = max(float(np.linalg.eigvalsh(covariance)[-1]), 0.0)
+    trace_c, top_c = _symmetric_moments(covariance)
     spectral_upper = (
         spectral_norm(mn)
         + math.sqrt(top_c) * frobenius_norm(n_mat)
@@ -156,12 +155,8 @@ def expect_pinv_norms(covariance, n_mat, p):
         cho = scipy.linalg.cho_factor(covariance)
     except np.linalg.LinAlgError as exc:
         raise ValueError('covariance must be positive definite') from exc
-    m = n_mat.T @ scipy.linalg.cho_solve(cho, n_mat)
-    m = 0.5 * (m + m.T)
-    frobenius_sq_exact = max(float(np.trace(m)), 0.0) / (p - k - 1)
-    top = max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
-    spectral_upper = math.e * math.sqrt(p) / (p - k) * math.sqrt(top)
-    return frobenius_sq_exact, spectral_upper
+    trace_m, top_m = _symmetric_moments(n_mat.T @ scipy.linalg.cho_solve(cho, n_mat))
+    return trace_m / (p - k - 1), math.e * math.sqrt(p) / (p - k) * math.sqrt(top_m)
 
 
 @dataclass(frozen=True)
@@ -190,13 +185,11 @@ def tangent_norm_constants(pc: ProjectedCovariance, n_mat, p) -> TangentMomentCo
         raise ValueError(f'N must have {k} rows, got {n_mat.shape}')
     if p < k + 2:
         raise ValueError(f'need p >= k + 2, got p={p}, k={k}')
-    dep = pc.cross @ pc.solve_head(n_mat)
+    solved = pc.solve_head(n_mat)
+    dep = pc.cross @ solved
     dep_spectral = spectral_norm(dep)
     dep_frobenius = frobenius_norm(dep)
-    m = n_mat.T @ pc.solve_head(n_mat)
-    m = 0.5 * (m + m.T)
-    trace_m = max(float(np.trace(m)), 0.0)
-    top_m = max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
+    trace_m, top_m = _symmetric_moments(n_mat.T @ solved)
     cond_top = math.sqrt(pc.conditional_top_eigenvalue)
     cond_fro = math.sqrt(pc.conditional_trace)
     sampling_spectral = (

@@ -695,11 +695,11 @@ def _sweep_trials(sigma, cells, trials, norms, seed):
 def run_sweep(config: SweepConfig):
     """Evaluate bounds and empirical statistics over the configured grid.
 
-    Rows are sorted by ``(k, q, p, norm)``; the whole sweep is a pure
-    function of the config, and a cell's rows depend only on the seed and its
-    own ``(k, q, p)``, so adding a k or an oversampling value to the grid
-    leaves the other rows as they were.  The bounds are evaluated in the
-    calling thread, one cell at a time, with no n x n matrix; then the trials
+    Rows are sorted by ``(k, q, p, norm)``.  Their bound columns are a pure function of
+    the config on every OpenBLAS kernel family, their empirical columns within one family,
+    and a cell's rows depend only on the seed and its own ``(k, q, p)``, so adding a k or an
+    oversampling value to the grid leaves the other rows as they were.  The bounds are
+    evaluated in the calling thread, one cell at a time, with no n x n matrix; then the trials
     run in :func:`_sweep_trials`, and the rows are assembled in cell order.
     BLAS runs at one thread until the sweep returns or raises (see the module
     docstring), and process-wide: other threads calling it meanwhile get one

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # Numerical tolerances; the references never state any, so these are pinned
-# here.  Only the PSD-ordering and symmetry checks take theirs per call.
+# here.  Only the PSD-ordering and head-block checks take theirs per call.
 RANK_TOL = 1e-10
 PINV_TOL = 1e-12
 SYM_TOL = 1e-12
@@ -76,12 +76,23 @@ def _as_matrix(a, name='matrix'):
     return a
 
 
-def _symmetrize(a, name='matrix', tol=SYM_TOL):
+def _symmetrize(a, name='matrix'):
     scale = max(1.0, float(np.max(np.abs(a))))
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > tol * scale:
+    if asym > SYM_TOL * scale:
         raise ValueError(f'{name} is not symmetric: max asymmetry {asym:.3e}')
     return 0.5 * (a + a.T)
+
+
+def _check_head(values, scale, tol, what, kind):
+    """The one rule for a head block, of a sketch or of a sketch covariance: it is singular,
+    and raises :class:`RankDeficiencyError`, if the largest of its singular values or eigenvalues
+    ``values`` is at most ``RANK_TOL`` times ``scale``, the Frobenius norm of the matrix it was cut
+    from (so a head of round-off is refused however well graded), or the smallest at most ``tol`` times the largest."""
+    smallest, largest = float(np.min(values)), float(np.max(values))
+    if largest <= RANK_TOL * scale or smallest <= tol * largest:
+        raise RankDeficiencyError(f'{what} (smallest {kind} {smallest:.3e}, largest {largest:.3e})',
+                                  smallest_singular_value=smallest)
 
 
 class SvdFactors:

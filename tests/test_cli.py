@@ -234,15 +234,42 @@ def _cli_request(*argv):
     return lambda tmp_path, monkeypatch: argv
 
 
-def _overflowing_moments_request(tmp_path, monkeypatch):
-    # head and tail covariance eigenvalues 1e-160 and 1e160 overflow the squared tangent constants
-    a, mean, cov = (tmp_path / name for name in ('a.mtx', 'mean.mtx', 'cov.mtx'))
-    write_matrix_market(a, np.diag(np.linspace(2, 1, 12)))
-    write_matrix_market(mean, np.zeros((12, 5)))
-    write_matrix_market(cov, np.diag([1e-160] * 2 + [1e160] * 10))
-    return ('bounds', '--matrix', str(a), '--k', '2', '--p', '5', '--mean', str(mean), '--cov', str(cov))
+def _moments_request(a_scale, head, tail):
+    """A ``bounds --mean/--cov`` request on ``a_scale diag(linspace(2, 1, 12))`` at k=2,
+    p=5, with a zero mean and the diagonal covariance ``diag([head] * 2 + [tail] * 10)``."""
+    def request(tmp_path, monkeypatch):
+        a, mean, cov = (tmp_path / name for name in ('a.mtx', 'mean.mtx', 'cov.mtx'))
+        write_matrix_market(a, a_scale * np.diag(np.linspace(2, 1, 12)))
+        write_matrix_market(mean, np.zeros((12, 5)))
+        write_matrix_market(cov, np.diag([head] * 2 + [tail] * 10))
+        return ('bounds', '--matrix', str(a), '--k', '2', '--p', '5', '--mean', str(mean), '--cov', str(cov))
+    return request
 
 
+def _round_off_head_request(scale):
+    """A ``--mean/--cov`` request whose covariance is supported on the tail of
+    ``A``: its head block is round-off, which BLAS kernels may return well graded."""
+    def request(tmp_path, monkeypatch):
+        a = np.random.default_rng(4).standard_normal((40, 40))
+        tail = linalg.svd(a).left_tail(3)
+        paths = [tmp_path / name for name in ('a.mtx', 'mean.mtx', 'cov.mtx')]
+        for path, m in zip(paths, (a, np.zeros((40, 8)), scale * (tail @ tail.T))):
+            write_matrix_market(path, m)
+        return ('bounds', '--matrix', str(paths[0]), '--mean', str(paths[1]), '--cov', str(paths[2]),
+                '--k', '3', '--p', '8', '--variant', 'thm3,thm4', '--out', 'report.json')
+    return request
+
+
+def _overflowing_bound_request(variant, *out):
+    """``bounds --q 1`` for one variant on the seeded n=30 matrix times 2^600, whose bound overflows."""
+    def request(tmp_path, monkeypatch):
+        write_matrix_market(tmp_path / 'a.mtx', synthetic_matrix(30, 1)[0] * 2.0**600)
+        return ('bounds', '--matrix', str(tmp_path / 'a.mtx'), '--k', '3', '--p', '8', '--q', '1',
+                '--variant', variant, *out)
+    return request
+
+
+NON_JSON = 'Out of range float values are not JSON compliant: inf; no report written'
 SWEEP = {'n': 30, 'k_list': [3], 'oversampling_list': [3], 'trials': 2}
 EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
 
@@ -259,7 +286,18 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
     (_sweep_request({**SWEEP, 'norm_list': 'spectral'}), "norm_list must be a list, got 'spectral'"),
     (_sweep_request({**SWEEP, 'bound_variants': 'thm3'}), "bound_variants must be a list, got 'thm3'"),
     (_unconverged_svd_request, 'SVD did not converge on a (12, 12) input'),
-    (_overflowing_moments_request, 'the tangent moment constants overflow'),
+    # a healthy head whose weights 1e150 sigma overflow the squared tangent constants
+    (_moments_request(1e150, 100.0, 1e10), 'the tangent moment constants overflow'),
+    # a head of 1e-160 against ||C||_F near 3e160 is refused by the head rule's scale test
+    (_moments_request(1.0, 1e-160, 1e160), 'projected covariance head block is numerically singular'),
+    (_round_off_head_request(1.0), 'projected covariance head block is numerically singular'),
+    (_round_off_head_request(1e8), 'projected covariance head block is numerically singular'),
+    (_overflowing_bound_request('hmt_frobenius'), NON_JSON),
+    (_overflowing_bound_request('hmt_frobenius', '--out', 'report.json'), NON_JSON),
+    (_overflowing_bound_request('hmt_spectral'), NON_JSON),
+    # an OverflowError, whose text is the C library's
+    (_overflowing_bound_request('cor_frobenius'), ''),
+    (_overflowing_bound_request('cor_frobenius', '--out', 'report.json'), ''),
     (_cli_request(*EMPIRICAL_30, '--k', '0', '--p', '5'), 'need 1 <= k <= p - 2, got k=0, p=5'),
     (_cli_request(*EMPIRICAL_30, '--k', '-3', '--p', '5'), 'need 1 <= k <= p - 2, got k=-3, p=5'),
     (_cli_request(*EMPIRICAL_30, '--k', '31', '--p', '35'), 'p=35 exceeds the spectrum length 30'),
@@ -269,6 +307,8 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
      'q must be non-negative'),
 ], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
         'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged', 'constants-overflow',
+        'covariance-head-below-scale', 'round-off-head', 'round-off-head-1e8', 'infinite-bound',
+        'infinite-bound-out', 'infinite-spectral-bound', 'overflowing-bound', 'overflowing-bound-out',
         'empirical-k-zero', 'empirical-k-negative', 'empirical-k-above-n', 'empirical-p-below-k-plus-2',
         'empirical-p-above-n', 'bounds-q-negative'])
 def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_request, message):

@@ -90,6 +90,16 @@ class TestProjectCovariance:
         with pytest.raises(RankDeficiencyError):
             project_covariance(c, f, 3)
 
+    @pytest.mark.parametrize('scale', [1e-12, 1.0, 1e4, 1e8, 1e12])
+    def test_round_off_head_is_singular_at_every_scale(self, scale):
+        """A covariance supported on the tail has a head block of pure round-off,
+        whose eigenvalues may come out positive and well graded: the head rule
+        refuses it by its scale, ``||C||_F``, on any BLAS kernel."""
+        f = svd(np.random.default_rng(4).standard_normal((40, 40)))
+        tail = f.left_tail(3)
+        with pytest.raises(RankDeficiencyError, match='projected covariance head block is numerically singular'):
+            project_covariance(scale * (tail @ tail.T), f, 3)
+
 
 class TestFromSpectrum:
     def test_matches_the_dense_projection_bit_for_bit(self):

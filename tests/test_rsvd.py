@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sketchbound.deterministic import phi
+from sketchbound.experiments import synthetic_matrix
 from sketchbound.rsvd import (
     SpectrumProfile,
     frobenius_bound,
@@ -186,6 +187,30 @@ class TestHmtBaselines:
     def test_power_reduces_to_spectral_at_q_zero(self):
         sigma = np.array([4.0, 2.0, 1.0, 0.5])
         assert hmt_power(sigma, 1, 3, 0) == pytest.approx(hmt_spectral(sigma, 1, 3), rel=1e-12)
+
+    @staticmethod
+    def assert_corollaries_contain_hmt_at_q_zero(sigma, k, p):
+        """At q=0 the first branches of the corollaries are HMT's bounds on the full
+        residual: ``sqrt(||Sigma_tail||_F^2 + a_k)`` and ``sigma_{k+1} + c_k``."""
+        profile = SpectrumProfile(sigma, k, p, 0)
+        a_k = frobenius_bound(profile).constants['a_k']
+        c_k = spectral_bound(profile).constants['c_k']
+        assert math.sqrt(np.sum(sigma[k:] ** 2) + a_k) == pytest.approx(hmt_frobenius(sigma, k, p), rel=1e-15)
+        assert sigma[k] + c_k == pytest.approx(hmt_spectral(sigma, k, p), rel=1e-15)
+
+    @pytest.mark.parametrize('k', [5, 15, 40])
+    def test_corollaries_equal_hmt_at_q_zero_on_the_default_spectrum(self, k):
+        sigma = synthetic_matrix(1000)[1].sigma
+        for oversampling in tuple(range(2, 100, 10)) + (100,):
+            self.assert_corollaries_contain_hmt_at_q_zero(sigma, k, k + oversampling)
+
+    def test_corollaries_equal_hmt_at_q_zero_over_six_decades(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(8, 201))
+            sigma = np.sort(10.0 ** rng.uniform(-6, 0, n))[::-1]
+            k = int(rng.integers(1, n - 1))
+            self.assert_corollaries_contain_hmt_at_q_zero(sigma, k, int(rng.integers(k + 2, n + 1)))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
