@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import experiments
@@ -76,11 +77,27 @@ def _load_problem(args, seed=None):
     return experiments._synthetic_factors(args.synthetic_n, seed)
 
 
+def _non_finite(report, path=''):
+    """``(key path, value)`` of the first non-finite float in a report of nested
+    dicts, lists and tuples, such as ``('variants.hmt_frobenius.bound', inf)``, or None."""
+    if isinstance(report, float):
+        return None if math.isfinite(report) else (path, report)
+    if isinstance(report, dict):
+        items = report.items()
+    else:
+        items = enumerate(report) if isinstance(report, (list, tuple)) else ()
+    for key, value in items:
+        found = _non_finite(value, f'{path}.{key}' if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(report, out):
-    try:
-        payload = json.dumps(report, indent=2, allow_nan=False) + '\n'
-    except ValueError as exc:  # a non-finite value, which the message names
-        raise ValueError(f'{exc}; no report written') from None
+    found = _non_finite(report)
+    if found is not None:  # JSON cannot carry it; named here, not by the encoder, whose text varies
+        raise ValueError(f'{found[0]} is {found[1]}, which JSON cannot carry; no report written')
+    payload = json.dumps(report, indent=2, allow_nan=False) + '\n'
     if out:
         _write_atomic(out, lambda handle: handle.write(payload.encode()))
     else:

@@ -102,11 +102,32 @@ def _rotated_basis_product(factors: SvdFactors, z):
     return q[:factors.sigma.size].T * factors.sigma
 
 
-def _residual_gram(factors: SvdFactors, z):
-    """``Sigma^2 - B^T B``, the Gram matrix of ``(I - pi(Z)) A`` in the right singular
-    basis; its trailing block from k on is that of the same residual of ``A_tail``."""
+def _residual_gram_tops(factors: SvdFactors, z, starts):
+    """Top eigenvalue, unclipped, of the trailing block from each of ``starts`` on
+    of ``Sigma^2 - B^T B``, the Gram matrix of ``(I - pi(Z)) A`` in the right
+    singular basis; the block from k on is that of the same residual of ``A_tail``.
+
+    A block of more than :data:`experiments._DENSE_RESIDUAL_LIMIT` columns is
+    solved by Lanczos on ``x -> sigma^2 x - B^T (B x)`` (see
+    :func:`experiments._lanczos_gram_top`); smaller blocks, and any where
+    ARPACK fails, are read from the one dense Gram, formed only then.
+    """
+    from .experiments import _DENSE_RESIDUAL_LIMIT, _lanczos_gram_top  # experiments imports this module
+
     b = _rotated_basis_product(factors, z)
-    return np.diag(factors.sigma**2) - b.T @ b
+    sig_sq = factors.sigma**2
+    gram = None
+    tops = []
+    for start in starts:
+        top = None
+        if sig_sq.size - start > _DENSE_RESIDUAL_LIMIT:
+            top = _lanczos_gram_top(sig_sq[start:], b[:, start:])
+        if top is None:
+            if gram is None:
+                gram = np.diag(sig_sq) - b.T @ b
+            top = _top_eigenvalue(gram[start:, start:])
+        tops.append(top)
+    return tops
 
 
 def _check_matrix(a, factors: SvdFactors):
@@ -133,8 +154,8 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
         b = _rotated_basis_product(factors, z)
         return float(np.sum(sig_head**2) - np.sum(b[:, :k] ** 2))
     if which == 'spectral':
-        gram = _residual_gram(factors, z)
-        return _top_eigenvalue(gram) - _top_eigenvalue(gram[k:, k:])
+        full, tail = _residual_gram_tops(factors, z, (0, k))
+        return full - tail
     raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
 
 
@@ -185,5 +206,5 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     ops = angle_operators(factors, z, k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))
-    lhs = _top_eigenvalue(_residual_gram(factors, z)) - s_next**2
+    lhs = _residual_gram_tops(factors, z, (0,))[0] - s_next**2
     return _gap_report(ops, deflated, 'spectral', k, lhs)

@@ -16,15 +16,25 @@ A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``: the
 unseeded :func:`synthetic_matrix`, which holds no n x n array.
 
 A spectral residual is the top eigenvalue of the residual Gram, solved densely
-up to :data:`_DENSE_GRAM_LIMIT` (600) columns and by ARPACK Lanczos above: on a
-Gram of 400 columns with clustered eigenvalues Lanczos took 6.7 ms against
-5.7 ms dense.  A value at round-off level is recomputed from the explicit
-residual ``R``: by a dense SVD up to :data:`_DENSE_RESIDUAL_LIMIT` (90)
-columns, and above it as ``||R v||`` for the Lanczos Ritz vector ``v`` of
-``R^T R``.  Their crossover, measured on round-off residuals of rank-60
-problems at one BLAS thread, lies near 92 columns (0.32 ms each); at 400
-columns the dense SVD takes 8.6 ms and Lanczos 1.4 ms.  Both Lanczos solves first divide their operator by a power of
-two, the Gram by the one at or below ``max(sigma[k:]^2)`` and ``R``, in
+up to :data:`_DENSE_GRAM_LIMIT` (600) columns and by ARPACK Lanczos above.  On
+Grams of 400 columns (p=30, one BLAS thread) Lanczos took 0.4-0.8 ms against
+4.9-5.4 ms for ``eigvalsh`` on the default, ``j^-2``, gap and exp-decay
+spectra, but 23 ms against 5.0 ms on a near-degenerate cluster (60 leading
+values within 6e-5).  :mod:`deterministic` solves its Grams by the same
+:func:`_lanczos_gram_top` above :data:`_DENSE_RESIDUAL_LIMIT` (90) columns
+(on the ``j^-1/2`` spectrum at p=30 the two cost the same near 115 columns,
+0.3 ms each, and at 91 columns Lanczos costs 0.1 ms more).  The limit here
+stays 600: below it the benchmark's traced ``empirical_small`` run would fire
+no ``eigvalsh`` span, which its self-test expects, until the benchmark names
+its spans by role.
+
+A value at round-off level is recomputed from the explicit residual ``R``:
+by a dense SVD up to :data:`_DENSE_RESIDUAL_LIMIT` (90) columns, and above it
+as ``||R v||`` for the Lanczos Ritz vector ``v`` of ``R^T R``.  Their
+crossover, measured on round-off residuals of rank-60 problems at one BLAS
+thread, lies near 92 columns (0.32 ms each); at 400 columns the dense SVD
+takes 8.6 ms and Lanczos 1.4 ms.  Both Lanczos solves first divide their
+operator by a power of two, the Gram by the one at or below ``max(sigma[k:]^2)`` and ``R``, in
 place, by the one at or below its largest ``|entry|``, and scale the result
 back; the division is exact, so the solve is the same at every scale.  It is
 needed: ARPACK accepts a Ritz value ``theta`` once its residual bound falls
@@ -269,18 +279,23 @@ def _lanczos_top(matvec, m, vector):
         return None  # solved densely by the caller
 
 
+def _lanczos_gram_top(diag_sq, b):
+    """Largest eigenvalue of ``diag(diag_sq) - b^T b``, unclipped, by Lanczos on
+    the Gram divided by the power of two at or below ``max(diag_sq)``, with
+    matvec ``diag_sq * x - b^T (b x)``: the Gram is never formed.  None where
+    ARPACK fails, for the caller's dense solve."""
+    e = _binade(float(np.max(diag_sq)))
+    w = _lanczos_top(lambda x: np.ldexp(diag_sq * x - b.T @ (b @ x), -e), diag_sq.size, False)
+    return None if w is None else math.ldexp(float(w[0]), e)
+
+
 def _gram_top_eigenvalue(diag_sq, b):
     """Largest eigenvalue of ``diag(diag_sq) - b^T b`` (clipped at zero); above
-    :data:`_DENSE_GRAM_LIMIT` columns by Lanczos on the Gram divided by the power
-    of two at or below ``max(diag_sq)``."""
-    m = diag_sq.size
-    if m > _DENSE_GRAM_LIMIT:
-        e = _binade(float(np.max(diag_sq)))
-        w = _lanczos_top(lambda x: np.ldexp(diag_sq * x - b.T @ (b @ x), -e), m, False)
-        if w is not None:
-            return math.ldexp(max(float(w[0]), 0.0), e)
-    gram = np.diag(diag_sq) - b.T @ b
-    return max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+    :data:`_DENSE_GRAM_LIMIT` columns by :func:`_lanczos_gram_top`."""
+    top = _lanczos_gram_top(diag_sq, b) if diag_sq.size > _DENSE_GRAM_LIMIT else None
+    if top is None:
+        top = float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1])
+    return max(top, 0.0)
 
 
 def _explicit_residual_norm(q, b, sigma, k, which):
@@ -514,7 +529,8 @@ def _check_variants(variants):
 def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     """Report of each named variant, ``{name: {'bound': ..., constants...}}``;
     a name outside :data:`VARIANTS`, or a request that :func:`rsvd._check_request`
-    refuses, raises ``ValueError`` before any is evaluated.
+    refuses, raises ``ValueError`` before any is evaluated, and a variant whose
+    arithmetic overflows raises ``OverflowError`` naming it and ``k, p, q``.
 
     The closed forms and the HMT baselines depend on ``factors.sigma`` only.
     The theorem variants evaluate ``sketch``, whose projected covariance
@@ -528,18 +544,21 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     reports = {}
     profile = projection = None
     for name in variants:
-        if name in RSVD_VARIANTS:
-            if profile is None:
-                profile = rsvd.SpectrumProfile.from_spectrum(factors.sigma, k, p, q)
-            result = RSVD_VARIANTS[name](profile)
-            reports[name] = {'bound': result.bound, **result.constants}
-        elif name in THEOREM_VARIANTS:
-            if projection is None:
-                projection = expectation.project_sketch(factors, sketch, k, p)
-            result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
-            reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
-        else:
-            reports[name] = {'bound': HMT_VARIANTS[name](factors.sigma, k, p, q)}
+        try:
+            if name in RSVD_VARIANTS:
+                if profile is None:
+                    profile = rsvd.SpectrumProfile.from_spectrum(factors.sigma, k, p, q)
+                result = RSVD_VARIANTS[name](profile)
+                reports[name] = {'bound': result.bound, **result.constants}
+            elif name in THEOREM_VARIANTS:
+                if projection is None:
+                    projection = expectation.project_sketch(factors, sketch, k, p)
+                result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
+                reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
+            else:
+                reports[name] = {'bound': HMT_VARIANTS[name](factors.sigma, k, p, q)}
+        except OverflowError:  # float arithmetic's own, whose text names neither
+            raise OverflowError(f'bound variant {name} overflows at k={k}, p={p}, q={q}') from None
     return reports
 
 

@@ -77,9 +77,8 @@ def _as_matrix(a, name='matrix'):
 
 
 def _symmetrize(a, name='matrix'):
-    scale = max(1.0, float(np.max(np.abs(a))))
     asym = float(np.max(np.abs(a - a.T)))
-    if asym > SYM_TOL * scale:
+    if asym > SYM_TOL * float(np.max(np.abs(a))):  # relative at every scale
         raise ValueError(f'{name} is not symmetric: max asymmetry {asym:.3e}')
     return 0.5 * (a + a.T)
 

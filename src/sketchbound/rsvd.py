@@ -209,8 +209,10 @@ def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
 
 
 def _tail_norm_sq(sigma, k):
+    """``sum(sigma[k:]^2)``; inf, without a warning, where the squares overflow."""
     tail = np.asarray(sigma, dtype=float)[k:]
-    return float(np.sum(tail**2))
+    with np.errstate(over='ignore'):
+        return float(np.sum(tail**2))
 
 
 def hmt_frobenius(sigma, k, p) -> float:

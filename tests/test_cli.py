@@ -1,4 +1,5 @@
 import json
+import math
 import weakref
 
 import numpy as np
@@ -269,7 +270,10 @@ def _overflowing_bound_request(variant, *out):
     return request
 
 
-NON_JSON = 'Out of range float values are not JSON compliant: inf; no report written'
+def _non_json(variant):
+    return f'variants.{variant}.bound is inf, which JSON cannot carry; no report written'
+
+
 SWEEP = {'n': 30, 'k_list': [3], 'oversampling_list': [3], 'trials': 2}
 EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
 
@@ -292,12 +296,16 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
     (_moments_request(1.0, 1e-160, 1e160), 'projected covariance head block is numerically singular'),
     (_round_off_head_request(1.0), 'projected covariance head block is numerically singular'),
     (_round_off_head_request(1e8), 'projected covariance head block is numerically singular'),
-    (_overflowing_bound_request('hmt_frobenius'), NON_JSON),
-    (_overflowing_bound_request('hmt_frobenius', '--out', 'report.json'), NON_JSON),
-    (_overflowing_bound_request('hmt_spectral'), NON_JSON),
-    # an OverflowError, whose text is the C library's
-    (_overflowing_bound_request('cor_frobenius'), ''),
-    (_overflowing_bound_request('cor_frobenius', '--out', 'report.json'), ''),
+    (_overflowing_bound_request('hmt_frobenius'), _non_json('hmt_frobenius')),
+    (_overflowing_bound_request('hmt_frobenius', '--out', 'report.json'), _non_json('hmt_frobenius')),
+    (_overflowing_bound_request('hmt_spectral'), _non_json('hmt_spectral')),
+    # the first non-finite value is named by its key, whichever variants follow it
+    (_overflowing_bound_request('hmt_frobenius,hmt_spectral,cor_spectral,hmt_power'), _non_json('hmt_frobenius')),
+    (_overflowing_bound_request('cor_spectral,hmt_power,hmt_spectral'), _non_json('hmt_spectral')),
+    # an OverflowError, whose own text is the C library's
+    (_overflowing_bound_request('cor_frobenius'), 'bound variant cor_frobenius overflows at k=3, p=8, q=1'),
+    (_overflowing_bound_request('cor_frobenius', '--out', 'report.json'),
+     'bound variant cor_frobenius overflows at k=3, p=8, q=1'),
     (_cli_request(*EMPIRICAL_30, '--k', '0', '--p', '5'), 'need 1 <= k <= p - 2, got k=0, p=5'),
     (_cli_request(*EMPIRICAL_30, '--k', '-3', '--p', '5'), 'need 1 <= k <= p - 2, got k=-3, p=5'),
     (_cli_request(*EMPIRICAL_30, '--k', '31', '--p', '35'), 'p=35 exceeds the spectrum length 30'),
@@ -308,7 +316,8 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
 ], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
         'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged', 'constants-overflow',
         'covariance-head-below-scale', 'round-off-head', 'round-off-head-1e8', 'infinite-bound',
-        'infinite-bound-out', 'infinite-spectral-bound', 'overflowing-bound', 'overflowing-bound-out',
+        'infinite-bound-out', 'infinite-spectral-bound', 'four-variants', 'finite-variants-first',
+        'overflowing-bound', 'overflowing-bound-out',
         'empirical-k-zero', 'empirical-k-negative', 'empirical-k-above-n', 'empirical-p-below-k-plus-2',
         'empirical-p-above-n', 'bounds-q-negative'])
 def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys, make_request, message):
@@ -320,6 +329,23 @@ def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, ca
     assert captured.out == '' and 'Traceback' not in captured.err
     assert f'sketchbound: {message}' in captured.err
     assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize('indent', [None, 2])
+@pytest.mark.parametrize('report, where', [
+    ({'k': 3, 'variants': {'a': {'bound': 1.0}, 'b': {'bound': -math.inf, 'c_k': math.nan}}},
+     'variants.b.bound is -inf'),
+    ({'rows': [{'mean': 1.0}, {'mean': np.float64('nan')}]}, 'rows.1.mean is nan'),
+])
+def test_non_json_value_is_named_by_its_key_path(monkeypatch, capsys, report, where, indent):
+    """The refusal names the first non-finite value by its key path, with the
+    same text whichever encoder ``json.dumps`` picks (C without indent, Python with)."""
+    dumps = cli.json.dumps
+    monkeypatch.setattr(cli.json, 'dumps', lambda obj, **kw: dumps(obj, **dict(kw, indent=indent)))
+    with pytest.raises(ValueError) as info:
+        cli._write_json(report, None)
+    assert str(info.value) == f'{where}, which JSON cannot carry; no report written'
+    assert capsys.readouterr().out == ''
 
 
 @pytest.mark.parametrize('k, p, q', [

@@ -1,6 +1,11 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from sketchbound import deterministic, experiments
 from sketchbound.deterministic import (
     angle_operators,
     deflated_spectral_gap_bound,
@@ -237,3 +242,116 @@ class TestOrderingChain:
             tangent_gram = ops.tangent.T @ ops.tangent
             assert psd_order(projected, sine_gram, 1e-9).satisfied
             assert psd_order(sine_gram, tangent_gram, 1e-9).satisfied
+
+
+def dense_lhs(f, z, k):
+    """The spectral and deflated gaps from the dense Gram ``Sigma^2 - B^T B`` and
+    ``eigvalsh``, formed as the dense branch forms them: the oracle of the Lanczos one."""
+    q = orthonormal_basis(f.left().T @ z)
+    b = q[:f.sigma.size].T * f.sigma
+    gram = np.diag(f.sigma**2) - b.T @ b
+
+    def top(g):
+        return float(np.linalg.eigvalsh(g)[-1]) if g.size else 0.0
+    return top(gram) - top(gram[k:, k:]), top(gram) - f.next_sigma(k) ** 2
+
+
+def spectrum_instance(rows, cols, spectrum, seed=0):
+    """``(a, factors, z, k)`` for one named spectrum: the benchmark pool's
+    ``j^-1/2`` with ``Z = A G``, G of 30 columns; a graded ``j^-2`` with
+    ``Z = (A A^T)^2 A G``, G of 8 columns, the most ``Z`` keeps of full rank;
+    ten equal leading values; or rank 20, where ``Z = [A G, W]`` with 20 and 10
+    columns holds the whole range of ``A``, so the Gram is round-off."""
+    rng = np.random.default_rng([seed, rows, cols])
+    r = min(rows, cols)
+    j = np.arange(1, r + 1, dtype=float)
+    sigma, q, k, p = {
+        'pool': (j**-0.5, 0, 8, 30),
+        'graded': (j**-2.0, 2, 3, 8),
+        'cluster': (np.where(j <= 10, 1.0, 0.5 / j), 0, 5, 30),
+        'round-off': (np.where(j <= 20, j**-0.5, 0.0), 0, 6, 20),
+    }[spectrum]
+    a = (random_orthogonal(rows, rng)[:, :r] * sigma) @ random_orthogonal(cols, rng)[:, :r].T
+    z = a @ rng.standard_normal((cols, p))
+    for _ in range(q):
+        z = a @ (a.T @ z)
+    if spectrum == 'round-off':
+        z = np.hstack([z, rng.standard_normal((rows, 10))])
+    return a, svd(a), z, k
+
+
+def lhs_pair(a, f, z, k):
+    return residual_gap_squared(a, f, z, k, 'spectral'), deflated_spectral_gap_bound(a, f, z, k).lhs_gap
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', counting)
+    return calls
+
+
+SHAPES = {'tall': (150, 120), 'wide': (110, 160), 'square': (130, 130)}
+SPECTRA = ('pool', 'graded', 'cluster', 'round-off')
+
+
+class TestLanczosGramBranch:
+    """Above ``experiments._DENSE_RESIDUAL_LIMIT`` columns the residual Gram's top
+    eigenvalues are solved by Lanczos; at or below it, and where ARPACK fails, densely."""
+
+    @pytest.mark.parametrize('spectrum', SPECTRA)
+    @pytest.mark.parametrize('shape', SHAPES)
+    def test_agrees_with_the_dense_oracle(self, eigsh_calls, shape, spectrum):
+        a, f, z, k = spectrum_instance(*SHAPES[shape], spectrum)
+        assert f.sigma.size - k > experiments._DENSE_RESIDUAL_LIMIT
+        got, want = lhs_pair(a, f, z, k), dense_lhs(f, z, k)
+        assert len(eigsh_calls) == 3  # the full Gram twice and its trailing block once
+        assert np.abs(np.subtract(got, want)).max() <= 1e-12 * f.sigma[0] ** 2
+
+    @pytest.mark.parametrize('shape', SHAPES)
+    def test_arpack_failure_gives_the_dense_bits(self, monkeypatch, shape):
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', failing)
+        for spectrum in SPECTRA:
+            a, f, z, k = spectrum_instance(*SHAPES[shape], spectrum)
+            assert lhs_pair(a, f, z, k) == dense_lhs(f, z, k)
+
+    @pytest.mark.parametrize('rows, cols, k, solves', [
+        (120, 90, 8, 0), (70, 100, 5, 0), (40, 30, 4, 0),
+        # the full Gram above the limit, its trailing block at or below it
+        (150, 95, 5, 2), (150, 95, 10, 2),
+    ])
+    def test_at_or_below_the_limit_the_block_keeps_the_dense_bits(self, eigsh_calls, rows, cols, k, solves):
+        a, f, z, _ = spectrum_instance(rows, cols, 'pool')
+        spectral, deflated = lhs_pair(a, f, z, k)
+        want_spectral, want_deflated = dense_lhs(f, z, k)
+        assert len(eigsh_calls) == solves
+        if solves:
+            assert abs(spectral - want_spectral) <= 1e-12 * f.sigma[0] ** 2
+            assert abs(deflated - want_deflated) <= 1e-12 * f.sigma[0] ** 2
+        else:
+            assert (spectral, deflated) == (want_spectral, want_deflated)
+
+
+def test_gap_is_within_the_bound_on_every_benchmark_instance():
+    """``lhs_gap <= bound + 1e-9`` for the three bounds of all 27 instances of the
+    benchmark's deterministic pool, whose Grams (300 to 400 columns) take the Lanczos branch."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'perfbench', 'workloads.py')
+    spec = importlib.util.spec_from_file_location('perfbench_workloads', path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads._det_pool()
+    assert len(pool) == 27
+    with experiments._one_blas_thread():  # a third of the time at two BLAS threads
+        for instance_id in pool:
+            a, z = workloads._det_arrays(instance_id)
+            reports = workloads.det_reports(deterministic, a, svd(a), z, workloads.det_k(instance_id))
+            assert all(r['lhs_gap'] <= r['bound'] + 1e-9 for r in reports), instance_id

@@ -13,6 +13,7 @@ from sketchbound.linalg import (
     psd_order,
     read_matrix_market,
     spectral_norm,
+    _symmetrize,
     svd,
     write_matrix_market,
 )
@@ -236,6 +237,22 @@ class TestPsdOrder:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             psd_order(np.eye(2), np.eye(3), 1e-12)
+
+
+class TestSymmetrize:
+    SYMMETRIC = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, 3.0]])
+
+    @pytest.mark.parametrize('log2_scale', [-60, 0])
+    def test_relative_asymmetry_is_refused_at_every_scale(self, log2_scale):
+        a = self.SYMMETRIC.copy()
+        a[0, 1] *= 1 + 1e-6
+        with pytest.raises(ValueError, match='not symmetric'):
+            _symmetrize(np.ldexp(a, log2_scale))
+
+    @pytest.mark.parametrize('log2_scale', [-600, -60, 0, 60, 600])
+    def test_symmetric_matrix_is_accepted_at_every_scale(self, log2_scale):
+        a = np.ldexp(self.SYMMETRIC, log2_scale)
+        np.testing.assert_array_equal(_symmetrize(a), a)
 
 
 class TestCanonicalAngles:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,13 @@ class TestHmtBaselines:
             sigma = np.sort(10.0 ** rng.uniform(-6, 0, n))[::-1]
             k = int(rng.integers(1, n - 1))
             self.assert_corollaries_contain_hmt_at_q_zero(sigma, k, int(rng.integers(k + 2, n + 1)))
+
+    def test_overflowing_tail_is_inf_without_a_warning(self):
+        sigma = np.ldexp(np.array([4.0, 2.0, 1.0, 0.5]), 600)
+        with warnings.catch_warnings():
+            warnings.simplefilter('error')
+            assert hmt_frobenius(sigma, 1, 3) == math.inf
+            assert hmt_spectral(sigma, 1, 3) == math.inf
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
