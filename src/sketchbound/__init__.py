@@ -11,7 +11,6 @@ from .deterministic import (
     DeterministicBoundReport,
     angle_operators,
     deflated_spectral_gap_bound,
-    phi,
     residual_gap_squared,
     sine_tangent_gap_bound,
 )
@@ -49,6 +48,7 @@ from .linalg import (
     frobenius_norm,
     norm,
     orthonormal_basis,
+    phi,
     pseudo_inverse,
     psd_order,
     read_matrix_market,

@@ -13,7 +13,9 @@ and the dominant left singular subspace.
 The gap itself is evaluated in the left singular basis: with ``Q`` an
 orthonormal basis of ``U^T Z``, the residual ``(I - pi(Z)) A`` has the Gram
 matrix ``Sigma^2 - B^T B`` for ``B = Q^T Sigma`` (Halko, Martinsson & Tropp
-2011), so no dense residual of ``A`` is ever formed.
+2011), so no dense residual of ``A`` is ever formed.  The top eigenvalues of
+that Gram and of its trailing block come from the one residual-Gram solver,
+:func:`experiments._gram_tops`, by Lanczos above 90 columns.
 """
 
 from __future__ import annotations
@@ -22,13 +24,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .experiments import _DENSE_RESIDUAL_LIMIT, _gram_tops
 from .linalg import (
-    RANK_TOL,
     SvdFactors,
     _as_matrix,
-    _check_head,
+    _check_head_rank,
+    _operator_norms,
     norm as matrix_norm,
     orthonormal_basis,
+    phi,
     pseudo_inverse,
 )
 
@@ -37,22 +41,9 @@ __all__ = [
     'DeterministicBoundReport',
     'angle_operators',
     'deflated_spectral_gap_bound',
-    'phi',
     'residual_gap_squared',
     'sine_tangent_gap_bound',
 ]
-
-
-def phi(x):
-    """The tangent-to-sine map ``x -> x / sqrt(1 + x^2)`` for x >= 0; 1.0
-    where ``x^2`` overflows (x above about 1.34e154, and x = inf)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError('phi is defined for non-negative arguments')
-    with np.errstate(over='ignore', invalid='ignore'):
-        sq = x * x
-        out = np.where(np.isinf(sq), 1.0, x / np.sqrt(1.0 + sq))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -63,13 +54,6 @@ class AngleOperators:
     sine: np.ndarray
     tangent_sigma: np.ndarray
     sine_sigma: np.ndarray
-
-
-def _check_head_rank(omega_head, w):
-    """Raise :class:`RankDeficiencyError` unless ``omega_head``, the head
-    block of the sketch ``w``, has full numerical row rank."""
-    _check_head(np.linalg.svd(omega_head, compute_uv=False), float(np.linalg.norm(w)), RANK_TOL,
-                'head block of the sketch is row-rank deficient', 'singular value')
 
 
 def angle_operators(factors: SvdFactors, z, k) -> AngleOperators:
@@ -102,43 +86,10 @@ def _rotated_basis_product(factors: SvdFactors, z):
     return q[:factors.sigma.size].T * factors.sigma
 
 
-def _residual_gram_tops(factors: SvdFactors, z, starts):
-    """Top eigenvalue, unclipped, of the trailing block from each of ``starts`` on
-    of ``Sigma^2 - B^T B``, the Gram matrix of ``(I - pi(Z)) A`` in the right
-    singular basis; the block from k on is that of the same residual of ``A_tail``.
-
-    A block of more than :data:`experiments._DENSE_RESIDUAL_LIMIT` columns is
-    solved by Lanczos on ``x -> sigma^2 x - B^T (B x)`` (see
-    :func:`experiments._lanczos_gram_top`); smaller blocks, and any where
-    ARPACK fails, are read from the one dense Gram, formed only then.
-    """
-    from .experiments import _DENSE_RESIDUAL_LIMIT, _lanczos_gram_top  # experiments imports this module
-
-    b = _rotated_basis_product(factors, z)
-    sig_sq = factors.sigma**2
-    gram = None
-    tops = []
-    for start in starts:
-        top = None
-        if sig_sq.size - start > _DENSE_RESIDUAL_LIMIT:
-            top = _lanczos_gram_top(sig_sq[start:], b[:, start:])
-        if top is None:
-            if gram is None:
-                gram = np.diag(sig_sq) - b.T @ b
-            top = _top_eigenvalue(gram[start:, start:])
-        tops.append(top)
-    return tops
-
-
 def _check_matrix(a, factors: SvdFactors):
     """Raise ``ValueError`` unless ``a`` is a finite matrix of the shape of ``factors``."""
     if _as_matrix(a, 'A').shape != (factors.rows, factors.cols):
         raise ValueError(f'A has shape {np.shape(a)}, but its factors are {factors.rows}x{factors.cols}')
-
-
-def _top_eigenvalue(gram):
-    """Largest eigenvalue of a symmetric matrix; 0 for an empty one."""
-    return float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
 
 
 def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
@@ -154,7 +105,8 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
         b = _rotated_basis_product(factors, z)
         return float(np.sum(sig_head**2) - np.sum(b[:, :k] ** 2))
     if which == 'spectral':
-        full, tail = _residual_gram_tops(factors, z, (0, k))
+        b = _rotated_basis_product(factors, z)
+        full, tail = _gram_tops(factors.sigma**2, b, (0, k), _DENSE_RESIDUAL_LIMIT)
         return full - tail
     raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
 
@@ -172,12 +124,6 @@ class DeterministicBoundReport:
 
     def as_dict(self):
         return asdict(self)
-
-
-def _operator_norms(sigma_values, which):
-    if which == 'spectral':
-        return float(sigma_values[0]) if sigma_values.size else 0.0
-    return float(np.sqrt(np.sum(sigma_values**2)))
 
 
 def _gap_report(ops, weights, which, k, lhs) -> DeterministicBoundReport:
@@ -206,5 +152,5 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     ops = angle_operators(factors, z, k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))
-    lhs = _residual_gram_tops(factors, z, (0,))[0] - s_next**2
-    return _gap_report(ops, deflated, 'spectral', k, lhs)
+    top, = _gram_tops(factors.sigma**2, _rotated_basis_product(factors, z), (0,), _DENSE_RESIDUAL_LIMIT)
+    return _gap_report(ops, deflated, 'spectral', k, top - s_next**2)

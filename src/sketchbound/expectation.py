@@ -25,7 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from . import rsvd
-from .deterministic import phi
 from .linalg import (
     RANK_TOL,
     SvdFactors,
@@ -33,9 +32,10 @@ from .linalg import (
     _check_head,
     _symmetrize,
     frobenius_norm,
+    phi,
     spectral_norm,
 )
-from .sketching import RsvdSketch
+from .sketching import RsvdSketch, _rsvd_covariance_eigenvalues
 
 __all__ = [
     'ExpectationBoundReport',
@@ -253,7 +253,7 @@ def project_sketch(factors: SvdFactors, sketch, k, p) -> ProjectedCovariance:
     if columns != p:
         raise ValueError(f'sketch has {columns} columns, expected p={p}')
     if isinstance(sketch, RsvdSketch):
-        return ProjectedCovariance.from_spectrum(factors.sigma ** (4 * sketch.q + 2), k)
+        return ProjectedCovariance.from_spectrum(_rsvd_covariance_eigenvalues(factors.sigma, sketch.q), k)
     return project_covariance(sketch.covariance, factors, k)
 
 

@@ -15,18 +15,20 @@ the bits a dense ``np.diag(sigma)`` product gives, at O(np) cost and memory.
 A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``: the
 unseeded :func:`synthetic_matrix`, which holds no n x n array.
 
-A spectral residual is the top eigenvalue of the residual Gram, solved densely
-up to :data:`_DENSE_GRAM_LIMIT` (600) columns and by ARPACK Lanczos above.  On
-Grams of 400 columns (p=30, one BLAS thread) Lanczos took 0.4-0.8 ms against
-4.9-5.4 ms for ``eigvalsh`` on the default, ``j^-2``, gap and exp-decay
-spectra, but 23 ms against 5.0 ms on a near-degenerate cluster (60 leading
-values within 6e-5).  :mod:`deterministic` solves its Grams by the same
-:func:`_lanczos_gram_top` above :data:`_DENSE_RESIDUAL_LIMIT` (90) columns
-(on the ``j^-1/2`` spectrum at p=30 the two cost the same near 115 columns,
-0.3 ms each, and at 91 columns Lanczos costs 0.1 ms more).  The limit here
-stays 600: below it the benchmark's traced ``empirical_small`` run would fire
-no ``eigvalsh`` span, which its self-test expects, until the benchmark names
-its spans by role.
+One solver, :func:`_gram_tops`, finds the top eigenvalue of every residual
+Gram ``Sigma^2 - B^T B`` (HMT 2011): of a trial here, and of a per-sample gap
+in :mod:`deterministic`.  Above a column limit, which each caller passes, it
+runs ARPACK Lanczos and never forms the Gram; at or below it, ``eigvalsh``.
+On Grams of 400 columns (p=30, one BLAS thread) Lanczos took 0.4-0.8 ms
+against 4.9-5.4 ms for ``eigvalsh`` on the default, ``j^-2``, gap and
+exp-decay spectra, but 23 ms against 5.0 ms on a near-degenerate cluster (60
+leading values within 6e-5); on the ``j^-1/2`` spectrum at p=30 the two cost
+the same near 115 columns, 0.3 ms each.  The limits differ until the
+benchmark names its spans by role: :mod:`deterministic` passes
+:data:`_DENSE_RESIDUAL_LIMIT` (90), which took the benchmark's
+``deterministic_samples`` ops (300-400 columns) from 0.015 to 0.006 s, and
+the trials :data:`_DENSE_GRAM_LIMIT` (600), without which the traced
+``empirical_small`` run would fire no ``eigvalsh`` span, as its self-test expects.
 
 A value at round-off level is recomputed from the explicit residual ``R``:
 by a dense SVD up to :data:`_DENSE_RESIDUAL_LIMIT` (90) columns, and above it
@@ -104,8 +106,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import expectation, rsvd
-from .deterministic import _check_head_rank, _operator_norms
-from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _write_atomic
+from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic
 from .sketching import (
     GaussianSketch,
     RsvdSketch,
@@ -279,23 +280,31 @@ def _lanczos_top(matvec, m, vector):
         return None  # solved densely by the caller
 
 
-def _lanczos_gram_top(diag_sq, b):
-    """Largest eigenvalue of ``diag(diag_sq) - b^T b``, unclipped, by Lanczos on
-    the Gram divided by the power of two at or below ``max(diag_sq)``, with
-    matvec ``diag_sq * x - b^T (b x)``: the Gram is never formed.  None where
-    ARPACK fails, for the caller's dense solve."""
-    e = _binade(float(np.max(diag_sq)))
-    w = _lanczos_top(lambda x: np.ldexp(diag_sq * x - b.T @ (b @ x), -e), diag_sq.size, False)
-    return None if w is None else math.ldexp(float(w[0]), e)
+def _gram_tops(diag_sq, b, starts, dense_limit):
+    """Largest eigenvalue, unclipped, of the trailing block from each of ``starts``
+    on of the Gram ``diag(diag_sq) - b^T b``; 0.0 for an empty block.
 
-
-def _gram_top_eigenvalue(diag_sq, b):
-    """Largest eigenvalue of ``diag(diag_sq) - b^T b`` (clipped at zero); above
-    :data:`_DENSE_GRAM_LIMIT` columns by :func:`_lanczos_gram_top`."""
-    top = _lanczos_gram_top(diag_sq, b) if diag_sq.size > _DENSE_GRAM_LIMIT else None
-    if top is None:
-        top = float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1])
-    return max(top, 0.0)
+    A block of more than ``dense_limit`` columns is solved by Lanczos on the
+    block divided by the power of two at or below its largest ``diag_sq``,
+    with matvec ``diag_sq * x - b^T (b x)``: that block is never formed.
+    Smaller blocks, and any where ARPACK fails, are read from the one dense
+    Gram, formed only then.
+    """
+    gram = None
+    tops = []
+    for start in starts:
+        top = None
+        block_sq, block_b = diag_sq[start:], b[:, start:]
+        if block_sq.size > dense_limit:
+            e = _binade(float(np.max(block_sq)))
+            w = _lanczos_top(lambda x: np.ldexp(block_sq * x - block_b.T @ (block_b @ x), -e), block_sq.size, False)
+            top = None if w is None else math.ldexp(float(w[0]), e)
+        if top is None:
+            if gram is None:
+                gram = np.diag(diag_sq) - b.T @ b
+            top = float(np.linalg.eigvalsh(gram[start:, start:])[-1]) if block_sq.size else 0.0
+        tops.append(top)
+    return tops
 
 
 def _explicit_residual_norm(q, b, sigma, k, which):
@@ -357,7 +366,7 @@ def _residual_norms(q, b, sigma, k, norms):
     for which in norms:
         value_sq = trace
         if which == 'spectral' and trace > 0.5 * noise_floor:
-            value_sq = _gram_top_eigenvalue(tail_sq, b_tail)
+            value_sq = _gram_tops(tail_sq, b_tail, (0,), _DENSE_GRAM_LIMIT)[0]
         values[which] = (_explicit_residual_norm(q, b, sigma, k, which) if value_sq <= noise_floor
                          else math.sqrt(value_sq))
     return values

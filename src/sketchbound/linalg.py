@@ -1,6 +1,11 @@
 """Dense linear-algebra kernels: factorizations, norms, and PSD-ordering checks,
 plus Matrix Market I/O and the package's one file writer, :func:`_write_atomic`.
 
+It also holds what the bounds and the trials share: the tangent-to-sine map
+:func:`phi`, the one rule that decides whether a head block is singular
+(:func:`_check_head`; :func:`_check_head_rank` for a sketch's), and the norms
+of a spectrum, :func:`_operator_norms`.
+
 Every kernel is a pure function of its inputs and safe to call from any
 number of threads.
 """
@@ -30,6 +35,7 @@ __all__ = [
     'frobenius_norm',
     'norm',
     'orthonormal_basis',
+    'phi',
     'pseudo_inverse',
     'psd_order',
     'read_matrix_market',
@@ -92,6 +98,13 @@ def _check_head(values, scale, tol, what, kind):
     if largest <= RANK_TOL * scale or smallest <= tol * largest:
         raise RankDeficiencyError(f'{what} (smallest {kind} {smallest:.3e}, largest {largest:.3e})',
                                   smallest_singular_value=smallest)
+
+
+def _check_head_rank(omega_head, w):
+    """Raise :class:`RankDeficiencyError` unless ``omega_head``, the head
+    block of the sketch ``w``, has full numerical row rank."""
+    _check_head(np.linalg.svd(omega_head, compute_uv=False), float(np.linalg.norm(w)), RANK_TOL,
+                'head block of the sketch is row-rank deficient', 'singular value')
 
 
 class SvdFactors:
@@ -218,6 +231,25 @@ def norm(m, which) -> float:
     if which == 'frobenius':
         return frobenius_norm(m)
     raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
+
+
+def _operator_norms(sigma_values, which):
+    """Spectral or Frobenius norm of an operator of singular values ``sigma_values``, descending."""
+    if which == 'spectral':
+        return float(sigma_values[0]) if sigma_values.size else 0.0
+    return float(np.sqrt(np.sum(sigma_values**2)))
+
+
+def phi(x):
+    """The tangent-to-sine map ``x -> x / sqrt(1 + x^2)`` for x >= 0; 1.0
+    where ``x^2`` overflows (x above about 1.34e154, and x = inf)."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError('phi is defined for non-negative arguments')
+    with np.errstate(over='ignore', invalid='ignore'):
+        sq = x * x
+        out = np.where(np.isinf(sq), 1.0, x / np.sqrt(1.0 + sq))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .deterministic import phi
-from .linalg import PINV_TOL
+from .linalg import PINV_TOL, phi
 
 __all__ = [
     'RsvdBoundReport',
@@ -187,7 +186,7 @@ def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     s = profile.sigma
     s_next = float(s[k])
     head = profile.head()
-    gam = s_next / head
+    gam, _, head_4q2 = _head_gamma_sums(profile)
     one_minus = np.clip(1.0 - gam**2, 0.0, None)
     ell = peak_index(profile)
     s_ell = float(head[ell - 1])
@@ -197,7 +196,7 @@ def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
         + math.sqrt(one_minus[ell - 1]) * s_ell * math.sqrt(_tail_ratio_sum(profile, s_ell)) * wishart
     )
     d_hat_k = (
-        math.sqrt(float(np.sum(gam ** (4 * q + 2)))) / math.sqrt(p - k - 1)
+        math.sqrt(head_4q2) / math.sqrt(p - k - 1)
         + math.sqrt(_tail_ratio_sum(profile, float(head[k - 1]))) * wishart
     )
     deflated_top = math.sqrt(max(float(s[0]) ** 2 - s_next**2, 0.0))

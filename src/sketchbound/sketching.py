@@ -151,6 +151,16 @@ def rsvd_sketch(a, q, p, stream: SeededStream):
     return z
 
 
+def _rsvd_covariance_eigenvalues(sigma, q):
+    """``sigma^(4q+2)``, the eigenvalues of the RSVD sketch covariance
+    ``U (Sigma Sigma^T)^(2q+1) U^T``; ``OverflowError`` where one overflows."""
+    with np.errstate(over='ignore'):
+        powers = sigma ** (4 * q + 2)
+    if not np.all(np.isfinite(powers)):
+        raise OverflowError(f'the RSVD sketch covariance sigma^{4 * q + 2} overflows at q={q}')
+    return powers
+
+
 def rsvd_distribution(factors, q, p) -> GaussianSketch:
     """Distribution of the randomized-SVD sketch: zero mean, covariance
     ``U (Sigma Sigma^T)^(2q+1) U^T``, whose eigenpairs are the factors' own
@@ -162,7 +172,7 @@ def rsvd_distribution(factors, q, p) -> GaussianSketch:
         raise ValueError('q must be non-negative')
     if p < 1:
         raise ValueError('p must be positive')
-    return GaussianSketch(np.zeros((factors.rows, p)), factors.sigma ** (4 * q + 2),
+    return GaussianSketch(np.zeros((factors.rows, p)), _rsvd_covariance_eigenvalues(factors.sigma, q),
                           factors.left_head(factors.sigma.size))
 
 

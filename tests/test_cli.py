@@ -331,6 +331,21 @@ def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, ca
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
+def test_overflowing_sketch_covariance_is_refused_by_name(tmp_path, capsys, recwarn):
+    """On the seeded n=30 matrix times 2^600 at q=1, ``sigma^6`` overflows: the
+    default variant list exits 2 with no numpy warning, and the library call
+    names the theorem variant."""
+    a = synthetic_matrix(30, 1)[0] * 2.0**600
+    write_matrix_market(tmp_path / 'a.mtx', a)
+    assert run_cli('bounds', '--matrix', str(tmp_path / 'a.mtx'), '--k', '3', '--p', '8', '--q', '1') == 2
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'sketchbound: the RSVD sketch covariance sigma^6 overflows at q=1\n'
+    with pytest.raises(OverflowError, match=r'^bound variant thm4 overflows at k=3, p=8, q=1$'):
+        experiments.evaluate_bounds(('thm4',), linalg.svd(a), 3, 8, 1)
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize('indent', [None, 2])
 @pytest.mark.parametrize('report, where', [
     ({'k': 3, 'variants': {'a': {'bound': 1.0}, 'b': {'bound': -math.inf, 'c_k': math.nan}}},
