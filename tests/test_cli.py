@@ -176,6 +176,12 @@ class TestBounds:
         assert run_cli('bounds', '--synthetic-n', '30', '--k', '2', '--p', '6',
                        '--variant', 'wat') == 2
 
+    @pytest.mark.parametrize('variant', ('', ' , ', 'cor_frobenius,hmt_power,cor_frobenius'))
+    def test_empty_or_repeating_variant_list_is_precondition_error(self, capsys, variant):
+        assert run_cli('bounds', '--synthetic-n', '30', '--k', '3', '--p', '8', '--variant', variant) == 2
+        captured = capsys.readouterr()
+        assert 'must name at least one variant, each once' in captured.err and captured.out == ''
+
     def test_k_out_of_range_is_precondition_error(self):
         assert run_cli('bounds', '--synthetic-n', '30', '--k', '5', '--p', '6',
                        '--variant', 'cor_frobenius') == 2

@@ -1103,6 +1103,15 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f'{name} has duplicate entries'):
             small_config(**{name: values})
 
+    @pytest.mark.parametrize('variants', ((), ('cor_frobenius', 'cor_frobenius')))
+    def test_config_and_evaluate_bounds_refuse_an_empty_or_repeating_variant_list(self, variants):
+        with pytest.raises(ValueError) as config_error:
+            small_config(bound_variants=variants)
+        with pytest.raises(ValueError) as bounds_error:
+            experiments.evaluate_bounds(variants, synthetic_matrix(20)[1], 2, 6, 0)
+        assert str(bounds_error.value) == str(config_error.value) == (
+            f'bound variants must name at least one variant, each once, got {list(variants)}')
+
     def test_config_keeps_the_grid_inside_the_stream_index_fields(self):
         t_bits, p_bits, q_bits = experiments._TRIAL_FIELDS
         small_config(trials=2**t_bits, q_list=(0, 2**q_bits - 1), oversampling_list=(2, 2**p_bits - 4))
@@ -1171,18 +1180,24 @@ class TestSweepWorkers:
             assert [get() for get, _ in blas_threads] == [1] * len(blas_threads)
         assert [get() for get, _ in blas_threads] == [2] * len(blas_threads)
 
-    def test_a_helper_threads_failure_surfaces(self):
-        failed = threading.Event()
+    def test_a_failing_unit_is_raised_and_the_units_not_started_are_cancelled(self):
+        threads = threading.active_count()
+        assert experiments._map_cells(lambda i: i, 40, 4) == list(range(40))
+        assert experiments._map_cells(lambda i: i, 0, 4) == []
+        assert threading.active_count() == threads
+        ran = []
 
         def work(i):
-            if threading.current_thread() is threading.main_thread():
-                assert failed.wait(timeout=30)  # the helper fails meanwhile
-                return i
-            failed.set()
-            raise RuntimeError('a helper failed')
+            ran.append(i)
+            if i == 0:
+                raise RuntimeError('unit 0 failed')
+            time.sleep(0.01)
+            return i
 
-        with pytest.raises(RuntimeError, match='a helper failed'):
-            experiments._map_cells(work, 4, 2)
+        with pytest.raises(RuntimeError, match='unit 0 failed'):
+            experiments._map_cells(work, 400, 4)
+        assert 0 in ran and len(ran) < 40
+        assert threading.active_count() == threads
 
     def test_every_index_is_computed_once_under_contention(self):
         calls = []

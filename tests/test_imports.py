@@ -29,6 +29,19 @@ def test_no_function_holds_an_import():
     assert found == []
 
 
+def test_no_module_builds_its_own_threads():
+    """Sweep threads come from one ``ThreadPoolExecutor``: no module constructs
+    a ``threading.Thread`` or ``threading.Event`` of its own."""
+    banned = {'Thread', 'Event'}
+    found = [f'{module}.py:{node.lineno}'
+             for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in banned
+             and isinstance(node.value, ast.Name) and node.value.id == 'threading'
+             or isinstance(node, ast.ImportFrom) and node.module == 'threading'
+             and any(alias.name in banned for alias in node.names)]
+    assert found == []
+
+
 def test_module_imports_form_an_acyclic_graph():
     graph = {module: set().union(*(package_imports(node) for node in tree.body
                                    if isinstance(node, (ast.Import, ast.ImportFrom))))
