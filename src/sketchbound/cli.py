@@ -112,12 +112,14 @@ def _cmd_gen_matrix(args):
 
 
 def _cmd_bounds(args):
-    factors = _load_problem(args, args.seed)
+    # refuse what can be refused before the problem is loaded and factored
     variants = list(experiments.VARIANTS)
     if args.variant is not None:
         variants = [v.strip() for v in args.variant.split(',') if v.strip()]
+    experiments._check_variants(variants)
     if (args.mean is None) != (args.cov is None):
         raise ValueError('--mean and --cov must be given together')
+    factors = _load_problem(args, args.seed)
     sketch = None
     if args.mean is not None:
         mean = read_matrix_market(args.mean)
@@ -147,9 +149,11 @@ def _cmd_sweep(args):
 def _cmd_empirical(args):
     # the residuals' law depends on A only through sigma, so a synthetic
     # problem is diag(sigma); bounds keep the real U
+    sketch = RsvdSketch(q=args.q, p=args.p)
+    experiments._check_trial_keys(args.seed, args.trials, args.p, (args.q,))
     factors = _load_problem(args)
     stats = experiments.empirical_error(
-        factors, RsvdSketch(q=args.q, p=args.p), args.k, args.trials,
+        factors, sketch, args.k, args.trials,
         norm=args.norm, metric=args.metric, seed=args.seed,
     )
     if not stats.trials:

@@ -14,8 +14,9 @@ The gap itself is evaluated in the left singular basis: with ``Q`` an
 orthonormal basis of ``U^T Z``, the residual ``(I - pi(Z)) A`` has the Gram
 matrix ``Sigma^2 - B^T B`` for ``B = Q^T Sigma`` (Halko, Martinsson & Tropp
 2011), so no dense residual of ``A`` is ever formed.  The top eigenvalues of
-that Gram and of its trailing block come from the one residual-Gram solver,
-:func:`experiments._gram_tops`, by Lanczos above 90 columns.
+that Gram and of its trailing block come from one call each of the
+residual-Gram solver the Monte Carlo trials use, :func:`experiments._gram_top`:
+each block's own dense Gram at or below 90 columns, and Lanczos above.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .experiments import _DENSE_RESIDUAL_LIMIT, _gram_tops
+from .experiments import _DENSE_RESIDUAL_LIMIT, _gram_top
 from .linalg import (
     SvdFactors,
     _as_matrix,
@@ -100,15 +101,14 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
     """
     _check_matrix(a, factors)
     sig_head = factors.sigma_head(k)
+    if which not in ('spectral', 'frobenius'):
+        raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
+    b = _rotated_basis_product(factors, z)
     if which == 'frobenius':
         # the residual norms split over head and tail columns; the tail cancels
-        b = _rotated_basis_product(factors, z)
         return float(np.sum(sig_head**2) - np.sum(b[:, :k] ** 2))
-    if which == 'spectral':
-        b = _rotated_basis_product(factors, z)
-        full, tail = _gram_tops(factors.sigma**2, b, (0, k), _DENSE_RESIDUAL_LIMIT)
-        return full - tail
-    raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
+    sig_sq = factors.sigma**2
+    return _gram_top(sig_sq, b, _DENSE_RESIDUAL_LIMIT) - _gram_top(sig_sq[k:], b[:, k:], _DENSE_RESIDUAL_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -152,5 +152,5 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     ops = angle_operators(factors, z, k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))
-    top, = _gram_tops(factors.sigma**2, _rotated_basis_product(factors, z), (0,), _DENSE_RESIDUAL_LIMIT)
+    top = _gram_top(factors.sigma**2, _rotated_basis_product(factors, z), _DENSE_RESIDUAL_LIMIT)
     return _gap_report(ops, deflated, 'spectral', k, top - s_next**2)

@@ -15,20 +15,21 @@ the bits a dense ``np.diag(sigma)`` product gives, at O(np) cost and memory.
 A sweep's synthetic problem is ``diag(sigma)`` too, with ``U = V = I``: the
 unseeded :func:`synthetic_matrix`, which holds no n x n array.
 
-One solver, :func:`_gram_tops`, finds the top eigenvalue of every residual
-Gram ``Sigma^2 - B^T B`` (HMT 2011): of a trial here, and of a per-sample gap
+One solver, :func:`_gram_top`, finds the top eigenvalue of one residual Gram
+``Sigma^2 - B^T B`` (HMT 2011) per call, of a trial here or of a per-sample gap
 in :mod:`deterministic`.  Above a column limit, which each caller passes, it
-runs ARPACK Lanczos and never forms the Gram; at or below it, ``eigvalsh``.
-On Grams of 400 columns (p=30, one BLAS thread) Lanczos took 0.4-0.8 ms
-against 4.9-5.4 ms for ``eigvalsh`` on the default, ``j^-2``, gap and
-exp-decay spectra, but 23 ms against 5.0 ms on a near-degenerate cluster (60
-leading values within 6e-5); on the ``j^-1/2`` spectrum at p=30 the two cost
-the same near 115 columns, 0.3 ms each.  The limits differ until the
-benchmark names its spans by role: :mod:`deterministic` passes
-:data:`_DENSE_RESIDUAL_LIMIT` (90), which took the benchmark's
-``deterministic_samples`` ops (300-400 columns) from 0.015 to 0.006 s, and
-the trials :data:`_DENSE_GRAM_LIMIT` (600), without which the traced
-``empirical_small`` run would fire no ``eigvalsh`` span, as its self-test expects.
+runs ARPACK Lanczos and never forms the Gram; at or below it, ``eigvalsh`` of
+the block's own Gram.  On Grams of 400 columns (p=30, one BLAS thread) Lanczos
+took 0.4-0.8 ms against 4.9-5.4 ms for ``eigvalsh`` on the default, ``j^-2``,
+gap and exp-decay spectra; in a later run, 4.2-4.7 ms (101-111 matvecs)
+against 10.1-10.4 ms on the cluster ``1 - 1e-6 (j - 1)`` for j <= 60, then
+``0.5 j^-1/2``.  On ``j^-1/2`` at p=30 the two cost the same near 115 columns,
+0.3 ms each.  The limits differ until the benchmark names its spans by role:
+:mod:`deterministic` passes :data:`_DENSE_RESIDUAL_LIMIT` (90), which took the
+benchmark's ``deterministic_samples`` ops (300-400 columns) from 0.015 to
+0.006 s, and the trials :data:`_DENSE_GRAM_LIMIT` (600), without which the
+traced ``empirical_small`` run would fire no ``eigvalsh`` span, as its
+self-test expects.
 
 A value at round-off level is recomputed from the explicit residual ``R``:
 by a dense SVD up to :data:`_DENSE_RESIDUAL_LIMIT` (90) columns, and above it
@@ -281,31 +282,20 @@ def _lanczos_top(matvec, m, vector):
         return None  # solved densely by the caller
 
 
-def _gram_tops(diag_sq, b, starts, dense_limit):
-    """Largest eigenvalue, unclipped, of the trailing block from each of ``starts``
-    on of the Gram ``diag(diag_sq) - b^T b``; 0.0 for an empty block.
+def _gram_top(diag_sq, b, dense_limit):
+    """Largest eigenvalue, unclipped, of the Gram ``diag(diag_sq) - b^T b``; 0.0 when it is empty.
 
-    A block of more than ``dense_limit`` columns is solved by Lanczos on the
-    block divided by the power of two at or below its largest ``diag_sq``,
-    with matvec ``diag_sq * x - b^T (b x)``: that block is never formed.
-    Smaller blocks, and any where ARPACK fails, are read from the one dense
-    Gram, formed only then.
+    Above ``dense_limit`` columns it is solved by Lanczos on the Gram divided
+    by the power of two at or below its largest ``diag_sq``, with matvec
+    ``diag_sq * x - b^T (b x)``: the Gram is never formed.  At or below the
+    limit, and wherever ARPACK fails, ``eigvalsh`` reads this Gram's own dense form.
     """
-    gram = None
-    tops = []
-    for start in starts:
-        top = None
-        block_sq, block_b = diag_sq[start:], b[:, start:]
-        if block_sq.size > dense_limit:
-            e = _binade(float(np.max(block_sq)))
-            w = _lanczos_top(lambda x: np.ldexp(block_sq * x - block_b.T @ (block_b @ x), -e), block_sq.size, False)
-            top = None if w is None else math.ldexp(float(w[0]), e)
-        if top is None:
-            if gram is None:
-                gram = np.diag(diag_sq) - b.T @ b
-            top = float(np.linalg.eigvalsh(gram[start:, start:])[-1]) if block_sq.size else 0.0
-        tops.append(top)
-    return tops
+    if diag_sq.size > dense_limit:
+        e = _binade(float(np.max(diag_sq)))
+        w = _lanczos_top(lambda x: np.ldexp(diag_sq * x - b.T @ (b @ x), -e), diag_sq.size, False)
+        if w is not None:
+            return math.ldexp(float(w[0]), e)
+    return float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1]) if diag_sq.size else 0.0
 
 
 def _explicit_residual_norm(q, b, sigma, k, which):
@@ -336,7 +326,7 @@ def _sketch_basis(w, sigma):
     """``(q, b)`` of one rotated sketch ``w``, the part of a trial that no ``k``
     enters: ``q`` is the orthonormal basis of range(w) and ``b = q[:n]^T Sigma``, ``n = sigma.size``."""
     u, s, _ = np.linalg.svd(w, full_matrices=False)
-    keep = s > RANK_TOL * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    keep = s > RANK_TOL * s[0]
     q = u[:, keep]
     return q, q[:sigma.size, :].T * sigma[None, :]
 
@@ -346,12 +336,10 @@ def _residual_norms(q, b, sigma, k, norms):
     :func:`_sketch_basis`: ``k = 0`` gives the full residual, and ``k > 0`` the
     residual of the tail, whose columns are the last ``n - k`` of the full one.
 
-    Values are read from the Gram ``G = diag(sigma[k:]^2) - b[:, k:]^T b[:, k:]``,
-    formed by its own :func:`_gram_tops` call for each ``k``: a slice of the
-    full Gram, one larger product, differs from it in the last bits.  Values
-    that land at or below the noise floor ``1e-12 ||Sigma||_F^2`` are
-    recomputed from the explicitly formed residual, since the difference form
-    cannot resolve below sqrt(eps) times the data scale.
+    Values are read from the Gram ``G = diag(sigma[k:]^2) - b[:, k:]^T b[:, k:]``
+    by :func:`_gram_top`.  Values that land at or below the noise floor
+    ``1e-12 ||Sigma||_F^2`` are recomputed from the explicitly formed residual,
+    since the difference form cannot resolve below sqrt(eps) times the data scale.
 
     ``G`` is PSD, so ``lambda_max(G) <= tr(G)``, the Frobenius square the
     kernel forms anyway; a trace at most half the floor therefore certifies
@@ -369,7 +357,7 @@ def _residual_norms(q, b, sigma, k, norms):
     for which in norms:
         value_sq = trace
         if which == 'spectral' and trace > 0.5 * noise_floor:
-            value_sq = _gram_tops(tail_sq, b_tail, (0,), _DENSE_GRAM_LIMIT)[0]
+            value_sq = _gram_top(tail_sq, b_tail, _DENSE_GRAM_LIMIT)
         values[which] = (_explicit_residual_norm(q, b, sigma, k, which) if value_sq <= noise_floor
                          else math.sqrt(value_sq))
     return values

@@ -337,6 +337,26 @@ def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, ca
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
+@pytest.mark.parametrize('argv, message', [
+    (('bounds', '--variant', 'thm4,thm4'), 'bound variants must name at least one variant, each once'),
+    (('bounds', '--variant', 'wat'), "unknown bound variants: ['wat']"),
+    (('bounds', '--variant', 'thm3', '--mean', 'mean.mtx'), '--mean and --cov must be given together'),
+    (('empirical', '--trials', '0'), 'trials must be in [1, 2**'),
+    (('empirical', '--q', '-1'), 'need q >= 0 and p >= 1'),
+    (('empirical', '--seed', '-1'), 'master_seed must be in [0, 2**64), got -1'),
+], ids=['bounds-repeating-variant', 'bounds-unknown-variant', 'bounds-mean-without-cov',
+        'empirical-no-trials', 'empirical-q-negative', 'empirical-seed-negative'])
+@pytest.mark.parametrize('source', (('--synthetic-n', '3000'), ('--matrix', 'A.mtx')), ids=['synthetic', 'matrix'])
+def test_malformed_request_is_refused_before_the_problem_is_loaded(monkeypatch, capsys, argv, message, source):
+    def refused(*args, **kwargs):
+        raise AssertionError('the problem was loaded')
+    monkeypatch.setattr(cli, '_load_problem', refused)
+    command, *flags = argv
+    assert run_cli(command, *source, '--k', '5', '--p', '20', *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == '' and f'sketchbound: {message}' in captured.err
+
+
 def test_overflowing_sketch_covariance_is_refused_by_name(tmp_path, capsys, recwarn):
     """On the seeded n=30 matrix times 2^600 at q=1, ``sigma^6`` overflows: the
     default variant list exits 2 with no numpy warning, and the library call

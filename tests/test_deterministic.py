@@ -245,22 +245,24 @@ class TestOrderingChain:
 
 
 def dense_lhs(f, z, k):
-    """The spectral and deflated gaps from the dense Gram ``Sigma^2 - B^T B`` and
-    ``eigvalsh``, formed as the dense branch forms them: the oracle of the Lanczos one."""
+    """The spectral and deflated gaps from ``eigvalsh`` of each block's own dense
+    Gram ``Sigma^2 - B^T B``, formed as the dense branch forms it: the oracle of the Lanczos one."""
     q = orthonormal_basis(f.left().T @ z)
     b = q[:f.sigma.size].T * f.sigma
-    gram = np.diag(f.sigma**2) - b.T @ b
+    sig_sq = f.sigma**2
 
-    def top(g):
-        return float(np.linalg.eigvalsh(g)[-1]) if g.size else 0.0
-    return top(gram) - top(gram[k:, k:]), top(gram) - f.next_sigma(k) ** 2
+    def top(diag_sq, block):
+        return float(np.linalg.eigvalsh(np.diag(diag_sq) - block.T @ block)[-1]) if diag_sq.size else 0.0
+    full = top(sig_sq, b)
+    return full - top(sig_sq[k:], b[:, k:]), full - f.next_sigma(k) ** 2
 
 
 def spectrum_instance(rows, cols, spectrum, seed=0):
     """``(a, factors, z, k)`` for one named spectrum: the benchmark pool's
     ``j^-1/2`` with ``Z = A G``, G of 30 columns; a graded ``j^-2`` with
     ``Z = (A A^T)^2 A G``, G of 8 columns, the most ``Z`` keeps of full rank;
-    ten equal leading values; or rank 20, where ``Z = [A G, W]`` with 20 and 10
+    ten equal leading values; sixty distinct ones within 6e-5, ``1 - 1e-6 (j - 1)``,
+    then ``0.5 j^-1/2``; or rank 20, where ``Z = [A G, W]`` with 20 and 10
     columns holds the whole range of ``A``, so the Gram is round-off."""
     rng = np.random.default_rng([seed, rows, cols])
     r = min(rows, cols)
@@ -269,6 +271,7 @@ def spectrum_instance(rows, cols, spectrum, seed=0):
         'pool': (j**-0.5, 0, 8, 30),
         'graded': (j**-2.0, 2, 3, 8),
         'cluster': (np.where(j <= 10, 1.0, 0.5 / j), 0, 5, 30),
+        'near-cluster': (np.where(j <= 60, 1 - 1e-6 * (j - 1), 0.5 * j**-0.5), 0, 5, 30),
         'round-off': (np.where(j <= 20, j**-0.5, 0.0), 0, 6, 20),
     }[spectrum]
     a = (random_orthogonal(rows, rng)[:, :r] * sigma) @ random_orthogonal(cols, rng)[:, :r].T
@@ -298,7 +301,7 @@ def eigsh_calls(monkeypatch):
 
 
 SHAPES = {'tall': (150, 120), 'wide': (110, 160), 'square': (130, 130)}
-SPECTRA = ('pool', 'graded', 'cluster', 'round-off')
+SPECTRA = ('pool', 'graded', 'cluster', 'near-cluster', 'round-off')
 
 
 class TestLanczosGramBranch:

@@ -177,7 +177,7 @@ class TestGramTopEigenvalue:
 
         monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', failing)
         dense = float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1])
-        assert experiments._gram_tops(diag_sq, b, (0,), experiments._DENSE_GRAM_LIMIT) == [max(dense, 0.0)]
+        assert experiments._gram_top(diag_sq, b, experiments._DENSE_GRAM_LIMIT) == max(dense, 0.0)
 
     def test_arpack_and_dense_branches_agree_above_the_limit(self, monkeypatch):
         m = experiments._DENSE_GRAM_LIMIT + 1
@@ -190,9 +190,9 @@ class TestGramTopEigenvalue:
             return eigsh(*args, **kwargs)
 
         monkeypatch.setattr(experiments.scipy.sparse.linalg, 'eigsh', counting)
-        arpack, = experiments._gram_tops(diag_sq, b, (0,), experiments._DENSE_GRAM_LIMIT)
+        arpack = experiments._gram_top(diag_sq, b, experiments._DENSE_GRAM_LIMIT)
         monkeypatch.setattr(experiments, '_DENSE_GRAM_LIMIT', m)
-        dense, = experiments._gram_tops(diag_sq, b, (0,), experiments._DENSE_GRAM_LIMIT)
+        dense = experiments._gram_top(diag_sq, b, experiments._DENSE_GRAM_LIMIT)
         assert len(calls) == 1
         assert arpack == pytest.approx(dense, rel=1e-9)
 
@@ -203,15 +203,15 @@ class TestGramTopEigenvalue:
         diag_sq, b = self.problem(experiments._DENSE_GRAM_LIMIT + 1, seed)
         diag_sq, b = np.ldexp(diag_sq, 2 * log2_scale), np.ldexp(b, log2_scale)
         dense = float(np.linalg.eigvalsh(np.diag(diag_sq) - b.T @ b)[-1])
-        top, = experiments._gram_tops(diag_sq, b, (0,), experiments._DENSE_GRAM_LIMIT)
+        top = experiments._gram_top(diag_sq, b, experiments._DENSE_GRAM_LIMIT)
         assert top == pytest.approx(dense, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize('log2_scale', (-250, 250))
     def test_arpack_branch_commutes_with_powers_of_two(self, log2_scale):
         diag_sq, b = self.problem(experiments._DENSE_GRAM_LIMIT + 1, 31)
-        scaled, = experiments._gram_tops(np.ldexp(diag_sq, 2 * log2_scale), np.ldexp(b, log2_scale), (0,),
-                                         experiments._DENSE_GRAM_LIMIT)
-        top, = experiments._gram_tops(diag_sq, b, (0,), experiments._DENSE_GRAM_LIMIT)
+        scaled = experiments._gram_top(np.ldexp(diag_sq, 2 * log2_scale), np.ldexp(b, log2_scale),
+                                       experiments._DENSE_GRAM_LIMIT)
+        top = experiments._gram_top(diag_sq, b, experiments._DENSE_GRAM_LIMIT)
         assert scaled == math.ldexp(top, 2 * log2_scale)
 
 
@@ -345,7 +345,7 @@ class TestLanczosTurns:
         gram = TestGramTopEigenvalue.problem(experiments._DENSE_GRAM_LIMIT + 1, 34)
         r = TestExplicitResidualNorm.clustered_residual(experiments._DENSE_RESIDUAL_LIMIT + 10, -53)
         resid = TestExplicitResidualNorm.given_residual(r)
-        return [lambda: experiments._gram_tops(*gram, (0,), experiments._DENSE_GRAM_LIMIT)[0],
+        return [lambda: experiments._gram_top(*gram, experiments._DENSE_GRAM_LIMIT),
                 lambda: experiments._explicit_residual_norm(*resid, 0, 'spectral')]
 
     def test_threads_take_turns_and_keep_the_serial_bits(self, monkeypatch):
@@ -432,18 +432,18 @@ class TestRoundOffCertificate:
     @pytest.fixture
     def spies(self, monkeypatch):
         gram_calls, explicit_calls = [], []
-        gram, explicit = experiments._gram_tops, experiments._explicit_residual_norm
+        gram, explicit = experiments._gram_top, experiments._explicit_residual_norm
 
-        def counting_gram(diag_sq, b, starts, dense_limit):
-            values = gram(diag_sq, b, starts, dense_limit)
-            gram_calls.extend(values)
-            return values
+        def counting_gram(diag_sq, b, dense_limit):
+            value = gram(diag_sq, b, dense_limit)
+            gram_calls.append(value)
+            return value
 
         def recording_explicit(q, b, sigma, k, which):
             explicit_calls.append((q, b, sigma, k, which))
             return explicit(q, b, sigma, k, which)
 
-        monkeypatch.setattr(experiments, '_gram_tops', counting_gram)
+        monkeypatch.setattr(experiments, '_gram_top', counting_gram)
         monkeypatch.setattr(experiments, '_explicit_residual_norm', recording_explicit)
         return gram_calls, explicit_calls, gram, explicit
 
@@ -469,7 +469,7 @@ class TestRoundOffCertificate:
             for which, calls in (('spectral', explicit_calls[::2]), ('frobenius', explicit_calls[1::2])):
                 assert out[which] == tuple(explicit(*args) for args in calls)
             for _, b, sigma, j, _ in explicit_calls[::2]:
-                assert gram(sigma[j:]**2, b[:, j:], (0,), experiments._DENSE_GRAM_LIMIT)[0] <= noise_floor
+                assert gram(sigma[j:]**2, b[:, j:], experiments._DENSE_GRAM_LIMIT) <= noise_floor
 
     def test_a_trace_just_above_half_the_floor_runs_the_eigensolve(self, spies):
         gram_calls, explicit_calls, _, explicit = spies
