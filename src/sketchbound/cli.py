@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from . import experiments
+from . import experiments, rsvd
 from .linalg import FactorizationError, _write_atomic, read_matrix_market, svd, write_matrix_market
 from .sketching import GaussianSketch, RsvdSketch, rsvd_distribution
 
@@ -117,6 +117,7 @@ def _cmd_bounds(args):
     if args.variant is not None:
         variants = [v.strip() for v in args.variant.split(',') if v.strip()]
     experiments._check_variants(variants)
+    rsvd._check_parameters(args.k, args.p, args.q)
     if (args.mean is None) != (args.cov is None):
         raise ValueError('--mean and --cov must be given together')
     factors = _load_problem(args, args.seed)
@@ -150,6 +151,7 @@ def _cmd_empirical(args):
     # the residuals' law depends on A only through sigma, so a synthetic
     # problem is diag(sigma); bounds keep the real U
     sketch = RsvdSketch(q=args.q, p=args.p)
+    rsvd._check_parameters(args.k, args.p, args.q)
     experiments._check_trial_keys(args.seed, args.trials, args.p, (args.q,))
     factors = _load_problem(args)
     stats = experiments.empirical_error(

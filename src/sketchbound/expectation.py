@@ -26,7 +26,6 @@ import scipy.linalg
 
 from . import rsvd
 from .linalg import (
-    RANK_TOL,
     SvdFactors,
     _as_matrix,
     _check_head,
@@ -35,7 +34,7 @@ from .linalg import (
     phi,
     spectral_norm,
 )
-from .sketching import RsvdSketch, _rsvd_covariance_eigenvalues
+from .sketching import GaussianSketch
 
 __all__ = [
     'ExpectationBoundReport',
@@ -69,19 +68,6 @@ class ProjectedCovariance:
         """Apply ``head^{-1}`` through the cached Cholesky factor."""
         return scipy.linalg.cho_solve(self._head_cho, rhs)
 
-    @classmethod
-    def from_spectrum(cls, lam, k):
-        """Projection of ``U diag(lam) U^T`` onto the blocks of its own ``U``, with no
-        n x n matrix: a head ``diag(lam[:k])``, which needs positive entries and, at the
-        scale ``||lam||_2``, no relative test; no cross block, and ``diag(lam[k:])`` as the conditional."""
-        _check_head(lam[:k], scipy.linalg.norm(lam), 0.0, _SINGULAR_HEAD, 'eigenvalue')
-        head = np.diag(lam[:k])
-        return cls(head, np.zeros((lam.size - k, k)), float(np.sum(lam[k:])), float(np.max(lam[k:], initial=0.0)),
-                   scipy.linalg.cho_factor(head))
-
-
-_SINGULAR_HEAD = 'projected covariance head block is numerically singular'
-
 
 def _symmetric_moments(m):
     """Trace and top eigenvalue of the symmetric part of ``m``, each clipped at 0."""
@@ -101,7 +87,8 @@ def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
     c_head_cols = c @ u_head
     head, tail = (0.5 * (b + b.T) for b in (u_head.T @ c_head_cols, u_tail.T @ (c @ u_tail)))
     cross = u_tail.T @ c_head_cols
-    _check_head(np.linalg.eigvalsh(head), scipy.linalg.norm(c.ravel()), RANK_TOL, _SINGULAR_HEAD, 'eigenvalue')
+    _check_head(np.linalg.eigvalsh(head), scipy.linalg.norm(c.ravel()),
+                'projected covariance head block is numerically singular', 'eigenvalue')
     head_cho = scipy.linalg.cho_factor(head)
     conditional = tail - cross @ scipy.linalg.cho_solve(head_cho, cross.T)
     conditional = 0.5 * (conditional + conditional.T)
@@ -209,11 +196,11 @@ def tangent_norm_constants(pc: ProjectedCovariance, n_mat, p) -> TangentMomentCo
 
 
 def mean_shift_term(sketch, head_norm, p) -> float:
-    """Extra bound term caused by a nonzero sketch mean; 0 for a centered one, as an :class:`RsvdSketch` is.
+    """Extra bound term caused by a nonzero sketch mean; 0 for a centered one.
 
     Requires ``p < rank(covariance)`` when the mean is nonzero.
     """
-    if isinstance(sketch, RsvdSketch) or not np.any(sketch.mean):
+    if not np.any(sketch.mean):
         return 0.0
     r = sketch.rank
     if p >= r:
@@ -239,21 +226,20 @@ class ExpectationBoundReport:
 
 
 def project_sketch(factors: SvdFactors, sketch, k, p) -> ProjectedCovariance:
-    """Check a bound request by :func:`rsvd._check_request` and project its sketch
-    covariance, the one place that chooses how: an :class:`RsvdSketch` ``(q, p)``, of
-    covariance ``U diag(sigma^(4q+2)) U^T`` (HMT 2011, section 10), onto its own
-    diagonal from ``sigma`` alone; a :class:`GaussianSketch` densely.
+    """Check a bound request by :func:`rsvd._check_request` and project the covariance of
+    its :class:`GaussianSketch`; anything else raises ``TypeError``, since on the RSVD sketch
+    the theorems are the closed forms of :mod:`rsvd` (HMT 2011, section 10).
 
     Every theorem variant of one ``(factors, sketch, k, p)`` request needs the
     same projection, so it can be built once and passed to each of them as
     their optional ``projection``; without it, each variant builds its own.
     """
+    if not isinstance(sketch, GaussianSketch):
+        raise TypeError(f'the theorem bounds take a GaussianSketch, not {type(sketch).__name__}: on the RSVD sketch '
+                        'they are the closed forms of sketchbound.rsvd, or pass rsvd_distribution(factors, q, p)')
     rsvd._check_request(factors.sigma, k, p, 0)
-    columns = sketch.p if isinstance(sketch, RsvdSketch) else sketch.shape[1]
-    if columns != p:
-        raise ValueError(f'sketch has {columns} columns, expected p={p}')
-    if isinstance(sketch, RsvdSketch):
-        return ProjectedCovariance.from_spectrum(_rsvd_covariance_eigenvalues(factors.sigma, sketch.q), k)
+    if sketch.shape[1] != p:
+        raise ValueError(f'sketch has {sketch.shape[1]} columns, expected p={p}')
     return project_covariance(sketch.covariance, factors, k)
 
 
@@ -265,9 +251,9 @@ def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> Expe
 
 def expected_frobenius_gap_sq_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
     """Tighter bound on the squared Frobenius gap; centered sketches only."""
-    if not isinstance(sketch, RsvdSketch) and np.any(sketch.mean):
-        raise ValueError('the squared-gap bound requires a zero-mean sketch')
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
+    if np.any(sketch.mean):
+        raise ValueError('the squared-gap bound requires a zero-mean sketch')
     return _frobenius_report(pc, factors, sketch, k, p, squared=True)
 
 

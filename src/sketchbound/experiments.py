@@ -80,8 +80,8 @@ benchmark's 500x400 ``empirical_small`` over two threads cut p90 latency by
 
 The bound variants are defined here once, in three tables split by calling
 convention, and :func:`evaluate_bounds` serves both the sweeps and the
-``sketchbound bounds`` command, which passes it a sketch to project; a sweep
-passes none, so its theorem variants project ``RsvdSketch(q, p)`` from the spectrum.
+``sketchbound bounds`` command, which passes it a :class:`GaussianSketch` to
+project; a sweep passes none, so :data:`THEOREM_COROLLARIES` answers its theorem variants.
 
 :func:`emit` writes through :func:`linalg._write_atomic`, the package's one
 file writer; its CSV and JSON files read back with ``csv`` and ``json``.
@@ -108,7 +108,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import expectation, rsvd
-from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic
+from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic, phi
 from .sketching import (
     GaussianSketch,
     RsvdSketch,
@@ -518,6 +518,19 @@ HMT_VARIANTS = {
     'hmt_power': lambda sigma, k, p, q: rsvd.hmt_power(sigma, k, p, q),
 }
 VARIANTS = tuple(RSVD_VARIANTS) + tuple(THEOREM_VARIANTS) + tuple(HMT_VARIANTS)
+# On the RSVD sketch, taken when no sketch is given, each theorem is its corollary (HMT 2011, section 10).
+THEOREM_COROLLARIES = {'thm3': 'cor_frobenius', 'thm3_squared': 'cor_frobenius', 'thm4': 'cor_spectral',
+                       'thm5': 'cor_spectral_improved'}
+
+
+def _theorem_row(name, corollary, sigma_1):
+    """Report of theorem ``name`` on the RSVD sketch from its corollary's: no mean term and no ``ell``;
+    ``thm3_squared`` squares both terms of the minimum, ``min(a_k, k phi(sqrt(b_k / k))^2 sigma_1^2)``."""
+    constants = {key: value for key, value in corollary.constants.items() if key != 'ell'}
+    k, bound = corollary.k, corollary.bound
+    if name == 'thm3_squared':
+        bound = min(constants['a_k'], k * phi(math.sqrt(constants['b_k'] / k)) ** 2 * sigma_1**2)
+    return {'bound': bound, 'mean_term': 0.0, **constants}
 
 
 def _check_variants(variants):
@@ -536,31 +549,28 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
     evaluated, and a variant whose arithmetic overflows raises ``OverflowError``
     naming it and ``k, p, q``.
 
-    The closed forms and the HMT baselines depend on ``factors.sigma`` only.
-    The theorem variants evaluate ``sketch``, whose projected covariance
-    :func:`expectation.project_sketch` builds once for all of them: by default
-    ``RsvdSketch(q, p)``, which reads ``factors.sigma`` alone too, or a
-    :class:`GaussianSketch` expressed against ``factors``.
+    The closed forms and the HMT baselines read ``factors.sigma`` alone, and so do
+    the theorem variants given no sketch: on the RSVD sketch ``(q, p)`` they are their
+    corollaries (:data:`THEOREM_COROLLARIES`).  Given a :class:`GaussianSketch`, against
+    ``factors``, :func:`expectation.project_sketch` projects it once for all of them.
     """
     _check_variants(variants)
     rsvd._check_request(factors.sigma, k, p, q)
-    sketch = RsvdSketch(q, p) if sketch is None else sketch
-    reports = {}
-    profile = projection = None
+    profile = rsvd.SpectrumProfile.from_spectrum(factors.sigma, k, p, q)
+    reports, projection = {}, None
     for name in variants:
         try:
-            if name in RSVD_VARIANTS:
-                if profile is None:
-                    profile = rsvd.SpectrumProfile.from_spectrum(factors.sigma, k, p, q)
-                result = RSVD_VARIANTS[name](profile)
-                reports[name] = {'bound': result.bound, **result.constants}
-            elif name in THEOREM_VARIANTS:
+            if name in HMT_VARIANTS:
+                reports[name] = {'bound': HMT_VARIANTS[name](factors.sigma, k, p, q)}
+            elif name in THEOREM_VARIANTS and sketch is not None:
                 if projection is None:
                     projection = expectation.project_sketch(factors, sketch, k, p)
                 result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
                 reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
             else:
-                reports[name] = {'bound': HMT_VARIANTS[name](factors.sigma, k, p, q)}
+                result = RSVD_VARIANTS[THEOREM_COROLLARIES.get(name, name)](profile)
+                reports[name] = (_theorem_row(name, result, float(profile.sigma[0])) if name in THEOREM_VARIANTS
+                                 else {'bound': result.bound, **result.constants})
         except OverflowError:  # float arithmetic's own, whose text names neither
             raise OverflowError(f'bound variant {name} overflows at k={k}, p={p}, q={q}') from None
     return reports

@@ -89,13 +89,13 @@ def _symmetrize(a, name='matrix'):
     return 0.5 * (a + a.T)
 
 
-def _check_head(values, scale, tol, what, kind):
-    """The one rule for a head block, of a sketch or of a sketch covariance: it is singular,
-    and raises :class:`RankDeficiencyError`, if the largest of its singular values or eigenvalues
-    ``values`` is at most ``RANK_TOL`` times ``scale``, the Frobenius norm of the matrix it was cut
-    from (so a head of round-off is refused however well graded), or the smallest at most ``tol`` times the largest."""
+def _check_head(values, scale, what, kind):
+    """The one rule for a head block, of a sketch or of a sketch covariance: it is singular, and
+    raises :class:`RankDeficiencyError`, if the largest of its singular values or eigenvalues ``values``
+    is at most ``RANK_TOL`` times ``scale``, the Frobenius norm of the matrix it was cut from (so a
+    head of round-off is refused however well graded), or the smallest at most ``RANK_TOL`` times the largest."""
     smallest, largest = float(np.min(values)), float(np.max(values))
-    if largest <= RANK_TOL * scale or smallest <= tol * largest:
+    if largest <= RANK_TOL * scale or smallest <= RANK_TOL * largest:
         raise RankDeficiencyError(f'{what} (smallest {kind} {smallest:.3e}, largest {largest:.3e})',
                                   smallest_singular_value=smallest)
 
@@ -103,7 +103,7 @@ def _check_head(values, scale, tol, what, kind):
 def _check_head_rank(omega_head, w):
     """Raise :class:`RankDeficiencyError` unless ``omega_head``, the head
     block of the sketch ``w``, has full numerical row rank."""
-    _check_head(np.linalg.svd(omega_head, compute_uv=False), float(np.linalg.norm(w)), RANK_TOL,
+    _check_head(np.linalg.svd(omega_head, compute_uv=False), float(np.linalg.norm(w)),
                 'head block of the sketch is row-rank deficient', 'singular value')
 
 

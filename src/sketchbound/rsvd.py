@@ -64,6 +64,14 @@ class SpectrumProfile:
         return tail[tail > 0]
 
 
+def _check_parameters(k, p, q):
+    """The part of :func:`_check_request` that needs no spectrum, asked before one is loaded."""
+    if q < 0:
+        raise ValueError('q must be non-negative')
+    if not 1 <= k <= p - 2:
+        raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
+
+
 def _check_request(sigma, k, p, q):
     """Raise ``ValueError`` unless ``(k, p, q)`` on the descending spectrum ``sigma``
     of ``A`` has a bound: the one rule of bounds, empirical errors and sweep cells.
@@ -75,11 +83,8 @@ def _check_request(sigma, k, p, q):
     nonsingular projected head block (checked by the projection) and stay valid
     for rank-deficient tails.
     """
+    _check_parameters(k, p, q)
     sigma = np.asarray(sigma, dtype=float)
-    if q < 0:
-        raise ValueError('q must be non-negative')
-    if not 1 <= k <= p - 2:
-        raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
     if p > sigma.size:
         raise ValueError(f'p={p} exceeds the spectrum length {sigma.size}')
     if not sigma[k - 1] > PINV_TOL * sigma[0]:

@@ -151,34 +151,27 @@ def rsvd_sketch(a, q, p, stream: SeededStream):
     return z
 
 
-def _rsvd_covariance_eigenvalues(sigma, q):
-    """``sigma^(4q+2)``, the eigenvalues of the RSVD sketch covariance
-    ``U (Sigma Sigma^T)^(2q+1) U^T``; ``OverflowError`` where one overflows."""
-    with np.errstate(over='ignore'):
-        powers = sigma ** (4 * q + 2)
-    if not np.all(np.isfinite(powers)):
-        raise OverflowError(f'the RSVD sketch covariance sigma^{4 * q + 2} overflows at q={q}')
-    return powers
-
-
 def rsvd_distribution(factors, q, p) -> GaussianSketch:
     """Distribution of the randomized-SVD sketch: zero mean, covariance
     ``U (Sigma Sigma^T)^(2q+1) U^T``, whose eigenpairs are the factors' own
     thin ones, ``sigma^(4q+2)`` and ``U``, so no eigendecomposition, no
     completion of ``U`` and, until the covariance or its root is read, no
-    n x n product is formed.
+    n x n product is formed; ``OverflowError`` where a power overflows.
     """
     if q < 0:
         raise ValueError('q must be non-negative')
     if p < 1:
         raise ValueError('p must be positive')
-    return GaussianSketch(np.zeros((factors.rows, p)), _rsvd_covariance_eigenvalues(factors.sigma, q),
-                          factors.left_head(factors.sigma.size))
+    with np.errstate(over='ignore'):
+        powers = factors.sigma ** (4 * q + 2)
+    if not np.all(np.isfinite(powers)):
+        raise OverflowError(f'the RSVD sketch covariance sigma^{4 * q + 2} overflows at q={q}')
+    return GaussianSketch(np.zeros((factors.rows, p)), powers, factors.left_head(factors.sigma.size))
 
 
 @dataclass(frozen=True)
 class RsvdSketch:
-    """The randomized-SVD sketch ``(A A^T)^q A G`` of ``p`` columns, for trials and theorem bounds alike."""
+    """The randomized-SVD sketch ``(A A^T)^q A G`` of ``p`` columns, for trials; its bounds are in :mod:`rsvd`."""
 
     q: int
     p: int

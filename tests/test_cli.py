@@ -344,8 +344,12 @@ def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, ca
     (('empirical', '--trials', '0'), 'trials must be in [1, 2**'),
     (('empirical', '--q', '-1'), 'need q >= 0 and p >= 1'),
     (('empirical', '--seed', '-1'), 'master_seed must be in [0, 2**64), got -1'),
+    (('bounds', '--k', '4', '--p', '5'), 'need 1 <= k <= p - 2, got k=4, p=5'),
+    (('bounds', '--q', '-1'), 'q must be non-negative'),
+    (('empirical', '--k', '0'), 'need 1 <= k <= p - 2, got k=0, p=20'),
 ], ids=['bounds-repeating-variant', 'bounds-unknown-variant', 'bounds-mean-without-cov',
-        'empirical-no-trials', 'empirical-q-negative', 'empirical-seed-negative'])
+        'empirical-no-trials', 'empirical-q-negative', 'empirical-seed-negative',
+        'bounds-p-below-k-plus-2', 'bounds-q-negative', 'empirical-k-zero'])
 @pytest.mark.parametrize('source', (('--synthetic-n', '3000'), ('--matrix', 'A.mtx')), ids=['synthetic', 'matrix'])
 def test_malformed_request_is_refused_before_the_problem_is_loaded(monkeypatch, capsys, argv, message, source):
     def refused(*args, **kwargs):
@@ -359,16 +363,16 @@ def test_malformed_request_is_refused_before_the_problem_is_loaded(monkeypatch, 
 
 def test_overflowing_sketch_covariance_is_refused_by_name(tmp_path, capsys, recwarn):
     """On the seeded n=30 matrix times 2^600 at q=1, ``sigma^6`` overflows: the
-    default variant list exits 2 with no numpy warning, and the library call
-    names the theorem variant."""
+    default variant list exits 2 with no numpy warning, while the library call,
+    on the RSVD sketch, answers thm4 with its corollary."""
     a = synthetic_matrix(30, 1)[0] * 2.0**600
     write_matrix_market(tmp_path / 'a.mtx', a)
     assert run_cli('bounds', '--matrix', str(tmp_path / 'a.mtx'), '--k', '3', '--p', '8', '--q', '1') == 2
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'sketchbound: the RSVD sketch covariance sigma^6 overflows at q=1\n'
-    with pytest.raises(OverflowError, match=r'^bound variant thm4 overflows at k=3, p=8, q=1$'):
-        experiments.evaluate_bounds(('thm4',), linalg.svd(a), 3, 8, 1)
+    reports = experiments.evaluate_bounds(('thm4', 'cor_spectral'), linalg.svd(a), 3, 8, 1)
+    assert reports['thm4']['bound'] == reports['cor_spectral']['bound']
     assert not recwarn.list
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sketchbound.expectation import (
-    ProjectedCovariance,
     expect_pinv_norms,
     expect_product_norms,
     expected_frobenius_gap_bound,
@@ -18,7 +17,7 @@ from sketchbound.expectation import (
     tangent_norm_constants,
 )
 from sketchbound.experiments import THEOREM_VARIANTS, evaluate_bounds, synthetic_matrix
-from sketchbound.linalg import RankDeficiencyError, SvdFactors, svd
+from sketchbound.linalg import RankDeficiencyError, SvdFactors, phi, svd
 from sketchbound.rsvd import SpectrumProfile, frobenius_bound, spectral_bound
 from sketchbound.sketching import GaussianSketch, RsvdSketch, SeededStream, rsvd_distribution, standard_gaussian
 
@@ -99,31 +98,6 @@ class TestProjectCovariance:
         tail = f.left_tail(3)
         with pytest.raises(RankDeficiencyError, match='projected covariance head block is numerically singular'):
             project_covariance(scale * (tail @ tail.T), f, 3)
-
-
-class TestFromSpectrum:
-    def test_matches_the_dense_projection_bit_for_bit(self):
-        sigma = np.concatenate([np.ones(4), np.arange(2, 17, dtype=float) ** -0.5])
-        f = SvdFactors(np.eye(sigma.size), sigma, sigma.size)
-        for q in (0, 1, 2):
-            lam = sigma ** (4 * q + 2)
-            dense = project_covariance(np.diag(lam), f, 3)
-            pc = ProjectedCovariance.from_spectrum(lam, 3)
-            assert pc.head.tobytes() == dense.head.tobytes()
-            assert pc.cross.tobytes() == dense.cross.tobytes()
-            assert pc.conditional_trace == dense.conditional_trace
-            assert pc.conditional_top_eigenvalue == dense.conditional_top_eigenvalue
-            assert pc.solve_head(np.eye(3)).tobytes() == dense.solve_head(np.eye(3)).tobytes()
-
-    def test_graded_head_needs_only_positive_entries(self):
-        lam = np.array([1.0, 1e-30, 1e-31, 0.0])
-        with pytest.raises(RankDeficiencyError):
-            project_covariance(np.diag(lam), SvdFactors(np.eye(4), np.sqrt(lam), 4), 2)
-        pc = ProjectedCovariance.from_spectrum(lam, 2)
-        assert pc.conditional_trace == 1e-31
-        assert pc.conditional_top_eigenvalue == 1e-31
-        with pytest.raises(RankDeficiencyError, match='smallest eigenvalue 0.000e'):
-            ProjectedCovariance.from_spectrum(lam, 4)
 
 
 class TestExpectProductNorms:
@@ -360,9 +334,10 @@ class TestTheoremBounds:
         singular = GaussianSketch.from_moments(np.zeros((12, 5)), np.diag([1.0, 0.0] * 6))
         with pytest.raises(RankDeficiencyError):
             evaluate_bounds(['thm4'], SvdFactors(np.eye(12, 9), f.sigma, 9), 2, 5, 0, singular)
-        # without a sketch, the RSVD request raises what its dense route raises before
-        # any covariance is formed: k outside [1, p - 2], a head entry sigma_2 = 1e-200
-        # below the rule's rank cutoff, or one above it whose sigma_2^30 underflows to zero
+        # without a sketch, the RSVD request raises what its dense route raises before any
+        # covariance is formed: k outside [1, p - 2], or a head entry sigma_2 = 1e-200 below
+        # the rule's rank cutoff; one above it whose sigma_2^30 underflows to zero the dense
+        # route refuses, and the closed forms, which read ratios of sigma, answer
         underflowed = SvdFactors(np.eye(7), np.array([1.0, 1e-200, 1e-250, 0.0, 0.0, 0.0, 0.0]), 7)
         graded = SvdFactors(np.eye(7), np.array([1.0, 1e-11, 1e-12, 0.0, 0.0, 0.0, 0.0]), 7)
         requests = [(variants, factors, k, p, q)
@@ -380,6 +355,9 @@ class TestTheoremBounds:
 
         monkeypatch.setattr(GaussianSketch, 'covariance', property(refused))
         for (variants, factors, k, p, q), error in zip(requests, errors):
+            if factors is graded and q == 7:
+                assert list(evaluate_bounds(variants, factors, k, p, q)) == variants
+                continue
             with pytest.raises(type(error), match=f'^{re.escape(str(error))}$'):
                 evaluate_bounds(variants, factors, k, p, q)
 
@@ -393,33 +371,37 @@ class TestTheoremBounds:
 
 
 class TestRsvdSketchTheorems:
-    """An :class:`RsvdSketch` ``(q, p)`` is projected from the spectrum, whatever ``U`` is."""
-
-    @pytest.mark.parametrize('q', (0, 1, 2))
-    def test_theorems_equal_the_default_route_bit_for_bit(self, q):
-        f = random_factors(90 + q, n=15, m=11)
-        k, p = 3, 8
-        default = evaluate_bounds(list(THEOREM_VARIANTS), f, k, p, q)
-        # the default route's projection before it took an RsvdSketch
-        spectral = ProjectedCovariance.from_spectrum(f.sigma ** (4 * q + 2), k)
-        for name, theorem in THEOREM_VARIANTS.items():
-            report = theorem(f, RsvdSketch(q, p), k, p)
-            assert {'bound': report.bound, 'mean_term': report.mean_term, **report.constants} == default[name]
-            assert theorem(f, rsvd_distribution(f, q, p), k, p, spectral) == report
+    """On the RSVD sketch ``(q, p)`` the theorem rows of :func:`evaluate_bounds` read the
+    spectrum alone, whatever ``U`` is; the theorem functions take its distribution."""
 
     @pytest.mark.parametrize('k, p, q', [(15, 30, 2), (15, 30, 3), (40, 60, 2)])
     def test_theorems_match_the_closed_forms_on_a_haar_basis(self, k, p, q):
         # the dense projection of U diag(sigma^(4q+2)) U^T is off by up to 2e-9 here
         _, f = synthetic_matrix(400, seed=3)
         profile = SpectrumProfile.from_spectrum(f.sigma, k, p, q)
-        for theorem, closed in ((expected_frobenius_gap_bound, frobenius_bound),
-                                (expected_spectral_gap_bound, spectral_bound)):
+        reports = evaluate_bounds(['thm3', 'thm4'], f, k, p, q)
+        for name, closed in (('thm3', frobenius_bound), ('thm4', spectral_bound)):
             want = closed(profile).bound
-            assert abs(theorem(f, RsvdSketch(q, p), k, p).bound - want) <= 1e-14 * want
+            assert abs(reports[name]['bound'] - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize('q, c', [(2, -200), (2, 200), (5, -60), (5, 60)])
+    def test_theorem_rows_are_the_corollaries_at_extreme_scales(self, q, c, recwarn):
+        """The n=400 synthetic spectrum times 2^c, where the head ``sigma^(4q+2)`` of a
+        projection from the spectrum underflows (c < 0) or its constants overflow (c > 0)."""
+        sigma = synthetic_matrix(400)[1].sigma * 2.0**c
+        k, p = 5, 20
+        reports = evaluate_bounds([*THEOREM_VARIANTS, 'cor_frobenius', 'cor_spectral', 'cor_spectral_improved'],
+                                  SvdFactors(np.eye(400), sigma, 400), k, p, q)
+        for name, corollary in (('thm3', 'cor_frobenius'), ('thm4', 'cor_spectral'), ('thm5', 'cor_spectral_improved')):
+            assert reports[name]['bound'] == reports[corollary]['bound']
+        a_k, b_k = reports['cor_frobenius']['a_k'], reports['cor_frobenius']['b_k']
+        assert reports['thm3_squared']['bound'] == min(a_k, k * phi(math.sqrt(b_k / k)) ** 2 * float(sigma[0]) ** 2)
+        assert all(math.isfinite(reports[name]['bound']) for name in THEOREM_VARIANTS)
+        assert not recwarn.list
 
     def test_is_centered(self):
         f = random_factors(93)
-        sketch = RsvdSketch(1, 6)
+        sketch = rsvd_distribution(f, 1, 6)
         assert mean_shift_term(sketch, 2.0, 6) == 0.0
         for theorem in THEOREM_VARIANTS.values():
             assert theorem(f, sketch, 2, 6).mean_term == 0.0
@@ -430,6 +412,13 @@ class TestRsvdSketchTheorems:
     def test_project_sketch_refuses_another_p(self):
         f = random_factors(94)
         with pytest.raises(ValueError, match='^sketch has 7 columns, expected p=6$'):
-            project_sketch(f, RsvdSketch(0, 7), 2, 6)
+            project_sketch(f, rsvd_distribution(f, 0, 7), 2, 6)
         with pytest.raises(ValueError, match='^sketch has 5 columns, expected p=6$'):
-            expected_spectral_gap_bound(f, RsvdSketch(0, 5), 2, 6)
+            expected_spectral_gap_bound(f, rsvd_distribution(f, 0, 5), 2, 6)
+        # the RSVD sketch itself is refused: its theorem bounds are the closed forms
+        refusal = '^the theorem bounds take a GaussianSketch, not RsvdSketch: on the RSVD sketch they are the closed'
+        for theorem in (project_sketch, *THEOREM_VARIANTS.values()):
+            with pytest.raises(TypeError, match=refusal):
+                theorem(f, RsvdSketch(0, 6), 2, 6)
+        with pytest.raises(TypeError, match=refusal):
+            evaluate_bounds(['cor_spectral', 'thm4'], f, 2, 6, 0, RsvdSketch(0, 6))
