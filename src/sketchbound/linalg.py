@@ -3,8 +3,9 @@ plus Matrix Market I/O and the package's one file writer, :func:`_write_atomic`.
 
 It also holds what the bounds and the trials share: the tangent-to-sine map
 :func:`phi`, the one rule that decides whether a head block is singular
-(:func:`_check_head`; :func:`_check_head_rank` for a sketch's), and the norms
-of a spectrum, :func:`_operator_norms`.
+(:func:`_check_head`; :func:`_check_head_rank` for a sketch's), the one
+refusal of a negative power-iteration count (:func:`_check_powers`), and the
+norms of a spectrum, :func:`_operator_norms`.
 
 Every kernel is a pure function of its inputs and safe to call from any
 number of threads.
@@ -107,6 +108,12 @@ def _check_head_rank(omega_head, w):
                 'head block of the sketch is row-rank deficient', 'singular value')
 
 
+def _check_powers(q):
+    """Raise ``ValueError`` unless ``q``, a sketch's number of power iterations, is non-negative."""
+    if q < 0:
+        raise ValueError(f'q must be non-negative, got q={q}')
+
+
 class SvdFactors:
     """Thin SVD ``A = U diag(sigma) V^T`` with head/tail partition accessors.
 
@@ -114,7 +121,14 @@ class SvdFactors:
     read ``A`` through ``U^T Z`` or ``Sigma V^T G``, and ``V^T G`` is standard
     Gaussian.  ``u`` is thin or square; the complement needed by the tail accessors
     is appended lazily and cached.  ``u``, ``sigma`` and ``cols`` are checked once,
-    here: ``u`` is 2-D with a column for every singular value.
+    here: ``u`` is 2-D, with a column for every singular value and no more columns
+    than rows.
+
+    Storage: one buffer holds ``U``.  A thin ``rows x r`` factor takes ``rows*r``
+    floats until :meth:`left` completes it, and ``rows**2`` after, when the thin
+    factor becomes a view of the first ``r`` columns of the full one; a square
+    factor is its own completion.  So every accessor, before or after, reads the
+    same values.
     """
 
     def __init__(self, u, sigma, cols):
@@ -125,9 +139,9 @@ class SvdFactors:
             raise ValueError('singular values must be finite, non-negative and sorted descending')
         if self.sigma.size > min(self.rows, self.cols):
             raise ValueError(f'{self.sigma.size} singular values for a {self.rows}x{self.cols} matrix')
-        if self._u.ndim != 2 or self._u.shape[1] < self.sigma.size:
-            raise ValueError(f'U must be 2-D with a column per singular value, got shape {self._u.shape} '
-                             f'for {self.sigma.size} singular values')
+        if self._u.ndim != 2 or not self.sigma.size <= self._u.shape[1] <= self._u.shape[0]:
+            raise ValueError(f'U must be 2-D with a column per singular value and no more columns than rows, '
+                             f'got shape {self._u.shape} for {self.sigma.size} singular values')
         self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
 
     @property
@@ -140,9 +154,10 @@ class SvdFactors:
         return np.hstack([q, comp])
 
     def left(self):
-        """Full orthogonal left factor."""
+        """Full orthogonal left factor; the thin one is from then on a view of it."""
         if self._u_full is None:
             self._u_full = self._complete(self._u)
+            self._u = self._u_full[:, :self._u.shape[1]]
         return self._u_full
 
     def _check_k(self, k):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import PINV_TOL, phi
+from .linalg import PINV_TOL, _check_powers, phi
 
 __all__ = [
     'RsvdBoundReport',
@@ -66,8 +66,7 @@ class SpectrumProfile:
 
 def _check_parameters(k, p, q):
     """The part of :func:`_check_request` that needs no spectrum, asked before one is loaded."""
-    if q < 0:
-        raise ValueError('q must be non-negative')
+    _check_powers(q)
     if not 1 <= k <= p - 2:
         raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse
 from scipy.special import ndtri
 
-from .linalg import NotPositiveSemidefiniteError, _as_matrix, _symmetrize
+from .linalg import NotPositiveSemidefiniteError, _as_matrix, _check_powers, _symmetrize
 
 __all__ = [
     'GaussianSketch',
@@ -143,8 +143,7 @@ def rsvd_sketch(a, q, p, stream: SeededStream):
             raise ValueError('A contains non-finite entries')
     else:
         a = _as_matrix(a, 'A')
-    if q < 0:
-        raise ValueError('q must be non-negative')
+    _check_powers(q)
     z = a @ standard_gaussian(a.shape[1], p, stream)
     for _ in range(q):
         z = a @ (a.T @ z)
@@ -158,8 +157,7 @@ def rsvd_distribution(factors, q, p) -> GaussianSketch:
     completion of ``U`` and, until the covariance or its root is read, no
     n x n product is formed; ``OverflowError`` where a power overflows.
     """
-    if q < 0:
-        raise ValueError('q must be non-negative')
+    _check_powers(q)
     if p < 1:
         raise ValueError('p must be positive')
     with np.errstate(over='ignore'):
@@ -177,8 +175,9 @@ class RsvdSketch:
     p: int
 
     def __post_init__(self):
-        if self.q < 0 or self.p < 1:
-            raise ValueError('need q >= 0 and p >= 1')
+        _check_powers(self.q)
+        if self.p < 1:
+            raise ValueError('p must be positive')
 
     def draw(self, a, stream: SeededStream):
         return rsvd_sketch(a, self.q, self.p, stream)

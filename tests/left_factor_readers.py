@@ -1,0 +1,42 @@
+"""The readers of a tall ``SvdFactors``' left factor, evaluated on factors whose full
+``U`` was built first or not.  After :meth:`SvdFactors.left` the thin ``U`` is a
+strided view of the full one, so the two orders feed the GEMMs different layouts
+of the same values; they must give the same bits.  Imported by
+``test_linalg.py``, and run by ``test_kernel_families.py``'s child under each
+OpenBLAS kernel family.
+"""
+
+import numpy as np
+
+from sketchbound import deterministic, expectation, linalg, sketching
+
+
+def _bits(value):
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    if isinstance(value, tuple):
+        return [_bits(item) for item in value]
+    if isinstance(value, (int, str)):
+        return value
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def reader_bits(complete_first):
+    """The bits of every reader of ``U`` on a 160x120 ``A``, a 160x12 sketch ``Z``
+    and a PSD covariance ``C``, at ``k = 5``, each on new factors of ``A`` whose
+    full left factor is built first if ``complete_first``."""
+    rng = np.random.default_rng(32)
+    a, z, g = rng.standard_normal((160, 120)), rng.standard_normal((160, 12)), rng.standard_normal((160, 160))
+    c, k = g @ g.T, 5
+
+    def factors():
+        f = linalg.svd(a)
+        if complete_first:
+            f.left()
+        return f
+    reports = [deterministic.sine_tangent_gap_bound(a, factors(), z, k, which).as_dict()
+               for which in ('frobenius', 'spectral')]
+    reports.append(deterministic.deflated_spectral_gap_bound(a, factors(), z, k).as_dict())
+    covariance = sketching.rsvd_distribution(factors(), 1, z.shape[1]).covariance
+    projected = expectation.project_covariance(c, factors(), k)
+    return [_bits(report) for report in reports] + [_bits(covariance), _bits(vars(projected))]

@@ -318,7 +318,7 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
     (_cli_request(*EMPIRICAL_30, '--k', '2', '--p', '3'), 'need 1 <= k <= p - 2, got k=2, p=3'),
     (_cli_request(*EMPIRICAL_30, '--k', '2', '--p', '40'), 'p=40 exceeds the spectrum length 30'),
     (_cli_request('bounds', '--synthetic-n', '30', '--k', '2', '--p', '6', '--q', '-1', '--variant', 'hmt_frobenius'),
-     'q must be non-negative'),
+     'q must be non-negative, got q=-1'),
 ], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
         'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged', 'constants-overflow',
         'covariance-head-below-scale', 'round-off-head', 'round-off-head-1e8', 'infinite-bound',
@@ -342,10 +342,10 @@ def test_malformed_request_exits_2_without_a_traceback(tmp_path, monkeypatch, ca
     (('bounds', '--variant', 'wat'), "unknown bound variants: ['wat']"),
     (('bounds', '--variant', 'thm3', '--mean', 'mean.mtx'), '--mean and --cov must be given together'),
     (('empirical', '--trials', '0'), 'trials must be in [1, 2**'),
-    (('empirical', '--q', '-1'), 'need q >= 0 and p >= 1'),
+    (('empirical', '--q', '-1'), 'q must be non-negative, got q=-1'),
     (('empirical', '--seed', '-1'), 'master_seed must be in [0, 2**64), got -1'),
     (('bounds', '--k', '4', '--p', '5'), 'need 1 <= k <= p - 2, got k=4, p=5'),
-    (('bounds', '--q', '-1'), 'q must be non-negative'),
+    (('bounds', '--q', '-1'), 'q must be non-negative, got q=-1'),
     (('empirical', '--k', '0'), 'need 1 <= k <= p - 2, got k=0, p=20'),
 ], ids=['bounds-repeating-variant', 'bounds-unknown-variant', 'bounds-mean-without-cov',
         'empirical-no-trials', 'empirical-q-negative', 'empirical-seed-negative',

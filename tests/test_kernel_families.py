@@ -4,7 +4,8 @@ the spectrum route, in a sweep and in a ``bounds`` report.  OpenBLAS picks its
 kernels once, at load time, so each family runs in a child process that
 differs from the others only in ``OPENBLAS_CORETYPE``.  Samples and
 dense-route bounds are bit-identical only within one family; they are not
-compared here.
+compared across families.  Within each family, the readers of a tall left
+factor must give the same bits whether it was completed first or not.
 """
 
 import json
@@ -22,6 +23,7 @@ import contextlib, ctypes, hashlib, io, json, os
 import numpy as np
 import scipy.linalg
 from sketchbound import cli, experiments, expectation, linalg
+from left_factor_readers import reader_bits
 
 factors = linalg.svd(np.random.default_rng(4).standard_normal((40, 40)))
 tail = factors.left_tail(3)
@@ -52,7 +54,8 @@ for path in sorted(p for p in paths if 'openblas' in os.path.basename(p).lower()
         corenames.append(get().decode())
     else:
         corenames.append(None)
-print(json.dumps({'corenames': corenames, 'refused': refused,
+order_free = reader_bits(complete_first=False) == reader_bits(complete_first=True)
+print(json.dumps({'corenames': corenames, 'refused': refused, 'order_free': order_free,
                   'bounds': hashlib.sha256(' '.join(bounds).encode()).hexdigest(),
                   'report': hashlib.sha256(report.getvalue().encode()).hexdigest()}))
 '''
@@ -66,7 +69,8 @@ def run_child(family):
     if family is not None:
         env['OPENBLAS_CORETYPE'] = family
     src = str(pathlib.Path(sketchbound.__file__).resolve().parents[1])
-    env['PYTHONPATH'] = os.pathsep.join(filter(None, (src, env.get('PYTHONPATH'))))
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    env['PYTHONPATH'] = os.pathsep.join(filter(None, (src, tests, env.get('PYTHONPATH'))))
     done = subprocess.run([sys.executable, '-c', CHILD], env=env, capture_output=True, text=True, timeout=60,
                           check=True)
     return json.loads(done.stdout)
@@ -77,6 +81,7 @@ def test_head_rule_and_spectrum_route_bounds_agree_across_kernel_families():
     hashes = {}
     for family in FAMILIES:
         report = run_child(family)
+        assert report['order_free'], f'completing U first changed a reader\'s bits under {report["corenames"]}'
         names = report['corenames']
         if not names or None in names or (family and any(n.lower() != family.lower() for n in names)):
             continue  # this BLAS cannot report, or did not take, the family

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.io
+
+from left_factor_readers import reader_bits
 
 from sketchbound.linalg import (
     RankDeficiencyError,
@@ -102,13 +106,31 @@ class TestSvd:
         with pytest.raises(ValueError, match=rf'3 singular values for a {u.shape[0]}x{cols} matrix'):
             SvdFactors(u, [3.0, 2.0, 1.0], cols)
 
-    @pytest.mark.parametrize('u', [np.eye(5)[:, :2], np.ones(5)])
-    def test_factors_refuse_a_left_factor_narrower_than_the_spectrum(self, u):
-        with pytest.raises(ValueError, match='U must be 2-D with a column per singular value'):
+    @pytest.mark.parametrize('u', [np.eye(5)[:, :2], np.ones(5), np.eye(3, 5)])
+    def test_factors_refuse_a_left_factor_narrower_than_the_spectrum_or_wider_than_tall(self, u):
+        with pytest.raises(ValueError, match='U must be 2-D with a column per singular value and no more columns'):
             SvdFactors(u, [3.0, 2.0, 1.0], 5)
         # square and thin factors pass, as criterion 9's 26x26 U with 18 singular values does
         assert SvdFactors(np.eye(5)[:, :3], [3.0, 2.0, 1.0], 5).left_head(3).shape == (5, 3)
         assert SvdFactors(np.eye(26), np.linspace(18.0, 1.0, 18), 20).left_tail(18).shape == (26, 8)
+
+    def test_completed_factor_holds_one_buffer(self):
+        rows, cols, k = 600, 400, 7
+        a = RNG.standard_normal((rows, cols))
+        tracemalloc.start()
+        try:
+            f = svd(a)
+            f.left()
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full U and O(rows) besides; a second, thin copy of U would add rows * cols floats
+        assert traced <= 8 * (rows * rows + 16 * rows)
+        assert np.shares_memory(f.left_head(k), f.left()) and np.shares_memory(f.left_tail(k), f.left())
+        assert np.array_equal(f.left_head(cols), f.left()[:, :cols])
+
+    def test_readers_give_the_same_bits_whether_u_was_completed_first_or_not(self):
+        assert reader_bits(complete_first=False) == reader_bits(complete_first=True)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from sketchbound import rsvd
 from sketchbound.linalg import NotPositiveSemidefiniteError, svd
 from sketchbound.sketching import (
     GaussianSketch,
@@ -164,8 +165,18 @@ class TestRsvdSketch:
         spec = RsvdSketch(q=0, p=2)
         z = spec.draw(a, SeededStream(1))
         assert z.shape == (4, 2)
-        with pytest.raises(ValueError):
-            RsvdSketch(q=-1, p=2)
+        with pytest.raises(ValueError, match='p must be positive'):
+            RsvdSketch(q=0, p=0)
+
+    @pytest.mark.parametrize('refuse', (
+        lambda q: RsvdSketch(q=q, p=2),
+        lambda q: rsvd_sketch(np.eye(4), q, 2, SeededStream(1)),
+        lambda q: rsvd_distribution(svd(np.eye(4)), q, 2),
+        lambda q: rsvd._check_parameters(1, 3, q),
+    ), ids=['RsvdSketch', 'rsvd_sketch', 'rsvd_distribution', 'check_parameters'])
+    def test_negative_powers_are_refused_in_one_message(self, refuse):
+        with pytest.raises(ValueError, match=r'^q must be non-negative, got q=-1$'):
+            refuse(-1)
 
 
 class TestRsvdDistribution:
