@@ -143,7 +143,7 @@ def expect_pinv_norms(covariance, n_mat, p):
     except np.linalg.LinAlgError as exc:
         raise ValueError('covariance must be positive definite') from exc
     trace_m, top_m = _symmetric_moments(n_mat.T @ scipy.linalg.cho_solve(cho, n_mat))
-    return trace_m / (p - k - 1), math.e * math.sqrt(p) / (p - k) * math.sqrt(top_m)
+    return trace_m / (p - k - 1), rsvd._pinv_moments(k, p)[1] * math.sqrt(top_m)
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def tangent_norm_constants(pc: ProjectedCovariance, n_mat, p) -> TangentMomentCo
     cond_fro = math.sqrt(pc.conditional_trace)
     sampling_spectral = (
         cond_top * math.sqrt(trace_m) / math.sqrt(p - k - 1)
-        + math.e * math.sqrt(p) / (p - k) * cond_fro * math.sqrt(top_m)
+        + rsvd._pinv_moments(k, p)[1] * cond_fro * math.sqrt(top_m)
     )
     sampling_frobenius = cond_fro * math.sqrt(trace_m) / math.sqrt(p - k - 1)
     try:
@@ -206,7 +206,7 @@ def mean_shift_term(sketch, head_norm, p) -> float:
     if p >= r:
         raise ValueError(f'nonzero-mean term requires p < rank of the covariance, got p={p}, rank={r}')
     scale = spectral_norm(sketch.mean) / math.sqrt(sketch.min_nonzero_eigenvalue)
-    return math.e * math.sqrt(r) / (r - p) * scale * head_norm
+    return rsvd._pinv_moments(p, r)[1] * scale * head_norm
 
 
 @dataclass(frozen=True)
@@ -225,6 +225,12 @@ class ExpectationBoundReport:
         return asdict(self)
 
 
+def _check_sketch_rows(factors: SvdFactors, sketch: GaussianSketch):
+    """Raise ``ValueError`` unless ``sketch`` has a row per row of the ``A`` of ``factors``."""
+    if sketch.shape[0] != factors.rows:
+        raise ValueError(f'sketch has {sketch.shape[0]} rows, but A has {factors.rows}')
+
+
 def project_sketch(factors: SvdFactors, sketch, k, p) -> ProjectedCovariance:
     """Check a bound request by :func:`rsvd._check_request` and project the covariance of
     its :class:`GaussianSketch`; anything else raises ``TypeError``, since on the RSVD sketch
@@ -238,6 +244,7 @@ def project_sketch(factors: SvdFactors, sketch, k, p) -> ProjectedCovariance:
         raise TypeError(f'the theorem bounds take a GaussianSketch, not {type(sketch).__name__}: on the RSVD sketch '
                         'they are the closed forms of sketchbound.rsvd, or pass rsvd_distribution(factors, q, p)')
     rsvd._check_request(factors.sigma, k, p, 0)
+    _check_sketch_rows(factors, sketch)
     if sketch.shape[1] != p:
         raise ValueError(f'sketch has {sketch.shape[1]} columns, expected p={p}')
     return project_covariance(sketch.covariance, factors, k)
@@ -258,21 +265,15 @@ def expected_frobenius_gap_sq_bound(factors, sketch, k, p, projection=None) -> E
 
 
 def _frobenius_report(pc, factors, sketch, k, p, squared):
+    """``mean_term + rsvd._frobenius_min(a_k, b_k, k, sigma_1, squared)``, for the Frobenius tangent constants
+    weighted by ``diag(sigma_head)`` and by the identity; ``squared`` takes only a centered sketch, whose term is 0."""
     sig_head = factors.sigma_head(k)
     a_k = tangent_norm_constants(pc, np.diag(sig_head), p).total_frobenius_sq
     b_k = tangent_norm_constants(pc, np.eye(k), p).total_frobenius_sq
-    top = float(sig_head[0])
-    sine_factor = phi(math.sqrt(b_k / k))
-    if squared:
-        bound = min(a_k, k * sine_factor**2 * top**2)
-        return ExpectationBoundReport(
-            norm='frobenius', variant='thm3_squared', k=k, p=p, mean_term=0.0,
-            constants={'a_k': a_k, 'b_k': b_k}, bound=bound,
-        )
     mean_term = mean_shift_term(sketch, frobenius_norm(np.diag(sig_head)), p)
-    bound = mean_term + min(math.sqrt(a_k), math.sqrt(k) * sine_factor * top)
+    bound = mean_term + rsvd._frobenius_min(a_k, b_k, k, float(sig_head[0]), squared)
     return ExpectationBoundReport(
-        norm='frobenius', variant='thm3', k=k, p=p, mean_term=mean_term,
+        norm='frobenius', variant='thm3_squared' if squared else 'thm3', k=k, p=p, mean_term=mean_term,
         constants={'a_k': a_k, 'b_k': b_k}, bound=bound,
     )
 

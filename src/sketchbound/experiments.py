@@ -108,7 +108,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from . import expectation, rsvd
-from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic, phi
+from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic
 from .sketching import (
     GaussianSketch,
     RsvdSketch,
@@ -376,6 +376,7 @@ def _rsvd_draw(trial_matrix, sketch, stream):
 def _gaussian_draw(factors, sketch, stream):
     """:func:`_collect_residuals`' draw of a :class:`GaussianSketch`: a sample from
     ``stream(t)``, rotated by the full left factor."""
+    expectation._check_sketch_rows(factors, sketch)
     u_full = factors.left()
     rotated_mean = u_full.T @ sketch.mean if np.any(sketch.mean) else None
 
@@ -476,7 +477,8 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     ``_trial_stream(seed, q, p, t)``, as in a sweep (``q = 0`` for a
     :class:`GaussianSketch` of ``p`` columns); the trials run serially at one
     BLAS thread, so concurrent calls, and sweeps, take turns.  A request that
-    :func:`rsvd._check_request` refuses raises ``ValueError`` before any trial.
+    :func:`rsvd._check_request` refuses, or a sketch whose height is not ``A``'s,
+    raises ``ValueError`` before any trial.
     """
     if norm not in NORMS:
         raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
@@ -525,11 +527,11 @@ THEOREM_COROLLARIES = {'thm3': 'cor_frobenius', 'thm3_squared': 'cor_frobenius',
 
 def _theorem_row(name, corollary, sigma_1):
     """Report of theorem ``name`` on the RSVD sketch from its corollary's: no mean term and no ``ell``;
-    ``thm3_squared`` squares both terms of the minimum, ``min(a_k, k phi(sqrt(b_k / k))^2 sigma_1^2)``."""
+    ``thm3_squared`` takes the squared minimum, ``rsvd._frobenius_min(..., squared=True)``."""
     constants = {key: value for key, value in corollary.constants.items() if key != 'ell'}
     k, bound = corollary.k, corollary.bound
     if name == 'thm3_squared':
-        bound = min(constants['a_k'], k * phi(math.sqrt(constants['b_k'] / k)) ** 2 * sigma_1**2)
+        bound = rsvd._frobenius_min(constants['a_k'], constants['b_k'], k, sigma_1, squared=True)
     return {'bound': bound, 'mean_term': 0.0, **constants}
 
 

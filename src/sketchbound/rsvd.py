@@ -122,19 +122,29 @@ def _tail_ratio_sum(profile: SpectrumProfile, ref):
     return float(np.sum((tail / ref) ** (4 * profile.q + 2)))
 
 
+def _pinv_moments(k, p):
+    """For a standard Gaussian ``k x p`` matrix ``G``, HMT 2011's ``E||G^+||_F^2 = k / (p - k - 1)``
+    (Prop. 10.1), infinite at ``p = k + 1``, and bound ``e sqrt(p) / (p - k)`` on ``E||G^+||_2`` (Prop. 10.2)."""
+    frobenius_sq = k / (p - k - 1) if p > k + 1 else math.inf
+    return frobenius_sq, math.e * math.sqrt(p) / (p - k)
+
+
+def _frobenius_min(a_k, b_k, k, top, squared=False):
+    """The Frobenius bounds' ``min(sqrt(a_k), sqrt(k) phi(sqrt(b_k / k)) top)``, or the minimum of the squares."""
+    sine = phi(math.sqrt(b_k / k))
+    return min(a_k, k * sine**2 * top**2) if squared else min(math.sqrt(a_k), math.sqrt(k) * sine * top)
+
+
 def frobenius_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     """Frobenius-norm expectation bound for the randomized SVD."""
     k, p, q = profile.k, profile.p, profile.q
     s = profile.sigma
     s_next = float(s[k])
     _, head_4q, head_4q2 = _head_gamma_sums(profile)
-    if s_next > 0:
-        tail_sum = _tail_ratio_sum(profile, s_next)
-        a_k = s_next**2 / (p - k - 1) * tail_sum * head_4q
-        b_k = tail_sum * head_4q2 / (p - k - 1)
-    else:
-        a_k = b_k = 0.0
-    bound = min(math.sqrt(a_k), math.sqrt(k) * phi(math.sqrt(b_k / k)) * float(s[0]))
+    tail_sum = _tail_ratio_sum(profile, s_next)  # 0 for the empty positive tail of sigma_{k+1} = 0
+    a_k = s_next**2 / (p - k - 1) * tail_sum * head_4q
+    b_k = tail_sum * head_4q2 / (p - k - 1)
+    bound = _frobenius_min(a_k, b_k, k, float(s[0]))
     return RsvdBoundReport(
         norm='frobenius', variant='frobenius', k=k, p=p, q=q,
         constants={'a_k': a_k, 'b_k': b_k}, bound=bound,
@@ -149,7 +159,7 @@ def spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     s_k = float(s[k - 1])
     _, head_4q, head_4q2 = _head_gamma_sums(profile)
     tail_k = math.sqrt(_tail_ratio_sum(profile, s_k))
-    wishart = math.e * math.sqrt(p) / (p - k)
+    _, wishart = _pinv_moments(k, p)
     c_k = s_next / math.sqrt(p - k - 1) * math.sqrt(head_4q) + s_k * tail_k * wishart
     d_k = math.sqrt(head_4q2) / math.sqrt(p - k - 1) + tail_k * wishart
     bound = min(c_k, phi(d_k) * float(s[0]))
@@ -160,28 +170,13 @@ def spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
 
 
 def peak_index(profile: SpectrumProfile) -> int:
-    """1-based head index maximizing ``sqrt(1 - gamma_i^2) / sigma_i^(2q)``.
-
-    Located through the stationary point of ``x -> (x - sigma_{k+1}^2) /
-    x^(2q+1)``: the threshold ``sigma_{k+1} sqrt(1 + 1/(2q))`` either clears
-    the whole head (index 1), falls below it (index k), or brackets two
-    candidate indices.  Ties break toward the smaller index.
-    """
-    k, q = profile.k, profile.q
-    if q == 0:
-        return 1
-    s = profile.sigma
+    """1-based head index maximizing ``sqrt(1 - gamma_i^2) (sigma_k / sigma_i)^(2q)``, with
+    ``gamma_i = sigma_{k+1} / sigma_i``; ties break toward the smaller index.  The vector
+    reads only ratios, so no scale of the spectrum overflows it."""
     head = profile.head()
-    thresh = float(s[k]) * math.sqrt(1.0 + 1.0 / (2 * q))
-    if thresh >= head[0]:
-        return 1
-    if thresh <= head[k - 1]:
-        return k
-    # first 0-based index with head value <= thresh; candidates bracket it
-    idx = int(np.searchsorted(-head, -thresh, side='left'))
-    gam = float(s[k]) / head
-    values = np.sqrt(np.clip(1.0 - gam**2, 0.0, None)) / head ** (2 * q)
-    return idx if values[idx - 1] >= values[idx] else idx + 1
+    gam = float(profile.sigma[profile.k]) / head
+    values = np.sqrt(np.clip(1.0 - gam**2, 0.0, None)) * (head[-1] / head) ** (2 * profile.q)
+    return int(np.argmax(values)) + 1
 
 
 def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
@@ -194,7 +189,7 @@ def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     one_minus = np.clip(1.0 - gam**2, 0.0, None)
     ell = peak_index(profile)
     s_ell = float(head[ell - 1])
-    wishart = math.e * math.sqrt(p) / (p - k)
+    _, wishart = _pinv_moments(k, p)
     c_hat_k = (
         s_next / math.sqrt(p - k - 1) * math.sqrt(float(np.sum(gam ** (4 * q) * one_minus)))
         + math.sqrt(one_minus[ell - 1]) * s_ell * math.sqrt(_tail_ratio_sum(profile, s_ell)) * wishart
@@ -221,14 +216,14 @@ def _tail_norm_sq(sigma, k):
 def hmt_frobenius(sigma, k, p) -> float:
     """Reference baseline on ``E||(I - pi(Z)) A||_F`` for the plain sketch."""
     _check_request(sigma, k, p, 0)
-    return math.sqrt(1.0 + k / (p - k - 1)) * math.sqrt(_tail_norm_sq(sigma, k))
+    return math.sqrt(1.0 + _pinv_moments(k, p)[0]) * math.sqrt(_tail_norm_sq(sigma, k))
 
 
 def hmt_spectral(sigma, k, p) -> float:
     """Reference baseline on ``E||(I - pi(Z)) A||_2`` for the plain sketch."""
     _check_request(sigma, k, p, 0)
-    return (1.0 + math.sqrt(k / (p - k - 1))) * float(sigma[k]) + \
-        math.e * math.sqrt(p) / (p - k) * math.sqrt(_tail_norm_sq(sigma, k))
+    frobenius_sq, wishart = _pinv_moments(k, p)
+    return (1.0 + math.sqrt(frobenius_sq)) * float(sigma[k]) + wishart * math.sqrt(_tail_norm_sq(sigma, k))
 
 
 def hmt_power(sigma, k, p, q) -> float:
@@ -243,6 +238,5 @@ def hmt_power(sigma, k, p, q) -> float:
     tail = np.asarray(sigma[k:], dtype=float)
     tail = tail[tail > 0]
     ratio_sum = float(np.sum((tail / s_next) ** (2 * (2 * q + 1))))
-    c1 = 1.0 + math.sqrt(k / (p - k - 1))
-    c2 = math.e * math.sqrt(p) / (p - k)
-    return s_next * (c1 + c2 * math.sqrt(ratio_sum)) ** (1.0 / (2 * q + 1))
+    frobenius_sq, wishart = _pinv_moments(k, p)
+    return s_next * (1.0 + math.sqrt(frobenius_sq) + wishart * math.sqrt(ratio_sum)) ** (1.0 / (2 * q + 1))

@@ -253,6 +253,11 @@ def _moments_request(a_scale, head, tail):
     return request
 
 
+def _sketch_height_request(tmp_path, monkeypatch):
+    """``bounds`` on the 40-row synthetic matrix with 30-row ``--mean``/``--cov`` files."""
+    return ('bounds', '--synthetic-n', '40', '--k', '3', '--p', '8', *mean_cov_args(tmp_path, 30, 8, 0.05))
+
+
 def _round_off_head_request(scale):
     """A ``--mean/--cov`` request whose covariance is supported on the tail of
     ``A``: its head block is round-off, which BLAS kernels may return well graded."""
@@ -300,6 +305,7 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
     (_moments_request(1e150, 100.0, 1e10), 'the tangent moment constants overflow'),
     # a head of 1e-160 against ||C||_F near 3e160 is refused by the head rule's scale test
     (_moments_request(1.0, 1e-160, 1e160), 'projected covariance head block is numerically singular'),
+    (_sketch_height_request, 'sketch has 30 rows, but A has 40'),
     (_round_off_head_request(1.0), 'projected covariance head block is numerically singular'),
     (_round_off_head_request(1e8), 'projected covariance head block is numerically singular'),
     (_overflowing_bound_request('hmt_frobenius'), _non_json('hmt_frobenius')),
@@ -321,7 +327,7 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
      'q must be non-negative, got q=-1'),
 ], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
         'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged', 'constants-overflow',
-        'covariance-head-below-scale', 'round-off-head', 'round-off-head-1e8', 'infinite-bound',
+        'covariance-head-below-scale', 'sketch-height', 'round-off-head', 'round-off-head-1e8', 'infinite-bound',
         'infinite-bound-out', 'infinite-spectral-bound', 'four-variants', 'finite-variants-first',
         'overflowing-bound', 'overflowing-bound-out',
         'empirical-k-zero', 'empirical-k-negative', 'empirical-k-above-n', 'empirical-p-below-k-plus-2',

@@ -218,6 +218,11 @@ class TestMeanShiftTerm:
         sk = self._sketch(mean, 100, 1.0)
         assert mean_shift_term(sk, 1.0, 36) == pytest.approx(math.e * 10.0 / 64.0, rel=1e-12)
 
+    def test_rank_one_above_p(self):
+        # only HMT's spectral moment enters; the Frobenius one, p / (r - p - 1), is infinite at r = p + 1
+        sk = self._sketch(np.ones((5, 3)), 4, 1.0)
+        assert mean_shift_term(sk, 1.0, 3) == pytest.approx(math.e * 2.0 * math.sqrt(15.0), rel=1e-12)
+
     def test_requires_margin(self):
         sk = self._sketch(np.ones((5, 3)), 3, 1.0)
         with pytest.raises(ValueError):
@@ -397,6 +402,19 @@ class TestRsvdSketchTheorems:
         a_k, b_k = reports['cor_frobenius']['a_k'], reports['cor_frobenius']['b_k']
         assert reports['thm3_squared']['bound'] == min(a_k, k * phi(math.sqrt(b_k / k)) ** 2 * float(sigma[0]) ** 2)
         assert all(math.isfinite(reports[name]['bound']) for name in THEOREM_VARIANTS)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize('c', [-500, -300, 300, 500])
+    def test_improved_bounds_commute_with_a_power_of_two_scale(self, c, recwarn):
+        """The n=400 synthetic spectrum times 2^c, where ``sigma^(2q)`` over- or underflows: the
+        peak index reads only ratios, so the improved bounds scale by 2^c exactly."""
+        sigma, names = synthetic_matrix(400)[1].sigma, ['cor_spectral_improved', 'thm5']
+        unscaled, scaled = (evaluate_bounds(names, SvdFactors(np.eye(400), s, 400), 15, 30, 2)
+                            for s in (sigma, sigma * 2.0**c))
+        for name in names:
+            for key in ('bound', 'c_hat_k'):
+                assert scaled[name][key] == math.ldexp(unscaled[name][key], c)
+            assert scaled[name]['d_hat_k'] == unscaled[name]['d_hat_k']
         assert not recwarn.list
 
     def test_is_centered(self):

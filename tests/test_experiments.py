@@ -653,6 +653,13 @@ class TestEmpiricalError:
         assert stats.trials == 8
         assert np.isfinite(stats.mean)
 
+    def test_gaussian_sketch_of_another_height_is_refused_before_any_trial(self, monkeypatch):
+        _, f = synthetic_matrix(40, seed=13)
+        sketch = GaussianSketch.from_moments(np.zeros((30, 8)), np.eye(30))
+        monkeypatch.setattr(experiments, '_collect_residuals', lambda *args: pytest.fail('a trial ran'))
+        with pytest.raises(ValueError, match='sketch has 30 rows, but A has 40'):
+            empirical_error(f, sketch, k=3, trials=4, seed=14)
+
     def test_bound_domination_spot_check(self):
         _, f = synthetic_matrix(60, seed=15)
         k, p = 4, 12

@@ -60,3 +60,20 @@ def test_module_imports_form_an_acyclic_graph():
 
     for module in graph:
         visit(module)
+
+
+def test_math_e_is_read_only_in_pinv_moments():
+    """HMT's bound ``e sqrt(p) / (p - k)`` on ``E||G^+||_2`` has one home,
+    ``rsvd._pinv_moments``: no other code of the package reads ``math.e``."""
+    def reads(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == 'e'
+                and isinstance(node.value, ast.Name) and node.value.id == 'math'
+                or isinstance(node, ast.ImportFrom) and node.module == 'math'
+                and any(alias.name == 'e' for alias in node.names)}
+    home = set().union(*(reads(node) for node in MODULES['rsvd'].body
+                         if isinstance(node, ast.FunctionDef) and node.name == '_pinv_moments'))
+    found = sorted(f'{module}.py:{line}' for module, tree in MODULES.items()
+                   for line in reads(tree) - (home if module == 'rsvd' else set()))
+    assert found == []
+    assert home  # the guard is not vacuous

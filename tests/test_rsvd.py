@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sketchbound import rsvd
 from sketchbound.deterministic import phi
 from sketchbound.experiments import synthetic_matrix
 from sketchbound.rsvd import (
@@ -126,6 +127,17 @@ class TestPeakIndex:
             chosen = math.sqrt(max(1 - (s[k] / s[ell - 1]) ** 2, 0)) / s[ell - 1] ** (2 * q)
             assert chosen == pytest.approx(np.max(direct), rel=1e-12)
 
+    @pytest.mark.parametrize('q', [1, 2])
+    def test_flat_head_ties_break_toward_the_first_index(self, monkeypatch, q):
+        # the synthetic head is ten unit values, so every index of it ties at k=10
+        profile = SpectrumProfile(synthetic_matrix(60)[1].sigma, 10, 14, q)
+        assert peak_index(profile) == 1
+        report = improved_spectral_bound(profile)
+        for ell in range(2, 11):
+            monkeypatch.setattr(rsvd, 'peak_index', lambda _, ell=ell: ell)
+            tied = improved_spectral_bound(profile)
+            assert (tied.bound, tied.constants['c_hat_k']) == (report.bound, report.constants['c_hat_k'])
+
 
 class TestImprovedSpectralBound:
     def test_flat_head_collapses(self):
@@ -139,7 +151,7 @@ class TestImprovedSpectralBound:
             plain = spectral_bound(profile)
             improved = improved_spectral_bound(profile)
             assert improved.constants['c_hat_k'] <= plain.constants['c_k'] + 1e-12
-            assert improved.constants['d_hat_k'] == pytest.approx(plain.constants['d_k'], rel=1e-14)
+            assert improved.constants['d_hat_k'] == plain.constants['d_k']
             assert improved.bound <= plain.bound + 1e-12
 
     def test_reports_peak(self):
