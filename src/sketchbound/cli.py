@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from . import experiments, rsvd
+from . import expectation, experiments, rsvd
 from .linalg import FactorizationError, _write_atomic, read_matrix_market, svd, write_matrix_market
 from .sketching import GaussianSketch, RsvdSketch, rsvd_distribution
 
@@ -123,11 +123,12 @@ def _cmd_bounds(args):
     factors = _load_problem(args, args.seed)
     sketch = None
     if args.mean is not None:
+        # the sketch's shape is checked for every variant list, before the covariance is read and factored
         mean = read_matrix_market(args.mean)
-        cov = read_matrix_market(args.cov)
-        sketch = GaussianSketch.from_moments(mean, cov)
-        if sketch.shape[1] != args.p:
-            raise ValueError(f'sketch mean has {sketch.shape[1]} columns, expected p={args.p}')
+        expectation._check_sketch_rows(factors, mean)
+        if mean.shape[1] != args.p:
+            raise ValueError(f'sketch mean has {mean.shape[1]} columns, expected p={args.p}')
+        sketch = GaussianSketch.from_moments(mean, read_matrix_market(args.cov))
         if args.variant is None and sketch.mean.any():
             # the squared-gap bound holds for zero-mean sketches only
             variants.remove('thm3_squared')

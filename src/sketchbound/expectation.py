@@ -80,21 +80,38 @@ def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
 
     Raises ``RankDeficiencyError`` if the head block is numerically singular,
     where the expectation bounds do not apply: by the head rule against ``||C||_F``.
+
+    Memory: an exactly symmetric ``c`` is read, not copied, and the tail block and
+    the conditional covariance share one buffer, symmetrized in place; so beyond
+    ``c`` and the factors the call holds at most two ``(n - k) x (n - k)`` arrays.
     """
     c = _symmetrize(_as_matrix(c, 'C'), 'C')
     u_head = factors.left_head(k)
     u_tail = factors.left_tail(k)
     c_head_cols = c @ u_head
-    head, tail = (0.5 * (b + b.T) for b in (u_head.T @ c_head_cols, u_tail.T @ (c @ u_tail)))
+    head, tail = u_head.T @ c_head_cols, u_tail.T @ (c @ u_tail)
+    for b in (head, tail):
+        _symmetrize_in_place(b)
     cross = u_tail.T @ c_head_cols
     _check_head(np.linalg.eigvalsh(head), scipy.linalg.norm(c.ravel()),
                 'projected covariance head block is numerically singular', 'eigenvalue')
     head_cho = scipy.linalg.cho_factor(head)
-    conditional = tail - cross @ scipy.linalg.cho_solve(head_cho, cross.T)
-    conditional = 0.5 * (conditional + conditional.T)
-    top = scipy.linalg.eigh(conditional, eigvals_only=True, subset_by_index=[len(tail) - 1] * 2)
-    return ProjectedCovariance(head, cross, max(float(np.trace(conditional)), 0.0), max(float(top[0]), 0.0),
-                               head_cho)
+    conditional = tail  # formed in the tail block's buffer
+    conditional -= cross @ scipy.linalg.cho_solve(head_cho, cross.T)
+    _symmetrize_in_place(conditional)
+    trace = max(float(np.trace(conditional)), 0.0)
+    # the transpose of the symmetric C-ordered block is the same matrix in LAPACK's
+    # order, so the solver works in its buffer, which nothing reads afterwards
+    top = scipy.linalg.eigh(conditional.T, eigvals_only=True, subset_by_index=[len(tail) - 1] * 2,
+                            overwrite_a=True)
+    return ProjectedCovariance(head, cross, trace, max(float(top[0]), 0.0), head_cho)
+
+
+def _symmetrize_in_place(b):
+    """Overwrite the square ``b`` with ``0.5 (b + b^T)``, bit for bit what the copy
+    gives; numpy buffers the overlapping ``b^T``, so one temporary of ``b``'s size remains."""
+    np.add(b, b.T, out=b)
+    b *= 0.5
 
 
 def expect_product_norms(mean, covariance, n_mat):
@@ -225,8 +242,9 @@ class ExpectationBoundReport:
         return asdict(self)
 
 
-def _check_sketch_rows(factors: SvdFactors, sketch: GaussianSketch):
-    """Raise ``ValueError`` unless ``sketch`` has a row per row of the ``A`` of ``factors``."""
+def _check_sketch_rows(factors: SvdFactors, sketch):
+    """Raise ``ValueError`` unless ``sketch``, a :class:`GaussianSketch` or its mean, has a
+    row per row of the ``A`` of ``factors``."""
     if sketch.shape[0] != factors.rows:
         raise ValueError(f'sketch has {sketch.shape[0]} rows, but A has {factors.rows}')
 

@@ -84,6 +84,12 @@ def _as_matrix(a, name='matrix'):
 
 
 def _symmetrize(a, name='matrix'):
+    """``0.5 (a + a^T)`` for a square ``a`` whose asymmetry is at most ``SYM_TOL``
+    times its largest entry, else ``ValueError``.  An exactly symmetric ``a`` is
+    returned itself, not copied: for finite entries ``0.5 (a + a^T)`` is then ``a``
+    bit for bit, and nothing overflows above ``DBL_MAX / 2``."""
+    if np.array_equal(a, a.T):
+        return a
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYM_TOL * float(np.max(np.abs(a))):  # relative at every scale
         raise ValueError(f'{name} is not symmetric: max asymmetry {asym:.3e}')
@@ -185,6 +191,12 @@ class SvdFactors:
 def svd(a) -> SvdFactors:
     """Thin singular value decomposition of a dense matrix.
 
+    LAPACK's ``dgesdd`` through scipy, as ``np.linalg.svd`` runs it and, at one BLAS
+    thread, with its bits, but without numpy's copies of the outputs; ``V^T`` is
+    dropped at once.
+    ``U`` is returned C-contiguous, the layout numpy gives it, since the bits of the
+    products that read it depend on the layout of their operands.
+
     Raises
     ------
     FactorizationError
@@ -192,10 +204,10 @@ def svd(a) -> SvdFactors:
     """
     a = _as_matrix(a)
     try:
-        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        u, s = scipy.linalg.svd(a, full_matrices=False, check_finite=False, lapack_driver='gesdd')[:2]
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f'SVD did not converge on a {a.shape} input: {exc}') from exc
-    return SvdFactors(u, s, a.shape[1])
+    return SvdFactors(np.ascontiguousarray(u), s, a.shape[1])
 
 
 def orthonormal_basis(z):

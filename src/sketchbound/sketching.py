@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 from scipy.special import ndtri
 
@@ -106,14 +107,19 @@ class GaussianSketch:
 
     @classmethod
     def from_moments(cls, mean, covariance):
-        """Build a sketch from its mean and covariance, validating PSD-ness."""
+        """Build a sketch from its mean and covariance, validating PSD-ness.
+
+        The sketch keeps ``mean`` and an exactly symmetric ``covariance`` as given,
+        without copies, so the caller must not write to either array afterwards.
+        """
         mean = _as_matrix(mean, 'mean')
         covariance = _as_matrix(covariance, 'covariance')
         n = mean.shape[0]
         if covariance.shape != (n, n):
             raise ValueError(f'covariance must be {n}x{n}, got {covariance.shape}')
         covariance = _symmetrize(covariance, 'covariance')
-        w, vec = np.linalg.eigh(covariance)
+        # the LAPACK dsyevd of np.linalg.eigh, with its bits, without numpy's copy of the eigenvectors
+        w, vec = scipy.linalg.eigh(covariance, driver='evd', check_finite=False)
         tol = _PSD_TOL * max(abs(w[0]), abs(w[-1]))
         if w[0] < -tol:
             raise NotPositiveSemidefiniteError(

@@ -1,14 +1,15 @@
 """The readers of a tall ``SvdFactors``' left factor, evaluated on factors whose full
 ``U`` was built first or not.  After :meth:`SvdFactors.left` the thin ``U`` is a
 strided view of the full one, so the two orders feed the GEMMs different layouts
-of the same values; they must give the same bits.  Imported by
-``test_linalg.py``, and run by ``test_kernel_families.py``'s child under each
-OpenBLAS kernel family.
+of the same values; they must give the same bits.  The factors themselves must
+have the bits of ``np.linalg.svd`` at one BLAS thread, and its C-ordered ``U``.
+Imported by ``test_linalg.py``, and run by ``test_kernel_families.py``'s child
+under each OpenBLAS kernel family.
 """
 
 import numpy as np
 
-from sketchbound import deterministic, expectation, linalg, sketching
+from sketchbound import deterministic, expectation, experiments, linalg, sketching
 
 
 def _bits(value):
@@ -40,3 +41,25 @@ def reader_bits(complete_first):
     covariance = sketching.rsvd_distribution(factors(), 1, z.shape[1]).covariance
     projected = expectation.project_covariance(c, factors(), k)
     return [_bits(report) for report in reports] + [_bits(covariance), _bits(vars(projected))]
+
+
+def svd_inputs():
+    """Tall, wide, square and rank-deficient matrices, by name."""
+    rng = np.random.default_rng(34)
+    return {'tall': rng.standard_normal((200, 150)), 'wide': rng.standard_normal((17, 60)),
+            'square': rng.standard_normal((40, 40)),
+            'rank-deficient': rng.standard_normal((50, 6)) @ rng.standard_normal((6, 30))}
+
+
+def svd_mismatches(a):
+    """What of ``linalg.svd(a)`` differs from ``np.linalg.svd(a, full_matrices=False)``
+    at one BLAS thread: the bits of ``U`` or of ``sigma``, or the C order of ``U``;
+    ``[]`` if nothing.  At more threads an SVD's bits move with the thread count, and
+    numpy's and scipy's OpenBLAS builds may split the work differently."""
+    with experiments._one_blas_thread():
+        f = linalg.svd(a)
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+    thin = f.left_head(s.size)
+    found = [] if thin.flags.c_contiguous else ['U not C-contiguous']
+    return found + [name for name, got, want in (('U', thin, u), ('sigma', f.sigma, s))
+                    if got.shape != want.shape or got.tobytes() != want.tobytes()]

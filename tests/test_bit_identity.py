@@ -250,55 +250,67 @@ def _float(leaf):
         return None
 
 
-def _absolute_change(old, new):
-    """``|new - old|`` of two ``float.hex`` leaves; inf where one is missing or
-    is not a float."""
-    if old == new:
-        return 0.0
+def _move(old, new, scale):
+    """``(size, text)`` of a leaf that moved from ``old`` to ``new``: an integer
+    move reads ``old -> new``; a float move gives its absolute change and that
+    change relative to ``scale``; a leaf missing on one side, or neither an
+    integer nor a float, moved infinitely far."""
+    if type(old) is int and type(new) is int:
+        return abs(new - old), f'{old} -> {new}'
     old, new = _float(old), _float(new)
-    return math.inf if old is None or new is None else abs(new - old)
+    change = math.inf if old is None or new is None else abs(new - old)
+    return change, f'{change:.2e} / {change / scale if scale else math.inf:.2e}'
 
 
 def moved_keys(old, new):
-    """One line per group: its keys whose values moved from ``old`` to
-    ``new``, each with its largest absolute change and that change relative
-    to the largest finite old magnitude in the group, so that a move of
-    round-off size reads as one even where the old value is round-off too."""
+    """One line per group: its keys whose values moved from ``old`` to ``new``,
+    each by the path of its leaf that moved most, with that leaf's move.  A
+    float's change is given absolute and relative to the largest finite old
+    magnitude in the group, so that a move of round-off size reads as one even
+    where the old value is round-off too."""
     lines = []
     for group in dict.fromkeys([*new, *old]):
         before, after = old.get(group, {}), new.get(group, {})
         olds = (abs(x) for _, leaf in _leaves(before) if (x := _float(leaf)) is not None and math.isfinite(x))
         scale = max(olds, default=0.0)
-        moved = {}
+        moved = []
         for key in dict.fromkeys([*before, *after]):
             was, now = dict(_leaves(before.get(key))), dict(_leaves(after.get(key)))
-            if was != now:
-                moved[key] = max(_absolute_change(was.get(path), now.get(path)) for path in {*was, *now})
+            moves = [(*_move(was.get(path), now.get(path), scale), path) for path in dict.fromkeys([*was, *now])
+                     if was.get(path) != now.get(path)]
+            if moves:
+                _, text, path = max(moves, key=lambda move: move[0])
+                moved.append(f"{'.'.join(map(str, (key, *path)))} {text}")
         line = f'{group}: {len(moved)} of {len(after)} keys moved'
         if moved:
-            line += (f' (largest change, absolute / relative to the largest old magnitude {scale:.2e}): '
-                     + ', '.join(f'{key} {change:.2e} / {change / scale if scale else math.inf:.2e}'
-                                 for key, change in moved.items()))
+            line += (f' (largest move, absolute / relative to the largest old magnitude {scale:.2e}): '
+                     + ', '.join(moved))
         lines.append(line)
     return lines
 
 
 def test_moved_keys_reads_changes_against_the_groups_largest_value():
     # the old value 2^-52 halves: relative to itself that is 0.5, against the
-    # group's largest magnitude 4 it is 2.78e-17, a round-off move
+    # group's largest magnitude 4 it is 2.78e-17, a round-off move; a moved
+    # leaf is named by its path, and an integer one by its old and new value
     old = {'roundoff': {'tiny': (2.0**-52).hex(), 'pair': {'spectral': (4.0).hex(), 'frobenius': (3.0).hex()},
                         'still': (1.0).hex()},
-           'other': {'a': (1.0).hex()}}
+           'other': {'a': (1.0).hex()},
+           'bounds': {'k10-p40-q2': {'cor_spectral_improved': {'bound': (2.0).hex(), 'ell': 10}}}}
     new = {'roundoff': {'tiny': (2.0**-53).hex(), 'pair': {'spectral': (4.0).hex(), 'frobenius': (3.5).hex()},
                         'still': (1.0).hex()},
-           'other': {'a': (1.0).hex(), 'b': 'x'}, 'fresh': {'c': (2.0).hex()}}
-    heading = '(largest change, absolute / relative to the largest old magnitude'
+           'other': {'a': (1.0).hex(), 'b': 'x'}, 'fresh': {'c': (2.0).hex()},
+           'bounds': {'k10-p40-q2': {'cor_spectral_improved': {'bound': (2.0).hex(), 'ell': 1}}}}
+    heading = '(largest move, absolute / relative to the largest old magnitude'
     assert moved_keys(old, new) == [
-        f'roundoff: 2 of 3 keys moved {heading} 4.00e+00): tiny 1.11e-16 / 2.78e-17, pair 5.00e-01 / 1.25e-01',
+        f'roundoff: 2 of 3 keys moved {heading} 4.00e+00): tiny 1.11e-16 / 2.78e-17, '
+        'pair.frobenius 5.00e-01 / 1.25e-01',
         f'other: 1 of 2 keys moved {heading} 1.00e+00): b inf / inf',
         f'fresh: 1 of 1 keys moved {heading} 0.00e+00): c inf / inf',
+        f'bounds: 1 of 1 keys moved {heading} 2.00e+00): k10-p40-q2.cor_spectral_improved.ell 10 -> 1',
     ]
-    assert moved_keys(old, old) == ['roundoff: 0 of 3 keys moved', 'other: 0 of 1 keys moved']
+    assert moved_keys(old, old) == ['roundoff: 0 of 3 keys moved', 'other: 0 of 1 keys moved',
+                                    'bounds: 0 of 1 keys moved']
 
 
 if __name__ == '__main__':

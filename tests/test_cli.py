@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 
 from sketchbound import cli, experiments, linalg, sketching
 from sketchbound.cli import main
@@ -233,7 +234,7 @@ def _unconverged_svd_request(tmp_path, monkeypatch):
     def unconverged(*args, **kwargs):
         raise np.linalg.LinAlgError('SVD did not converge')
 
-    monkeypatch.setattr(np.linalg, 'svd', unconverged)
+    monkeypatch.setattr(scipy.linalg, 'svd', unconverged)
     return ('bounds', '--matrix', str(path), '--k', '2', '--p', '6')
 
 
@@ -253,9 +254,13 @@ def _moments_request(a_scale, head, tail):
     return request
 
 
-def _sketch_height_request(tmp_path, monkeypatch):
-    """``bounds`` on the 40-row synthetic matrix with 30-row ``--mean``/``--cov`` files."""
-    return ('bounds', '--synthetic-n', '40', '--k', '3', '--p', '8', *mean_cov_args(tmp_path, 30, 8, 0.05))
+def _sketch_shape_request(rows, cols, *variant):
+    """``bounds --p 8`` on the 40-row synthetic matrix with ``rows x cols`` ``--mean`` and
+    ``rows x rows`` ``--cov`` files, for all variants or the ``--variant`` list given."""
+    def request(tmp_path, monkeypatch):
+        return ('bounds', '--synthetic-n', '40', '--k', '3', '--p', '8', *variant,
+                *mean_cov_args(tmp_path, rows, cols, 0.05))
+    return request
 
 
 def _round_off_head_request(scale):
@@ -305,7 +310,10 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
     (_moments_request(1e150, 100.0, 1e10), 'the tangent moment constants overflow'),
     # a head of 1e-160 against ||C||_F near 3e160 is refused by the head rule's scale test
     (_moments_request(1.0, 1e-160, 1e160), 'projected covariance head block is numerically singular'),
-    (_sketch_height_request, 'sketch has 30 rows, but A has 40'),
+    (_sketch_shape_request(30, 8), 'sketch has 30 rows, but A has 40'),
+    # refused whether or not a theorem variant reads the sketch
+    (_sketch_shape_request(30, 8, '--variant', 'cor_frobenius'), 'sketch has 30 rows, but A has 40'),
+    (_sketch_shape_request(40, 7, '--variant', 'cor_frobenius'), 'sketch mean has 7 columns, expected p=8'),
     (_round_off_head_request(1.0), 'projected covariance head block is numerically singular'),
     (_round_off_head_request(1e8), 'projected covariance head block is numerically singular'),
     (_overflowing_bound_request('hmt_frobenius'), _non_json('hmt_frobenius')),
@@ -327,7 +335,8 @@ EMPIRICAL_30 = ('empirical', '--synthetic-n', '30')
      'q must be non-negative, got q=-1'),
 ], ids=['not-an-object', 'missing-key', 'k-scalar', 'n-string', 'n-float', 'q-bool', 'trials-bool',
         'output-path-int', 'norms-string', 'variants-string', 'svd-unconverged', 'constants-overflow',
-        'covariance-head-below-scale', 'sketch-height', 'round-off-head', 'round-off-head-1e8', 'infinite-bound',
+        'covariance-head-below-scale', 'sketch-height', 'sketch-height-corollary', 'sketch-width-corollary',
+        'round-off-head', 'round-off-head-1e8', 'infinite-bound',
         'infinite-bound-out', 'infinite-spectral-bound', 'four-variants', 'finite-variants-first',
         'overflowing-bound', 'overflowing-bound-out',
         'empirical-k-zero', 'empirical-k-negative', 'empirical-k-above-n', 'empirical-p-below-k-plus-2',

@@ -1,8 +1,10 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sketchbound.expectation import (
     expect_pinv_norms,
@@ -88,6 +90,31 @@ class TestProjectCovariance:
         c = tail @ tail.T  # covariance supported on the tail subspace
         with pytest.raises(RankDeficiencyError):
             project_covariance(c, f, 3)
+
+    def test_holds_two_tail_blocks_at_most_and_gives_the_copying_formulas_bits(self):
+        n, k = 400, 10
+        rng = np.random.default_rng(6)
+        f = svd(rng.standard_normal((n, n)))
+        b = rng.standard_normal((n, n))
+        c = b @ b.T / n
+        c = 0.5 * (c + c.T)
+        assert np.array_equal(c, c.T)
+        tracemalloc.start()
+        try:
+            pc = project_covariance(c, f, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n * n * 8  # the tail block, and one product or transpose of its size
+        # the same arithmetic with a new array at every step
+        u_head, u_tail = f.left_head(k), f.left_tail(k)
+        head, tail = (0.5 * (m + m.T) for m in (u_head.T @ (c @ u_head), u_tail.T @ (c @ u_tail)))
+        cross = u_tail.T @ (c @ u_head)
+        conditional = tail - cross @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(head), cross.T)
+        conditional = 0.5 * (conditional + conditional.T)
+        top = scipy.linalg.eigh(conditional, eigvals_only=True, subset_by_index=[n - k - 1] * 2)[0]
+        assert pc.head.tobytes() == head.tobytes() and pc.cross.tobytes() == cross.tobytes()
+        assert (pc.conditional_trace, pc.conditional_top_eigenvalue) == (np.trace(conditional), top)
 
     @pytest.mark.parametrize('scale', [1e-12, 1.0, 1e4, 1e8, 1e12])
     def test_round_off_head_is_singular_at_every_scale(self, scale):

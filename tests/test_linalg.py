@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from left_factor_readers import reader_bits
+from left_factor_readers import reader_bits, svd_inputs, svd_mismatches
 
 from sketchbound.linalg import (
     RankDeficiencyError,
@@ -135,6 +135,10 @@ class TestSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize('name', list(svd_inputs()))
+    def test_factors_have_numpys_bits_and_layout(self, name):
+        assert svd_mismatches(svd_inputs()[name]) == []
 
 
 class TestOrthonormalBasis:
@@ -275,6 +279,23 @@ class TestSymmetrize:
     def test_symmetric_matrix_is_accepted_at_every_scale(self, log2_scale):
         a = np.ldexp(self.SYMMETRIC, log2_scale)
         np.testing.assert_array_equal(_symmetrize(a), a)
+
+    @pytest.mark.parametrize('log2_scale', [-1070, 0, 1000])
+    def test_exactly_symmetric_matrix_is_returned_itself(self, log2_scale):
+        a = np.ldexp(self.SYMMETRIC, log2_scale)  # at -1070 its entries are subnormal
+        assert _symmetrize(a) is a
+        assert a.tobytes() == (0.5 * (a + a.T)).tobytes()  # the average it stands for
+
+    def test_exactly_symmetric_matrix_above_half_the_largest_double_does_not_overflow(self):
+        a = np.ldexp(self.SYMMETRIC, 1022)  # its largest entry, 3 * 2^1022, is above DBL_MAX / 2
+        assert _symmetrize(a) is a
+
+    def test_nearly_symmetric_matrix_is_averaged_into_a_new_array(self):
+        a = self.SYMMETRIC.copy()
+        a[0, 1] += 1e-14
+        out = _symmetrize(a)
+        assert out is not a and out.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert np.array_equal(out, out.T)
 
 
 class TestCanonicalAngles:
