@@ -126,9 +126,11 @@ class SvdFactors:
     ``V`` is not kept, only ``cols``, the column count of ``A``: bounds and trials
     read ``A`` through ``U^T Z`` or ``Sigma V^T G``, and ``V^T G`` is standard
     Gaussian.  ``u`` is thin or square; the complement needed by the tail accessors
-    is appended lazily and cached.  ``u``, ``sigma`` and ``cols`` are checked once,
-    here: ``u`` is 2-D, with a column for every singular value and no more columns
-    than rows.
+    is appended lazily and cached: the last ``rows - r`` columns of the Householder
+    ``Q`` of the thin ``U``, from one ``geqrf`` and one ``ormqr`` (``O(rows^2 r)``
+    flops and no SVD), which refuse a thin ``U`` whose columns are not orthonormal.
+    ``u``, ``sigma`` and ``cols`` are checked once, here: ``u`` is 2-D, with a
+    column for every singular value and no more columns than rows.
 
     Storage: one buffer holds ``U``.  A thin ``rows x r`` factor takes ``rows*r``
     floats until :meth:`left` completes it, and ``rows**2`` after, when the thin
@@ -156,8 +158,32 @@ class SvdFactors:
 
     @staticmethod
     def _complete(q):
-        comp = scipy.linalg.null_space(q.T)
-        return np.hstack([q, comp])
+        """``[q, Q_c]`` in one new C-ordered ``rows x rows`` buffer, ``q`` bit for bit,
+        with ``Q_c`` the last ``rows - r`` columns of the Householder ``Q`` of ``q = Q R``:
+        LAPACK's ``geqrf`` on a copy of ``q``, then ``ormqr`` applied to ``[0; I]``.
+        ``ValueError`` unless ``|R| = I`` within ``ORTHO_TOL``, i.e. unless ``q``'s
+        columns are orthonormal."""
+        rows, r = q.shape
+        geqrf, ormqr = scipy.linalg.get_lapack_funcs(('geqrf', 'ormqr'), (q,))
+        qr = np.array(q, order='F')
+        lwork = int(geqrf(qr, lwork=-1, overwrite_a=1)[2][0])
+        qr, tau = geqrf(qr, lwork=lwork, overwrite_a=1)[:2]
+        r_abs = np.triu(qr[:r])
+        np.abs(r_abs, out=r_abs)
+        r_abs.flat[::r + 1] -= 1.0
+        dev = float(max(r_abs.max(), -r_abs.min()))
+        del r_abs
+        if not dev <= ORTHO_TOL:  # NaN too
+            raise ValueError(f'U does not have orthonormal columns: |R| of its QR is I up to {dev:.3e}')
+        comp = np.zeros((rows, rows - r), order='F')
+        comp[np.arange(r, rows), np.arange(rows - r)] = 1.0
+        lwork = int(ormqr('L', 'N', qr, tau, comp, -1, overwrite_c=1)[1][0])
+        comp = ormqr('L', 'N', qr, tau, comp, lwork, overwrite_c=1)[0]
+        del qr  # so the peak holds the complement and the result, not the QR copy too
+        full = np.empty((rows, rows))
+        full[:, :r] = q
+        full[:, r:] = comp
+        return full
 
     def left(self):
         """Full orthogonal left factor; the thin one is from then on a view of it."""

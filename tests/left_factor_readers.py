@@ -3,8 +3,9 @@
 strided view of the full one, so the two orders feed the GEMMs different layouts
 of the same values; they must give the same bits.  The factors themselves must
 have the bits of ``np.linalg.svd`` at one BLAS thread, and its C-ordered ``U``.
-Imported by ``test_linalg.py``, and run by ``test_kernel_families.py``'s child
-under each OpenBLAS kernel family.
+The completion itself must give a square, C-ordered, orthogonal ``U`` whose first
+columns are the thin ``U``'s bits.  Imported by ``test_linalg.py``, and run by
+``test_kernel_families.py``'s child under each OpenBLAS kernel family.
 """
 
 import numpy as np
@@ -63,3 +64,30 @@ def svd_mismatches(a):
     found = [] if thin.flags.c_contiguous else ['U not C-contiguous']
     return found + [name for name, got, want in (('U', thin, u), ('sigma', f.sigma, s))
                     if got.shape != want.shape or got.tobytes() != want.tobytes()]
+
+
+# the completed U is orthogonal to |U^T U - I| <= ORTHO_C * eps * rows; Householder
+# QR is backward stable, and 1.25 was the largest ratio seen from 2 to 300 rows
+ORTHO_C = 4.0
+
+
+def completion_input(rows, width):
+    """A C-ordered ``rows x width`` matrix with orthonormal columns."""
+    q = np.linalg.qr(np.random.default_rng([35, rows, width]).standard_normal((rows, width)))[0]
+    return np.ascontiguousarray(q)
+
+
+def completion_mismatches(thin, full):
+    """What of the completion ``full`` of the thin left factor ``thin`` is wrong: its
+    shape, its C order, the bits of its first columns, or its orthogonality; ``[]`` if
+    nothing.  These are properties; the complement's own bits may differ by family."""
+    rows, width = thin.shape
+    if full.shape != (rows, rows):
+        return [f'shape {full.shape}, not {(rows, rows)}']
+    found = [] if full.flags.c_contiguous else ['not C-contiguous']
+    if full[:, :width].tobytes() != thin.tobytes():
+        found.append('the thin columns changed')
+    deviation = float(np.max(np.abs(full.T @ full - np.eye(rows))))
+    if deviation > ORTHO_C * np.finfo(float).eps * rows:
+        found.append(f'|U^T U - I| = {deviation:.3e}')
+    return found

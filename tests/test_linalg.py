@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 
-from left_factor_readers import reader_bits, svd_inputs, svd_mismatches
+from left_factor_readers import completion_input, completion_mismatches, reader_bits, svd_inputs, svd_mismatches
 
 from sketchbound.linalg import (
     RankDeficiencyError,
@@ -139,6 +141,36 @@ class TestSvd:
     @pytest.mark.parametrize('name', list(svd_inputs()))
     def test_factors_have_numpys_bits_and_layout(self, name):
         assert svd_mismatches(svd_inputs()[name]) == []
+
+
+class TestLeftFactorCompletion:
+    ROWS = 40
+
+    @pytest.mark.parametrize('width', [1, 17, ROWS - 1])
+    def test_completion_keeps_the_thin_bits_and_runs_no_svd(self, monkeypatch, width):
+        thin = completion_input(self.ROWS, width)
+        f = SvdFactors(thin.copy(), np.linspace(2.0, 1.0, width), width)
+
+        def refused(*args, **kwargs):
+            raise AssertionError('the completion ran an SVD')
+
+        monkeypatch.setattr(scipy.linalg, 'svd', refused)
+        monkeypatch.setattr(scipy.linalg, 'null_space', refused)
+        mismatches = completion_mismatches(thin, f.left())
+        assert mismatches == [], mismatches
+
+    # a null-space completion made the repeated column's U 6x7, and kept the scaled one's
+    # |U^T U - I| = 1.25; the R of U's QR shows both
+    @pytest.mark.parametrize('u, deviation', [
+        (np.eye(6)[:, [0, 1, 0]], '1.000e+00'),
+        (1.5 * np.eye(6)[:, :3], '5.000e-01'),
+        (np.where(np.eye(6)[:, :3] == 1.0, 1.0, np.nan), 'nan'),
+    ], ids=['repeated-column', 'scaled', 'nan'])
+    def test_a_thin_factor_without_orthonormal_columns_is_refused(self, u, deviation):
+        f = SvdFactors(u, [3.0, 2.0, 1.0], 3)
+        for read in (f.left, lambda: f.left_tail(1)):
+            with pytest.raises(ValueError, match=f'orthonormal columns: .* up to {re.escape(deviation)}'):
+                read()
 
 
 class TestOrthonormalBasis:
