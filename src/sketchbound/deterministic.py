@@ -14,13 +14,19 @@ The gap itself is evaluated in the left singular basis: with ``Q`` an
 orthonormal basis of ``U^T Z``, the residual ``(I - pi(Z)) A`` has the Gram
 matrix ``Sigma^2 - B^T B`` for ``B = Q^T Sigma`` (Halko, Martinsson & Tropp
 2011), so no dense residual of ``A`` is ever formed.  The top eigenvalues of
-that Gram and of its trailing block come from one call each of the
-residual-Gram solver the Monte Carlo trials use, :func:`experiments._gram_top`:
-each block's own dense Gram at or below 90 columns, and Lanczos above.
+that Gram and of its trailing block come from the residual-Gram solver the
+Monte Carlo trials use, :func:`experiments._gram_top`: each block's own dense
+Gram at or below 90 columns, and Lanczos above.
+
+The reports of one sample share a private one-entry memo, keyed by a weak
+reference to ``factors`` and a copy of ``Z``.  Until a call with another key
+replaces it, it holds the angle operators of the last ``k``, ``B`` and the full
+Gram's top eigenvalue, each built on first use as without it, bit for bit.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -87,6 +93,40 @@ def _rotated_basis_product(factors: SvdFactors, z):
     return q[:factors.sigma.size].T * factors.sigma
 
 
+class _Sample:
+    """The memo's entry: its key, and the shared items built so far."""
+
+    last = angles = b = top = None  # the memo's one entry; each item until first use
+
+    def __init__(self, factors, z):
+        self.factors = weakref.ref(factors)  # never keeps the factorization alive
+        self.z = z.copy()  # so that editing Z in place misses
+
+    @classmethod
+    def of(cls, factors: SvdFactors, z) -> _Sample:
+        """The entry of ``(factors, Z)``, replacing the last one unless its key matches."""
+        key_z, entry = _as_matrix(z, 'Z'), cls.last  # read once: a racing thread costs a recomputation
+        if entry is None or entry.factors() is not factors or not np.array_equal(entry.z, key_z):
+            entry = cls.last = cls(factors, key_z)
+        return entry
+
+    def angles_at(self, factors, z, k):  # ``angles`` is ``(k, AngleOperators)``; a ``k`` of another type misses
+        held = self.angles
+        if held is None or held[0] != k or type(held[0]) is not type(k):
+            held = self.angles = (k, angle_operators(factors, z, k))
+        return held[1]
+
+    def basis_product(self, factors, z):
+        if self.b is None:
+            self.b = _rotated_basis_product(factors, z)
+        return self.b
+
+    def gram_top(self, factors, z):
+        if self.top is None:
+            self.top = _gram_top(factors.sigma**2, self.basis_product(factors, z), _DENSE_RESIDUAL_LIMIT)
+        return self.top
+
+
 def _check_matrix(a, factors: SvdFactors):
     """Raise ``ValueError`` unless ``a`` is a finite matrix of the shape of ``factors``."""
     if _as_matrix(a, 'A').shape != (factors.rows, factors.cols):
@@ -103,12 +143,12 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
     sig_head = factors.sigma_head(k)
     if which not in ('spectral', 'frobenius'):
         raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
-    b = _rotated_basis_product(factors, z)
+    sample = _Sample.of(factors, z)
+    b = sample.basis_product(factors, z)
     if which == 'frobenius':
         # the residual norms split over head and tail columns; the tail cancels
         return float(np.sum(sig_head**2) - np.sum(b[:, :k] ** 2))
-    sig_sq = factors.sigma**2
-    return _gram_top(sig_sq, b, _DENSE_RESIDUAL_LIMIT) - _gram_top(sig_sq[k:], b[:, k:], _DENSE_RESIDUAL_LIMIT)
+    return sample.gram_top(factors, z) - _gram_top(factors.sigma[k:]**2, b[:, k:], _DENSE_RESIDUAL_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -138,7 +178,7 @@ def _gap_report(ops, weights, which, k, lhs) -> DeterministicBoundReport:
 def sine_tangent_gap_bound(a, factors: SvdFactors, z, k, which) -> DeterministicBoundReport:
     """Deterministic bound ``min(||S||^2 ||Sigma_head||_2^2, ||T Sigma_head||^2)``
     on the squared residual gap, together with the evaluated gap itself."""
-    ops = angle_operators(factors, z, k)
+    ops = _Sample.of(factors, z).angles_at(factors, z, k)
     return _gap_report(ops, factors.sigma_head(k), which, k, residual_gap_squared(a, factors, z, k, which))
 
 
@@ -149,8 +189,8 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     in place of ``Sigma_head``; ``a`` and the gap are as in :func:`residual_gap_squared`.
     """
     _check_matrix(a, factors)
-    ops = angle_operators(factors, z, k)
+    sample = _Sample.of(factors, z)
+    ops = sample.angles_at(factors, z, k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))
-    top = _gram_top(factors.sigma**2, _rotated_basis_product(factors, z), _DENSE_RESIDUAL_LIMIT)
-    return _gap_report(ops, deflated, 'spectral', k, top - s_next**2)
+    return _gap_report(ops, deflated, 'spectral', k, sample.gram_top(factors, z) - s_next**2)

@@ -1,5 +1,10 @@
+import concurrent.futures
+import gc
 import importlib.util
 import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -315,7 +320,7 @@ class TestLanczosGramBranch:
         a, f, z, k = spectrum_instance(*SHAPES[shape], spectrum)
         assert f.sigma.size - k > experiments._DENSE_RESIDUAL_LIMIT
         got, want = lhs_pair(a, f, z, k), dense_lhs(f, z, k)
-        assert len(eigsh_calls) == 3  # the full Gram twice and its trailing block once
+        assert len(eigsh_calls) == 2  # the full Gram once and its trailing block once
         assert np.abs(np.subtract(got, want)).max() <= 1e-12 * f.sigma[0] ** 2
 
     @pytest.mark.parametrize('shape', SHAPES)
@@ -331,7 +336,7 @@ class TestLanczosGramBranch:
     @pytest.mark.parametrize('rows, cols, k, solves', [
         (120, 90, 8, 0), (70, 100, 5, 0), (40, 30, 4, 0),
         # the full Gram above the limit, its trailing block at or below it
-        (150, 95, 5, 2), (150, 95, 10, 2),
+        (150, 95, 5, 1), (150, 95, 10, 1),
     ])
     def test_at_or_below_the_limit_the_block_keeps_the_dense_bits(self, eigsh_calls, rows, cols, k, solves):
         a, f, z, _ = spectrum_instance(rows, cols, 'pool')
@@ -345,13 +350,19 @@ class TestLanczosGramBranch:
             assert (spectral, deflated) == (want_spectral, want_deflated)
 
 
-def test_gap_is_within_the_bound_on_every_benchmark_instance():
-    """``lhs_gap <= bound + 1e-9`` for the three bounds of all 27 instances of the
-    benchmark's deterministic pool, whose Grams (300 to 400 columns) take the Lanczos branch."""
+def benchmark_workloads():
+    """The benchmark's ``workloads`` module, which holds the deterministic pool."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'perfbench', 'workloads.py')
     spec = importlib.util.spec_from_file_location('perfbench_workloads', path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_gap_is_within_the_bound_on_every_benchmark_instance():
+    """``lhs_gap <= bound + 1e-9`` for the three bounds of all 27 instances of the
+    benchmark's deterministic pool, whose Grams (300 to 400 columns) take the Lanczos branch."""
+    workloads = benchmark_workloads()
     pool = workloads._det_pool()
     assert len(pool) == 27
     with experiments._one_blas_thread():  # a third of the time at two BLAS threads
@@ -359,6 +370,107 @@ def test_gap_is_within_the_bound_on_every_benchmark_instance():
             a, z = workloads._det_arrays(instance_id)
             reports = workloads.det_reports(deterministic, a, svd(a), z, workloads.det_k(instance_id))
             assert all(r['lhs_gap'] <= r['bound'] + 1e-9 for r in reports), instance_id
+
+
+def report_bits(a, f, z, k, order=(0, 1, 2), cold=False):
+    """The three per-sample reports, in the benchmark's order, as hex strings, evaluated
+    in ``order``; with ``cold``, each one after the memo is cleared."""
+    calls = (lambda: sine_tangent_gap_bound(a, f, z, k, 'frobenius'),
+             lambda: sine_tangent_gap_bound(a, f, z, k, 'spectral'),
+             lambda: deflated_spectral_gap_bound(a, f, z, k))
+    got = {}
+    for index in order:
+        if cold:
+            deterministic._Sample.last = None
+        got[index] = [v.hex() if isinstance(v, float) else v for v in calls[index]().as_dict().values()]
+    return [got[index] for index in range(3)]
+
+
+def counting(monkeypatch, namespace, name):
+    """Route ``namespace.name`` through a wrapper; returns the list of its calls."""
+    calls, original = [], getattr(namespace, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(namespace, name, wrapper)
+    return calls
+
+
+class TestSampleMemo:
+    """The three reports of one ``(factors, Z)`` share one evaluation, and keep the bits
+    of a cold one: each report evaluated after the memo is cleared."""
+
+    def test_every_benchmark_instance_keeps_its_cold_bits(self, monkeypatch):
+        workloads = benchmark_workloads()
+        angles = counting(monkeypatch, deterministic, 'angle_operators')
+        bases = counting(monkeypatch, deterministic, 'orthonormal_basis')
+        with experiments._one_blas_thread():
+            for instance_id in workloads._det_pool():
+                a, z = workloads._det_arrays(instance_id)
+                f, k = svd(a), workloads.det_k(instance_id)
+                cold = report_bits(a, f, z, k, cold=True)
+                deterministic._Sample.last = None
+                del angles[:], bases[:]
+                assert report_bits(a, f, z, k) == cold, instance_id
+                assert (len(angles), len(bases)) == (1, 1)
+                deterministic._Sample.last = None
+                assert report_bits(a, f, z, k, order=(2, 1, 0)) == cold, instance_id
+
+    def test_an_in_place_edit_of_z_misses(self):
+        a, f, z, k = spectrum_instance(150, 120, 'pool')
+        before = report_bits(a, f, z, k)
+        z[:, 0] *= 2.0
+        after = report_bits(a, f, z, k)
+        assert after != before
+        assert after == report_bits(a, f, z, k, cold=True)
+
+    def test_another_k_gets_its_cold_bits(self):
+        a, f, z, _ = spectrum_instance(150, 120, 'pool')
+        for k in (8, 3, 8):
+            assert report_bits(a, f, z, k) == report_bits(a, f, z, k, cold=True)
+
+    def test_a_rank_deficient_head_leaves_nothing_a_valid_call_reads(self):
+        a, f, _ = random_instance(1)
+        # the head block at k=3 has a zero row; at k=2 it has full row rank
+        z = f.left()[:, [0, 1, 5, 6]] @ np.random.default_rng(3).standard_normal((4, 4))
+        cold = report_bits(a, f, z, 2, cold=True)
+        for _ in range(2):
+            deterministic._Sample.last = None
+            with pytest.raises(RankDeficiencyError):
+                sine_tangent_gap_bound(a, f, z, 3, 'frobenius')
+            assert report_bits(a, f, z, 2) == cold
+            with pytest.raises(RankDeficiencyError):
+                deflated_spectral_gap_bound(a, f, z, 3)
+
+    def test_holds_no_live_reference_to_the_factors(self):
+        a, f, z = random_instance(5)
+        cold = report_bits(a, f, z, 3, cold=True)
+        alive = weakref.ref(f)
+        del f
+        gc.collect()
+        assert alive() is None and deterministic._Sample.last.factors() is None
+        assert report_bits(a, svd(a), z, 3) == cold
+
+    def test_threads_get_the_serial_bits(self):
+        instances = [spectrum_instance(*SHAPES[shape], 'pool') for shape in ('tall', 'wide')]
+        start = threading.Barrier(2)
+        interval = sys.getswitchinterval()
+        with experiments._one_blas_thread():
+            serial = [report_bits(*instance, cold=True) for instance in instances]
+
+            def run(instance):
+                start.wait(timeout=60)
+                return [report_bits(*instance) for _ in range(20)]
+
+            sys.setswitchinterval(1e-6)
+            try:
+                with concurrent.futures.ThreadPoolExecutor(2) as pool:
+                    results = list(pool.map(run, instances, timeout=300))
+            finally:
+                sys.setswitchinterval(interval)
+        assert results == [[bits] * 20 for bits in serial]
 
 
 COMPLEMENT_RTOL = 1e-14
