@@ -29,6 +29,7 @@ from .linalg import (
     SvdFactors,
     _as_matrix,
     _check_head,
+    _symmetric_part,
     _symmetrize,
     frobenius_norm,
     phi,
@@ -70,8 +71,8 @@ class ProjectedCovariance:
 
 
 def _symmetric_moments(m):
-    """Trace and top eigenvalue of the symmetric part of ``m``, each clipped at 0."""
-    m = 0.5 * (m + m.T)
+    """Trace and top eigenvalue of the symmetric part of ``m``, each clipped at 0; ``m`` is not written."""
+    m = _symmetric_part(np.array(m))
     return max(float(np.trace(m)), 0.0), max(float(np.linalg.eigvalsh(m)[-1]), 0.0)
 
 
@@ -89,29 +90,20 @@ def project_covariance(c, factors: SvdFactors, k) -> ProjectedCovariance:
     u_head = factors.left_head(k)
     u_tail = factors.left_tail(k)
     c_head_cols = c @ u_head
-    head, tail = u_head.T @ c_head_cols, u_tail.T @ (c @ u_tail)
-    for b in (head, tail):
-        _symmetrize_in_place(b)
+    head, tail = (_symmetric_part(b) for b in (u_head.T @ c_head_cols, u_tail.T @ (c @ u_tail)))
     cross = u_tail.T @ c_head_cols
     _check_head(np.linalg.eigvalsh(head), scipy.linalg.norm(c.ravel()),
                 'projected covariance head block is numerically singular', 'eigenvalue')
     head_cho = scipy.linalg.cho_factor(head)
     conditional = tail  # formed in the tail block's buffer
     conditional -= cross @ scipy.linalg.cho_solve(head_cho, cross.T)
-    _symmetrize_in_place(conditional)
+    _symmetric_part(conditional)
     trace = max(float(np.trace(conditional)), 0.0)
     # the transpose of the symmetric C-ordered block is the same matrix in LAPACK's
     # order, so the solver works in its buffer, which nothing reads afterwards
     top = scipy.linalg.eigh(conditional.T, eigvals_only=True, subset_by_index=[len(tail) - 1] * 2,
                             overwrite_a=True)
     return ProjectedCovariance(head, cross, trace, max(float(top[0]), 0.0), head_cho)
-
-
-def _symmetrize_in_place(b):
-    """Overwrite the square ``b`` with ``0.5 (b + b^T)``, bit for bit what the copy
-    gives; numpy buffers the overlapping ``b^T``, so one temporary of ``b``'s size remains."""
-    np.add(b, b.T, out=b)
-    b *= 0.5
 
 
 def expect_product_norms(mean, covariance, n_mat):

@@ -93,7 +93,25 @@ def _symmetrize(a, name='matrix'):
     asym = float(np.max(np.abs(a - a.T)))
     if asym > SYM_TOL * float(np.max(np.abs(a))):  # relative at every scale
         raise ValueError(f'{name} is not symmetric: max asymmetry {asym:.3e}')
-    return 0.5 * (a + a.T)
+    return _symmetric_part(a.copy())
+
+
+def _symmetric_part(b):
+    """The one symmetric-part kernel: ``b``, square, overwritten with ``0.5 (b + b^T)``, the copying form's
+    bits; numpy buffers the overlapping ``b^T``, so one temporary of ``b``'s size remains."""
+    np.add(b, b.T, out=b)
+    b *= 0.5
+    return b
+
+
+def _check_spectrum(sigma):
+    """The one spectrum rule, of :class:`SvdFactors` and ``rsvd.SpectrumProfile``: ``sigma`` as a float
+    array, or ``ValueError`` unless it is a non-empty 1-D vector, finite, non-negative and descending."""
+    sigma = np.asarray(sigma, dtype=float)
+    if (sigma.ndim != 1 or not sigma.size or not np.all(np.isfinite(sigma) & (sigma >= 0))
+            or np.any(np.diff(sigma) > 0)):
+        raise ValueError('singular values must be a non-empty 1-D vector, finite, non-negative and descending')
+    return sigma
 
 
 def _check_head(values, scale, what, kind):
@@ -126,31 +144,27 @@ class SvdFactors:
     ``V`` is not kept, only ``cols``, the column count of ``A``: bounds and trials
     read ``A`` through ``U^T Z`` or ``Sigma V^T G``, and ``V^T G`` is standard
     Gaussian.  ``u`` is thin or square; the complement needed by the tail accessors
-    is appended lazily and cached: the last ``rows - r`` columns of the Householder
-    ``Q`` of the thin ``U``, from one ``geqrf`` and one ``ormqr`` (``O(rows^2 r)``
-    flops and no SVD), which refuse a thin ``U`` whose columns are not orthonormal.
-    ``u``, ``sigma`` and ``cols`` are checked once, here: ``u`` is 2-D, with a
-    column for every singular value and no more columns than rows.
+    is appended lazily: the last ``rows - r`` columns of the Householder ``Q`` of the
+    thin ``U``, from one QR and one ``ormqr`` (``O(rows^2 r)`` flops and no SVD),
+    which refuse a thin ``U`` whose columns are not orthonormal.
+    ``u``, ``sigma`` and ``cols`` are checked once, here: ``sigma`` by the one spectrum
+    rule, ``u`` 2-D, with a column for every singular value and no more columns than rows.
 
-    Storage: one buffer holds ``U``.  A thin ``rows x r`` factor takes ``rows*r``
-    floats until :meth:`left` completes it, and ``rows**2`` after, when the thin
-    factor becomes a view of the first ``r`` columns of the full one; a square
-    factor is its own completion.  So every accessor, before or after, reads the
-    same values.
+    Storage: one slot holds ``U``.  A thin ``rows x r`` factor takes ``rows*r`` floats
+    until :meth:`left` replaces it with the full factor, ``rows**2`` floats whose first
+    ``r`` columns are the thin ``U`` bit for bit; a square factor is its own completion.
+    So every accessor, before or after, reads the same values.
     """
 
     def __init__(self, u, sigma, cols):
         self._u = np.asarray(u, dtype=float)
-        self.sigma = np.asarray(sigma, dtype=float)
+        self.sigma = _check_spectrum(sigma)
         self.cols = operator.index(cols)
-        if not np.all(np.isfinite(self.sigma)) or np.any(np.diff(self.sigma) > 0) or np.any(self.sigma < 0):
-            raise ValueError('singular values must be finite, non-negative and sorted descending')
         if self.sigma.size > min(self.rows, self.cols):
             raise ValueError(f'{self.sigma.size} singular values for a {self.rows}x{self.cols} matrix')
         if self._u.ndim != 2 or not self.sigma.size <= self._u.shape[1] <= self._u.shape[0]:
             raise ValueError(f'U must be 2-D with a column per singular value and no more columns than rows, '
                              f'got shape {self._u.shape} for {self.sigma.size} singular values')
-        self._u_full = self._u if self._u.shape[0] == self._u.shape[1] else None
 
     @property
     def rows(self):
@@ -160,15 +174,12 @@ class SvdFactors:
     def _complete(q):
         """``[q, Q_c]`` in one new C-ordered ``rows x rows`` buffer, ``q`` bit for bit,
         with ``Q_c`` the last ``rows - r`` columns of the Householder ``Q`` of ``q = Q R``:
-        LAPACK's ``geqrf`` on a copy of ``q``, then ``ormqr`` applied to ``[0; I]``.
+        ``scipy.linalg.qr(mode='raw')`` (LAPACK's ``geqrf``) on a Fortran copy of ``q``,
+        which it factors in place, then ``ormqr`` applied to ``[0; I]``.
         ``ValueError`` unless ``|R| = I`` within ``ORTHO_TOL``, i.e. unless ``q``'s
         columns are orthonormal."""
         rows, r = q.shape
-        geqrf, ormqr = scipy.linalg.get_lapack_funcs(('geqrf', 'ormqr'), (q,))
-        qr = np.array(q, order='F')
-        lwork = int(geqrf(qr, lwork=-1, overwrite_a=1)[2][0])
-        qr, tau = geqrf(qr, lwork=lwork, overwrite_a=1)[:2]
-        r_abs = np.triu(qr[:r])
+        (qr, tau), r_abs = scipy.linalg.qr(np.array(q, order='F'), mode='raw', overwrite_a=True, check_finite=False)
         np.abs(r_abs, out=r_abs)
         r_abs.flat[::r + 1] -= 1.0
         dev = float(max(r_abs.max(), -r_abs.min()))
@@ -177,8 +188,8 @@ class SvdFactors:
             raise ValueError(f'U does not have orthonormal columns: |R| of its QR is I up to {dev:.3e}')
         comp = np.zeros((rows, rows - r), order='F')
         comp[np.arange(r, rows), np.arange(rows - r)] = 1.0
-        lwork = int(ormqr('L', 'N', qr, tau, comp, -1, overwrite_c=1)[1][0])
-        comp = ormqr('L', 'N', qr, tau, comp, lwork, overwrite_c=1)[0]
+        lwork = int(scipy.linalg.lapack.dormqr('L', 'N', qr, tau, comp, -1, overwrite_c=1)[1][0])
+        comp = scipy.linalg.lapack.dormqr('L', 'N', qr, tau, comp, lwork, overwrite_c=1)[0]
         del qr  # so the peak holds the complement and the result, not the QR copy too
         full = np.empty((rows, rows))
         full[:, :r] = q
@@ -186,11 +197,11 @@ class SvdFactors:
         return full
 
     def left(self):
-        """Full orthogonal left factor; the thin one is from then on a view of it."""
-        if self._u_full is None:
-            self._u_full = self._complete(self._u)
-            self._u = self._u_full[:, :self._u.shape[1]]
-        return self._u_full
+        """Full orthogonal left factor, which takes the thin one's slot; read once, so racing first calls agree."""
+        u = self._u
+        if u.shape[1] < u.shape[0]:
+            self._u = u = self._complete(u)
+        return u
 
     def _check_k(self, k):
         if not 1 <= k <= self.sigma.size:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import PINV_TOL, _check_powers, phi
+from .linalg import PINV_TOL, _check_powers, _check_spectrum, phi
 
 __all__ = [
     'RsvdBoundReport',
@@ -31,8 +31,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SpectrumProfile:
     """Spectrum plus sketch parameters (target rank k, columns p, powers q):
-    ``sigma`` is finite, non-negative and descending, and ``(k, p, q)`` passes
-    :func:`_check_request`; trailing zeros represent a rank-deficient tail."""
+    ``sigma`` passes the one spectrum rule, ``linalg._check_spectrum``, and ``(k, p, q)``
+    passes :func:`_check_request`; trailing zeros represent a rank-deficient tail."""
 
     sigma: np.ndarray
     k: int
@@ -40,19 +40,15 @@ class SpectrumProfile:
     q: int
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = _check_spectrum(self.sigma)
         object.__setattr__(self, 'sigma', sigma)
-        if sigma.ndim != 1 or sigma.size < 1 or not np.all(np.isfinite(sigma)):
-            raise ValueError('sigma must be a finite vector')
-        if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
-            raise ValueError('sigma must be non-negative and sorted descending')
         _check_request(sigma, self.k, self.p, self.q)
 
     @classmethod
     def from_spectrum(cls, sigma, k, p, q):
-        """Build a profile, zeroing singular values below ``PINV_TOL * sigma[0]``."""
-        sigma = np.asarray(sigma, dtype=float).copy()
-        if sigma.size and sigma[0] > 0:
+        """Build a profile from a spectrum that passes the rule, zeroing values below ``PINV_TOL * sigma[0]``."""
+        sigma = _check_spectrum(sigma).copy()
+        if sigma[0] > 0:
             sigma[sigma <= PINV_TOL * sigma[0]] = 0.0
         return cls(sigma, k, p, q)
 

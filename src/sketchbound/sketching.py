@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.special import ndtri
 
-from .linalg import NotPositiveSemidefiniteError, _as_matrix, _check_powers, _symmetrize
+from .linalg import NotPositiveSemidefiniteError, _as_matrix, _check_powers, _symmetric_part, _symmetrize
 
 __all__ = [
     'GaussianSketch',
@@ -98,8 +98,7 @@ class GaussianSketch:
     cov_sqrt = functools.cached_property(lambda self: self._from_eigenpairs(np.sqrt(self._w)))
 
     def _from_eigenpairs(self, w):
-        m = (self._vec * w) @ self._vec.T
-        return 0.5 * (m + m.T)
+        return _symmetric_part((self._vec * w) @ self._vec.T)
 
     @property
     def shape(self):

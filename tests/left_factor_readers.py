@@ -1,7 +1,8 @@
 """The readers of a tall ``SvdFactors``' left factor, evaluated on factors whose full
-``U`` was built first or not.  After :meth:`SvdFactors.left` the thin ``U`` is a
-strided view of the full one, so the two orders feed the GEMMs different layouts
-of the same values; they must give the same bits.  The factors themselves must
+``U`` was built first or not.  After :meth:`SvdFactors.left` the full ``U`` takes the
+thin one's slot, and the head that ``left_head`` returns is a strided view of it, so
+the two orders feed the GEMMs different layouts of the same values; they must give
+the same bits.  The factors themselves must
 have the bits of ``np.linalg.svd`` at one BLAS thread, and its C-ordered ``U``.
 The completion itself must give a square, C-ordered, orthogonal ``U`` whose first
 columns are the thin ``U``'s bits.  Imported by ``test_linalg.py``, and run by

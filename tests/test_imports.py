@@ -62,6 +62,16 @@ def test_module_imports_form_an_acyclic_graph():
         visit(module)
 
 
+def uses_outside(reads, home_module, home_function):
+    """The lines of the package where ``reads(tree)`` finds a use outside the function
+    ``home_module.home_function``, and the lines of that function where it finds one."""
+    home = set().union(*(reads(node) for node in MODULES[home_module].body
+                         if isinstance(node, ast.FunctionDef) and node.name == home_function))
+    found = sorted(f'{module}.py:{line}' for module, tree in MODULES.items()
+                   for line in reads(tree) - (home if module == home_module else set()))
+    return found, home
+
+
 def test_math_e_is_read_only_in_pinv_moments():
     """HMT's bound ``e sqrt(p) / (p - k)`` on ``E||G^+||_2`` has one home,
     ``rsvd._pinv_moments``: no other code of the package reads ``math.e``."""
@@ -71,9 +81,33 @@ def test_math_e_is_read_only_in_pinv_moments():
                 and isinstance(node.value, ast.Name) and node.value.id == 'math'
                 or isinstance(node, ast.ImportFrom) and node.module == 'math'
                 and any(alias.name == 'e' for alias in node.names)}
-    home = set().union(*(reads(node) for node in MODULES['rsvd'].body
-                         if isinstance(node, ast.FunctionDef) and node.name == '_pinv_moments'))
-    found = sorted(f'{module}.py:{line}' for module, tree in MODULES.items()
-                   for line in reads(tree) - (home if module == 'rsvd' else set()))
+    found, home = uses_outside(reads, 'rsvd', '_pinv_moments')
     assert found == []
     assert home  # the guard is not vacuous
+
+
+def test_the_symmetric_part_is_formed_only_in_symmetric_part():
+    """``0.5 (B + B^T)`` has one home, ``linalg._symmetric_part``: no other code of the
+    package adds a matrix to its transpose, as ``x + x.T`` or ``np.add(x, x.T, ...)``."""
+    def is_pair(a, b):
+        return any(isinstance(t, ast.Attribute) and t.attr == 'T' and ast.dump(t.value) == ast.dump(other)
+                   for t, other in ((a, b), (b, a)))
+
+    def reads(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and is_pair(node.left, node.right)
+                or isinstance(node, ast.Call) and ast.unparse(node.func) == 'np.add' and len(node.args) >= 2
+                and is_pair(*node.args[:2])}
+    found, home = uses_outside(reads, 'linalg', '_symmetric_part')
+    assert found == []
+    assert home
+
+
+def test_the_spectrum_rule_is_the_only_reader_of_np_diff():
+    """A spectrum is checked in one place, ``linalg._check_spectrum``, the package's only ``np.diff``."""
+    def reads(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and ast.unparse(node) == 'np.diff'}
+    found, home = uses_outside(reads, 'linalg', '_check_spectrum')
+    assert found == []
+    assert home

@@ -8,6 +8,8 @@ import scipy.linalg
 
 from left_factor_readers import completion_input, completion_mismatches, reader_bits, svd_inputs, svd_mismatches
 
+from sketchbound.expectation import expect_pinv_norms, expect_product_norms
+from sketchbound.experiments import evaluate_bounds
 from sketchbound.linalg import (
     RankDeficiencyError,
     SvdFactors,
@@ -19,10 +21,12 @@ from sketchbound.linalg import (
     psd_order,
     read_matrix_market,
     spectral_norm,
+    _symmetric_part,
     _symmetrize,
     svd,
     write_matrix_market,
 )
+from sketchbound.sketching import GaussianSketch
 
 RNG = np.random.default_rng(1234)
 
@@ -82,9 +86,10 @@ class TestSvd:
         with pytest.raises(ValueError):
             f.left_head(0)
 
-    @pytest.mark.parametrize('sigma', ([1.0, np.nan], [np.inf, 1.0]))
+    # NaN passes the sorted and non-negative test; it, a 2-D, a 0-d and an empty spectrum are
+    # refused at construction, not by a later IndexError or numpy's "truth value ... is ambiguous"
+    @pytest.mark.parametrize('sigma', ([1.0, np.nan], [np.inf, 1.0], [[1.0, 0.5]], 1.0, []))
     def test_factors_reject_nonfinite_singular_values(self, sigma):
-        # NaN passes the sorted and non-negative test; it is refused at construction
         with pytest.raises(ValueError, match='finite'):
             SvdFactors(np.eye(2), sigma, 2)
 
@@ -171,6 +176,19 @@ class TestLeftFactorCompletion:
         for read in (f.left, lambda: f.left_tail(1)):
             with pytest.raises(ValueError, match=f'orthonormal columns: .* up to {re.escape(deviation)}'):
                 read()
+
+    # a completion holds the full U, its complement and LAPACK's work at once: 1.44 and 1.34
+    # rows^2 floats here; a QR of the C-ordered U, which makes its own copy, reached 1.57 and 1.37
+    @pytest.mark.parametrize('rows, cols', [(400, 300), (600, 400)])
+    def test_completion_peak_is_at_most_one_and_a_half_full_factors(self, rows, cols):
+        f = svd(RNG.standard_normal((rows, cols)))
+        tracemalloc.start()
+        try:
+            f.left()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * rows * rows
 
 
 class TestOrthonormalBasis:
@@ -299,6 +317,7 @@ class TestPsdOrder:
 
 class TestSymmetrize:
     SYMMETRIC = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, 3.0]])
+    ASYMMETRIC = np.array([[2.0, 0.5, -1.0], [0.75, 1.0, 0.3], [-1.5, 0.125, 3.0]])
 
     @pytest.mark.parametrize('log2_scale', [-60, 0])
     def test_relative_asymmetry_is_refused_at_every_scale(self, log2_scale):
@@ -328,6 +347,36 @@ class TestSymmetrize:
         out = _symmetrize(a)
         assert out is not a and out.tobytes() == (0.5 * (a + a.T)).tobytes()
         assert np.array_equal(out, out.T)
+
+    def test_symmetric_part_overwrites_and_returns_its_argument(self):
+        b = self.ASYMMETRIC.copy()
+        assert _symmetric_part(b) is b
+        assert np.array_equal(b, b.T) and not np.array_equal(b, self.ASYMMETRIC)
+
+    @pytest.mark.parametrize('order', ['C', 'F'])
+    @pytest.mark.parametrize('log2_scale', [-1000, -600, -60, 0, 60, 600, 1000])
+    def test_symmetric_part_has_the_copying_forms_bits(self, log2_scale, order):
+        b = np.array(np.ldexp(self.ASYMMETRIC, log2_scale), order=order)
+        want = 0.5 * (b + b.T)
+        assert _symmetric_part(b).tobytes() == want.tobytes()
+
+    def test_a_read_only_covariance_is_read_and_never_written(self):
+        """An exactly symmetric covariance is used as given, not copied; every reader
+        of it that symmetrizes in place must do so on a copy of its own."""
+        rng = np.random.default_rng(37)
+        n, k, p = 12, 3, 8
+        g = rng.standard_normal((n, n))
+        c = g @ g.T / n + np.eye(n)
+        c = 0.5 * (c + c.T)
+        kept = c.copy()
+        c.flags.writeable = False
+        mean = 0.1 * rng.standard_normal((n, p))
+        expect_product_norms(mean, c, rng.standard_normal((p, 4)))
+        expect_pinv_norms(c, rng.standard_normal((n, 5)), n + 4)
+        factors = svd(rng.standard_normal((n, 10)))
+        reports = evaluate_bounds(['thm3', 'thm4', 'thm5'], factors, k, p, 0, GaussianSketch.from_moments(mean, c))
+        assert all(np.isfinite(report['bound']) for report in reports.values())
+        assert not c.flags.writeable and c.tobytes() == kept.tobytes()
 
 
 class TestCanonicalAngles:

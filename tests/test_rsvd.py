@@ -7,6 +7,7 @@ import pytest
 from sketchbound import rsvd
 from sketchbound.deterministic import phi
 from sketchbound.experiments import synthetic_matrix
+from sketchbound.linalg import SvdFactors
 from sketchbound.rsvd import (
     SpectrumProfile,
     frobenius_bound,
@@ -33,6 +34,17 @@ class TestProfile:
             SpectrumProfile(np.array([2.0, 1.0, 0.5]), 1, 4, 0)  # p > length
         with pytest.raises(ValueError):
             SpectrumProfile(np.array([2.0, 1.0, 0.5]), 1, 3, -1)
+
+    @pytest.mark.parametrize('sigma', [[2.0, np.nan, 0.5], [0.5, 1.0, 2.0], [2.0, 1.0, -0.5],
+                                       [[2.0, 1.0, 0.5]], 1.0, []],
+                             ids=['nan', 'ascending', 'negative', '2-d', '0-d', 'empty'])
+    def test_one_spectrum_rule_for_profiles_and_factors(self, sigma):
+        message = 'singular values must be a non-empty 1-D vector, finite, non-negative and descending'
+        for build in (lambda: SpectrumProfile(sigma, 1, 3, 0), lambda: SpectrumProfile.from_spectrum(sigma, 1, 3, 0),
+                      lambda: SvdFactors(np.eye(3), sigma, 3)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
 
     def test_from_spectrum_truncates_noise_tail(self):
         sigma = np.array([2.0, 1.0, 0.5, 1e-14])
