@@ -36,6 +36,7 @@ from .linalg import (
     SvdFactors,
     _as_matrix,
     _check_head_rank,
+    _check_norm,
     _operator_norms,
     norm as matrix_norm,
     orthonormal_basis,
@@ -110,9 +111,9 @@ class _Sample:
             entry = cls.last = cls(factors, key_z)
         return entry
 
-    def angles_at(self, factors, z, k):  # ``angles`` is ``(k, AngleOperators)``; a ``k`` of another type misses
+    def angles_at(self, factors, z, k):  # ``angles`` is ``(k, AngleOperators)``; every report checks ``k`` itself
         held = self.angles
-        if held is None or held[0] != k or type(held[0]) is not type(k):
+        if held is None or held[0] != k:
             held = self.angles = (k, angle_operators(factors, z, k))
         return held[1]
 
@@ -141,8 +142,7 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
     """
     _check_matrix(a, factors)
     sig_head = factors.sigma_head(k)
-    if which not in ('spectral', 'frobenius'):
-        raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
+    _check_norm(which)
     sample = _Sample.of(factors, z)
     b = sample.basis_product(factors, z)
     if which == 'frobenius':

@@ -98,8 +98,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -107,8 +105,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg
 
-from . import expectation, rsvd
-from .linalg import RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic
+from . import expectation, linalg, rsvd
+from .linalg import NORMS, RANK_TOL, RankDeficiencyError, SvdFactors, _check_head_rank, _operator_norms, _write_atomic
 from .sketching import (
     GaussianSketch,
     RsvdSketch,
@@ -130,7 +128,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-NORMS = ('spectral', 'frobenius')
 METRICS = ('general', 'old')
 
 _DENSE_GRAM_LIMIT = 600
@@ -196,6 +193,7 @@ def _haar_orthogonal(n, stream):
 
 
 def _check_synthetic_n(n):
+    linalg._check_integers('n must be an integer', n)
     if n < 11:
         raise ValueError('need n >= 11 for the synthetic spectrum')
 
@@ -450,12 +448,7 @@ def _check_trial_keys(seed, trials, p, qs):
     """Raise ``ValueError`` unless ``seed``, ``trials``, the widest sketch's
     ``p`` and each q of ``qs`` are integers that key :func:`_trial_stream`
     injectively, with the seed in ``[0, 2**64)``."""
-    try:  # numpy integers pass, floats and booleans do not
-        if any(isinstance(key, bool) for key in (seed, trials, p, *qs)):
-            raise TypeError('a boolean is not an integer key')
-        seed, trials, p, *qs = map(operator.index, (seed, trials, p, *qs))
-    except TypeError as error:
-        raise ValueError(f'seed, trials, p and q must be integers: {error}') from None
+    seed, trials, p, *qs = linalg._check_integers('seed, trials, p and q must be integers', seed, trials, p, *qs)
     SeededStream(seed)
     t_bits, p_bits, q_bits = _TRIAL_FIELDS
     if not 1 <= trials <= 1 << t_bits:
@@ -480,8 +473,7 @@ def empirical_error(factors, sketch, k, trials, norm='frobenius', metric='genera
     :func:`rsvd._check_request` refuses, or a sketch whose height is not ``A``'s,
     raises ``ValueError`` before any trial.
     """
-    if norm not in NORMS:
-        raise ValueError(f'norm must be one of {NORMS}, got {norm!r}')
+    linalg._check_norm(norm)
     if metric not in METRICS:
         raise ValueError(f'metric must be one of {METRICS}, got {metric!r}')
     gaussian = isinstance(sketch, GaussianSketch)
@@ -536,7 +528,9 @@ def _theorem_row(name, corollary, sigma_1):
 
 
 def _check_variants(variants):
-    """Raise ``ValueError`` unless ``variants`` names one or more of :data:`VARIANTS`, each once."""
+    """Raise ``ValueError`` unless ``variants`` is a list of one or more of :data:`VARIANTS`, each once."""
+    if isinstance(variants, str):  # whose letters would be read as names
+        raise ValueError(f'bound variants must be a list of names, got the string {variants!r}')
     unknown = [name for name in variants if name not in VARIANTS]
     if unknown:
         raise ValueError(f'unknown bound variants: {unknown}')
@@ -599,14 +593,16 @@ class SweepConfig:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f'{name} must be a list, got {getattr(self, name)!r}')
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
-               for v in (self.n, *self.k_list, *self.oversampling_list, *self.q_list)):
-            raise ValueError('n and the entries of k_list, oversampling_list and q_list must be integers')
+        # stored as Python ints, which the trial streams' bit fields need
+        integers = 'n and the entries of k_list, oversampling_list and q_list must be integers'
+        object.__setattr__(self, 'n', linalg._check_integers(integers, self.n)[0])
+        for name in ('k_list', 'oversampling_list', 'q_list'):
+            object.__setattr__(self, name, linalg._check_integers(integers, *getattr(self, name)))
         _check_synthetic_n(self.n)
         if self.metric not in METRICS:
             raise ValueError(f'metric must be one of {METRICS}')
-        if any(norm not in NORMS for norm in self.norm_list):
-            raise ValueError(f'norms must be among {NORMS}')
+        for norm in self.norm_list:
+            linalg._check_norm(norm)
         _check_variants(self.bound_variants)
         if self.output_format not in ('csv', 'json'):
             raise ValueError("output_format must be 'csv' or 'json'")

@@ -3,9 +3,10 @@ plus Matrix Market I/O and the package's one file writer, :func:`_write_atomic`.
 
 It also holds what the bounds and the trials share: the tangent-to-sine map
 :func:`phi`, the one rule that decides whether a head block is singular
-(:func:`_check_head`; :func:`_check_head_rank` for a sketch's), the one
-refusal of a negative power-iteration count (:func:`_check_powers`), and the
-norms of a spectrum, :func:`_operator_norms`.
+(:func:`_check_head`; :func:`_check_head_rank` for a sketch's), the norms of a
+spectrum, :func:`_operator_norms`, and the package's one rule for each input:
+integers (:func:`_check_integers`), power-iteration counts (:func:`_check_powers`),
+norm names (:data:`NORMS`, :func:`_check_norm`) and spectra (:func:`_check_spectrum`).
 
 Every kernel is a pure function of its inputs and safe to call from any
 number of threads.
@@ -51,6 +52,7 @@ RANK_TOL = 1e-10
 PINV_TOL = 1e-12
 SYM_TOL = 1e-12
 ORTHO_TOL = 1e-10
+NORMS = ('spectral', 'frobenius')
 
 
 class FactorizationError(RuntimeError):
@@ -132,10 +134,27 @@ def _check_head_rank(omega_head, w):
                 'head block of the sketch is row-rank deficient', 'singular value')
 
 
+def _check_integers(message, *values):
+    """The one integer rule: ``values`` as Python ints, or ``ValueError`` with ``message`` and the first value that
+    is a ``bool``, an array of one or more dimensions or has no ``__index__`` (which Python and numpy integers have)."""
+    for value in values:
+        if isinstance(value, bool) or not hasattr(value, '__index__') or getattr(value, 'ndim', 0):
+            raise ValueError(f'{message}, got {value!r}')
+    return tuple(map(operator.index, values))
+
+
 def _check_powers(q):
-    """Raise ``ValueError`` unless ``q``, a sketch's number of power iterations, is non-negative."""
+    """A sketch's power-iteration count ``q`` as a Python int; ``ValueError`` unless it is a non-negative integer."""
+    (q,) = _check_integers('q must be an integer', q)
     if q < 0:
         raise ValueError(f'q must be non-negative, got q={q}')
+    return q
+
+
+def _check_norm(which):
+    """Raise ``ValueError`` unless ``which`` is one of the norm names :data:`NORMS`."""
+    if which not in NORMS:
+        raise ValueError(f'norm must be one of {NORMS}, got {which!r}')
 
 
 class SvdFactors:
@@ -148,7 +167,7 @@ class SvdFactors:
     thin ``U``, from one QR and one ``ormqr`` (``O(rows^2 r)`` flops and no SVD),
     which refuse a thin ``U`` whose columns are not orthonormal.
     ``u``, ``sigma`` and ``cols`` are checked once, here: ``sigma`` by the one spectrum
-    rule, ``u`` 2-D, with a column for every singular value and no more columns than rows.
+    rule, ``cols`` by the integer rule, ``u`` 2-D, with a column for every singular value and no more columns than rows.
 
     Storage: one slot holds ``U``.  A thin ``rows x r`` factor takes ``rows*r`` floats
     until :meth:`left` replaces it with the full factor, ``rows**2`` floats whose first
@@ -159,7 +178,7 @@ class SvdFactors:
     def __init__(self, u, sigma, cols):
         self._u = np.asarray(u, dtype=float)
         self.sigma = _check_spectrum(sigma)
-        self.cols = operator.index(cols)
+        (self.cols,) = _check_integers('cols must be an integer', cols)
         if self.sigma.size > min(self.rows, self.cols):
             raise ValueError(f'{self.sigma.size} singular values for a {self.rows}x{self.cols} matrix')
         if self._u.ndim != 2 or not self.sigma.size <= self._u.shape[1] <= self._u.shape[0]:
@@ -204,6 +223,7 @@ class SvdFactors:
         return u
 
     def _check_k(self, k):
+        _check_integers('k must be an integer', k)
         if not 1 <= k <= self.sigma.size:
             raise ValueError(f'target rank k={k} outside [1, {self.sigma.size}]')
 
@@ -290,11 +310,8 @@ def frobenius_norm(m) -> float:
 
 def norm(m, which) -> float:
     """Either the spectral or the Frobenius norm, selected by name."""
-    if which == 'spectral':
-        return spectral_norm(m)
-    if which == 'frobenius':
-        return frobenius_norm(m)
-    raise ValueError(f"norm must be 'spectral' or 'frobenius', got {which!r}")
+    _check_norm(which)
+    return spectral_norm(m) if which == 'spectral' else frobenius_norm(m)
 
 
 def _operator_norms(sigma_values, which):

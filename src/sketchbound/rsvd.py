@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import PINV_TOL, _check_powers, _check_spectrum, phi
+from .linalg import PINV_TOL, _check_integers, _check_powers, _check_spectrum, phi
 
 __all__ = [
     'RsvdBoundReport',
@@ -63,6 +63,8 @@ class SpectrumProfile:
 def _check_parameters(k, p, q):
     """The part of :func:`_check_request` that needs no spectrum, asked before one is loaded."""
     _check_powers(q)
+    _check_integers('k must be an integer', k)
+    _check_integers('p must be an integer', p)
     if not 1 <= k <= p - 2:
         raise ValueError(f'need 1 <= k <= p - 2, got k={k}, p={p}')
 
@@ -71,7 +73,7 @@ def _check_request(sigma, k, p, q):
     """Raise ``ValueError`` unless ``(k, p, q)`` on the descending spectrum ``sigma``
     of ``A`` has a bound: the one rule of bounds, empirical errors and sweep cells.
 
-    It asks ``q >= 0``, ``1 <= k <= p - 2`` (the inverse-Wishart moment of HMT 2011,
+    It asks integers with ``q >= 0``, ``1 <= k <= p - 2`` (the inverse-Wishart moment of HMT 2011,
     section 10, divides by ``p - k - 1``), ``p <= sigma.size`` and ``sigma_k >
     PINV_TOL * sigma_1``, i.e. ``rank(A) >= k``.  The derivation also assumes ``p <=
     min(rank(A), rank(C))``, deliberately not enforced: the bounds need only a

@@ -23,7 +23,14 @@ import scipy.linalg
 import scipy.sparse
 from scipy.special import ndtri
 
-from .linalg import NotPositiveSemidefiniteError, _as_matrix, _check_powers, _symmetric_part, _symmetrize
+from .linalg import (
+    NotPositiveSemidefiniteError,
+    _as_matrix,
+    _check_integers,
+    _check_powers,
+    _symmetric_part,
+    _symmetrize,
+)
 
 __all__ = [
     'GaussianSketch',
@@ -51,11 +58,11 @@ class SeededStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        # outside [0, 2**64) the 64-bit key would alias another seed's stream
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError(f'master_seed must be in [0, 2**64), got {self.master_seed}')
-        if not 0 <= self.stream_index <= _MASK64:
-            raise ValueError('stream_index must fit in 64 bits')
+        for name in ('master_seed', 'stream_index'):
+            (key,) = _check_integers(f'{name} must be an integer', getattr(self, name))
+            if not 0 <= key <= _MASK64:  # outside [0, 2**64) the 64-bit key would alias another seed's stream
+                raise ValueError(f'{name} must be in [0, 2**64), got {key}')
+            object.__setattr__(self, name, key)
 
     def generator(self) -> np.random.Generator:
         key = (self.stream_index << 64) | (self.master_seed & _MASK64)
@@ -64,6 +71,7 @@ class SeededStream:
 
 def standard_gaussian(rows, cols, stream: SeededStream):
     """Matrix of i.i.d. standard normals drawn from the given stream."""
+    _check_integers('rows and cols must be integers', rows, cols)
     if rows < 1 or cols < 1:
         raise ValueError('rows and cols must be positive')
     gen = stream.generator()
@@ -162,27 +170,28 @@ def rsvd_distribution(factors, q, p) -> GaussianSketch:
     completion of ``U`` and, until the covariance or its root is read, no
     n x n product is formed; ``OverflowError`` where a power overflows.
     """
-    _check_powers(q)
-    if p < 1:
-        raise ValueError('p must be positive')
+    spec = RsvdSketch(q, p)
     with np.errstate(over='ignore'):
-        powers = factors.sigma ** (4 * q + 2)
+        powers = factors.sigma ** (4 * spec.q + 2)
     if not np.all(np.isfinite(powers)):
-        raise OverflowError(f'the RSVD sketch covariance sigma^{4 * q + 2} overflows at q={q}')
-    return GaussianSketch(np.zeros((factors.rows, p)), powers, factors.left_head(factors.sigma.size))
+        raise OverflowError(f'the RSVD sketch covariance sigma^{4 * spec.q + 2} overflows at q={spec.q}')
+    return GaussianSketch(np.zeros((factors.rows, spec.p)), powers, factors.left_head(factors.sigma.size))
 
 
 @dataclass(frozen=True)
 class RsvdSketch:
-    """The randomized-SVD sketch ``(A A^T)^q A G`` of ``p`` columns, for trials; its bounds are in :mod:`rsvd`."""
+    """The randomized-SVD sketch ``(A A^T)^q A G`` of ``p`` columns, for trials; its bounds are in :mod:`rsvd`.
+    ``q`` and ``p`` are stored as Python ints: ``q >= 0`` and ``p >= 1``."""
 
     q: int
     p: int
 
     def __post_init__(self):
-        _check_powers(self.q)
-        if self.p < 1:
+        object.__setattr__(self, 'q', _check_powers(self.q))
+        (p,) = _check_integers('p must be an integer', self.p)
+        if p < 1:
             raise ValueError('p must be positive')
+        object.__setattr__(self, 'p', p)
 
     def draw(self, a, stream: SeededStream):
         return rsvd_sketch(a, self.q, self.p, stream)

@@ -13,30 +13,24 @@ one BLAS thread, so each check runs under ``experiments._one_blas_thread()``
 and is skipped where no thread setter is found.
 """
 
-import importlib.util
 import json
-import os
 
 import numpy as np
 import pytest
 
-from sketchbound import cli, deterministic, experiments, linalg
+import harness_modules
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from sketchbound import cli, deterministic, experiments, linalg
 
 
 @pytest.fixture(scope='module')
 def workloads():
-    spec = importlib.util.spec_from_file_location('perfbench_workloads',
-                                                  os.path.join(ROOT, 'perfbench', 'workloads.py'))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return harness_modules.load('workloads')
 
 
 @pytest.fixture(scope='module')
 def golden():
-    with open(os.path.join(ROOT, 'perfbench', 'golden.json')) as handle:
+    with open(harness_modules.PERFBENCH / 'golden.json') as handle:
         return json.load(handle)
 
 

@@ -5,21 +5,11 @@ a refactor that routes around one, fails here in milliseconds, and not only in
 the benchmark's own self-test. The sweep and bounds ops run on tiny inputs
 with the hooks installed; the benchmark's files are only read."""
 
-import importlib.util
-import os
-
 import numpy as np
 
+from harness_modules import load
+
 from sketchbound.linalg import svd
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _perfbench(name):
-    spec = importlib.util.spec_from_file_location(f'perfbench_{name}', os.path.join(ROOT, 'perfbench', f'{name}.py'))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _fired(spans, run):
@@ -31,7 +21,7 @@ def _fired(spans, run):
 
 
 def test_every_traced_binding_exists():
-    spans = _perfbench('spans')
+    spans = load('spans')
     hooks = spans._hooks(spans.Tracer())
     missing = [(getattr(namespace, '__name__', type(namespace).__name__), name) for namespace, name, _ in hooks
                if name not in (namespace if isinstance(namespace, dict) else vars(namespace))]
@@ -39,7 +29,7 @@ def test_every_traced_binding_exists():
 
 
 def test_a_sweep_fires_every_expected_span(tmp_path):
-    spans, workloads = _perfbench('spans'), _perfbench('workloads')
+    spans, workloads = load('spans'), load('workloads')
     experiments = spans.experiments
     # one cell whose n - k tail is above the dense Gram limit, so the spectral residual runs ARPACK
     config = experiments.SweepConfig(**dict(workloads.SweepAcceptance.config, n=700, k_list=[5],
@@ -52,7 +42,7 @@ def test_a_sweep_fires_every_expected_span(tmp_path):
 
 
 def test_bounds_requests_fire_every_expected_span(tmp_path):
-    spans, workloads = _perfbench('spans'), _perfbench('workloads')
+    spans, workloads = load('spans'), load('workloads')
     n, k, p, q = 30, 3, 8, 1
     rng = np.random.default_rng(0)
     paths = {name: str(tmp_path / f'{name}.mtx') for name in ('a', 'mean', 'cov')}
@@ -72,7 +62,7 @@ def test_bounds_requests_fire_every_expected_span(tmp_path):
 
 
 def test_empirical_requests_fire_every_expected_span(tmp_path):
-    spans, workloads = _perfbench('spans'), _perfbench('workloads')
+    spans, workloads = load('spans'), load('workloads')
     (rows, cols), rank, k = (150, 120), 8, 3
     rng = np.random.default_rng(0)
     path = str(tmp_path / 'a.mtx')
@@ -95,7 +85,7 @@ def test_empirical_requests_fire_every_expected_span(tmp_path):
 
 
 def test_deterministic_bounds_fire_every_expected_span():
-    spans, workloads = _perfbench('spans'), _perfbench('workloads')
+    spans, workloads = load('spans'), load('workloads')
     rng = np.random.default_rng(1)
     a = rng.standard_normal((30, 20)) / np.arange(1, 21)
     z = a @ rng.standard_normal((20, 9))

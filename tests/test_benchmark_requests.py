@@ -6,24 +6,17 @@ would end a benchmark op in an error, so each one is checked against
 cells are covered by ``test_benchmark_golden.py``, which finds a row for each.)
 """
 
-import importlib.util
-import os
-
 import numpy as np
 import pytest
 
-from sketchbound import rsvd
+import harness_modules
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from sketchbound import rsvd
 
 
 @pytest.fixture(scope='module')
 def workloads():
-    spec = importlib.util.spec_from_file_location('perfbench_workloads',
-                                                  os.path.join(ROOT, 'perfbench', 'workloads.py'))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return harness_modules.load('workloads')
 
 
 def test_bounds_pool_requests_pass_the_rule(workloads):

@@ -1,7 +1,5 @@
 import concurrent.futures
 import gc
-import importlib.util
-import os
 import sys
 import threading
 import weakref
@@ -10,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+
+import harness_modules
 
 from sketchbound import deterministic, experiments
 from sketchbound.deterministic import (
@@ -350,19 +350,10 @@ class TestLanczosGramBranch:
             assert (spectral, deflated) == (want_spectral, want_deflated)
 
 
-def benchmark_workloads():
-    """The benchmark's ``workloads`` module, which holds the deterministic pool."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 'perfbench', 'workloads.py')
-    spec = importlib.util.spec_from_file_location('perfbench_workloads', path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def test_gap_is_within_the_bound_on_every_benchmark_instance():
     """``lhs_gap <= bound + 1e-9`` for the three bounds of all 27 instances of the
     benchmark's deterministic pool, whose Grams (300 to 400 columns) take the Lanczos branch."""
-    workloads = benchmark_workloads()
+    workloads = harness_modules.load('workloads')
     pool = workloads._det_pool()
     assert len(pool) == 27
     with experiments._one_blas_thread():  # a third of the time at two BLAS threads
@@ -403,7 +394,7 @@ class TestSampleMemo:
     of a cold one: each report evaluated after the memo is cleared."""
 
     def test_every_benchmark_instance_keeps_its_cold_bits(self, monkeypatch):
-        workloads = benchmark_workloads()
+        workloads = harness_modules.load('workloads')
         angles = counting(monkeypatch, deterministic, 'angle_operators')
         bases = counting(monkeypatch, deterministic, 'orthonormal_basis')
         with experiments._one_blas_thread():

@@ -1140,6 +1140,11 @@ class TestRunSweep:
             experiments.evaluate_bounds(['cor_frobenius', 'bogus'], synthetic_matrix(20)[1], 2, 6, 0)
         assert str(bounds_error.value) == str(config_error.value) == "unknown bound variants: ['bogus']"
 
+    def test_a_string_is_refused_as_a_variant_list_by_name(self):
+        refusal = r"^bound variants must be a list of names, got the string 'cor_frobenius'$"
+        with pytest.raises(ValueError, match=refusal):
+            experiments.evaluate_bounds('cor_frobenius', synthetic_matrix(20)[1], 2, 6, 0)
+
     def test_from_json(self, tmp_path):
         path = tmp_path / 'config.json'
         path.write_text(json.dumps({

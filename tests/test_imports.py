@@ -3,6 +3,7 @@ modules of ``sketchbound`` import one another without a cycle, so each one
 is fully loaded before another reads it."""
 
 import ast
+import importlib
 import pathlib
 
 import sketchbound
@@ -111,3 +112,31 @@ def test_the_spectrum_rule_is_the_only_reader_of_np_diff():
     found, home = uses_outside(reads, 'linalg', '_check_spectrum')
     assert found == []
     assert home
+
+
+def test_the_integer_rule_is_the_only_reader_of_index_and_integral():
+    """Whether a value is an integer is decided in one place, ``linalg._check_integers``: no other
+    code of the package reads ``operator.index``, ``numbers.Integral`` or ``__index__``."""
+    def reads(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and ast.unparse(node) in ('operator.index', 'numbers.Integral')
+                or isinstance(node, ast.ImportFrom) and node.module in ('operator', 'numbers')
+                and any(alias.name in ('index', 'Integral') for alias in node.names)
+                or isinstance(node, ast.Attribute) and node.attr == '__index__'
+                or isinstance(node, ast.Constant) and node.value == '__index__'}
+    found, home = uses_outside(reads, 'linalg', '_check_integers')
+    assert found == []
+    assert home
+
+
+def test_the_package_binds_only_its_modules_public_names():
+    """``__init__.py`` names no public name of its own: it re-exports each module's ``__all__``
+    and binds ``__version__``, so ``sketchbound.X`` resolves for exactly the union of those lists."""
+    found = [f'__init__.py:{node.lineno}' for node in MODULES['__init__'].body
+             if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)  # the docstring
+                     or isinstance(node, ast.ImportFrom) and node.level == 1 and [a.name for a in node.names] == ['*']
+                     or isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ['__version__'])]
+    assert found == []
+    modules = {name: importlib.import_module(f'sketchbound.{name}') for name in MODULES if name != '__init__'}
+    exported = set().union(*(vars(module).get('__all__', ()) for module in modules.values()))
+    assert {name for name in vars(sketchbound) if not name.startswith('_')} - set(modules) == exported

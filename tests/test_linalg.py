@@ -104,7 +104,7 @@ class TestSvd:
 
     @pytest.mark.parametrize('cols', [2.0, '2', None])
     def test_factors_refuse_a_non_integer_column_count(self, cols):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match='cols must be an integer'):
             SvdFactors(np.eye(2), [1.0, 0.5], cols)
         assert SvdFactors(np.eye(2), [1.0, 0.5], np.int64(2)).cols == 2
 
