@@ -10,18 +10,21 @@ sine operator ``S = (I + T T^T)^{-1/2} T``, whose singular values are the
 tangents and sines of the canonical angles between ``range(Z Omega_head^+)``
 and the dominant left singular subspace.
 
-The gap itself is evaluated in the left singular basis: with ``Q`` an
-orthonormal basis of ``U^T Z``, the residual ``(I - pi(Z)) A`` has the Gram
-matrix ``Sigma^2 - B^T B`` for ``B = Q^T Sigma`` (Halko, Martinsson & Tropp
-2011), so no dense residual of ``A`` is ever formed.  The top eigenvalues of
-that Gram and of its trailing block come from the residual-Gram solver the
-Monte Carlo trials use, :func:`experiments._gram_top`: each block's own dense
-Gram at or below 90 columns, and Lanczos above.
+The gap itself is evaluated in the left singular basis: with ``Q_Z`` an
+orthonormal basis of ``Z``, ``U^T Q_Z`` is one of ``U^T Z``, and the residual
+``(I - pi(Z)) A`` has the Gram matrix ``Sigma^2 - B^T B`` for
+``B = (Q_Z^T U[:, :r]) Sigma`` (Halko, Martinsson & Tropp 2011), so the gap
+forms no dense residual of ``A`` and no product with the full ``U``.  The top
+eigenvalues of that Gram and of its trailing block come from the residual-Gram
+solver the Monte Carlo trials use, :func:`experiments._gram_top`: each block's
+own dense Gram at or below 90 columns, and Lanczos above.
 
-The reports of one sample share a private one-entry memo, keyed by a weak
-reference to ``factors`` and a copy of ``Z``.  Until a call with another key
-replaces it, it holds the angle operators of the last ``k``, ``B`` and the full
-Gram's top eigenvalue, each built on first use as without it, bit for bit.
+The reports of one sample share a private one-entry memo, keyed by weak
+references to ``A`` (a list, which takes none, is held) and ``factors`` and a
+copy of ``Z``.  ``A`` is checked once, when the entry is made.  Until a call
+with another key replaces it, the entry holds the angle operators of the last
+``k``, ``B`` and the full Gram's top eigenvalue, each built on first use as
+without it, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,26 +92,35 @@ def angle_operators(factors: SvdFactors, z, k) -> AngleOperators:
 
 
 def _rotated_basis_product(factors: SvdFactors, z):
-    """``B = Q[:r]^T Sigma`` (p x r) for an orthonormal basis Q of ``U^T Z``."""
-    q = orthonormal_basis(factors.left().T @ z)
-    return q[:factors.sigma.size].T * factors.sigma
+    """``B = (Q_Z^T U[:, :r]) Sigma`` (p x r) for an orthonormal basis ``Q_Z`` of ``Z``,
+    in ``p rows r`` flops: ``U^T Q_Z`` is an orthonormal basis of ``U^T Z``."""
+    r = factors.sigma.size
+    return (orthonormal_basis(z).T @ factors.left()[:, :r]) * factors.sigma
 
 
 class _Sample:
-    """The memo's entry: its key, and the shared items built so far."""
+    """The memo's entry: its key, and the shared items built so far.  ``A`` is keyed by
+    identity and checked once, when the entry is made; it is never read, so an in-place
+    edit of ``A`` between calls is not checked again."""
 
     last = angles = b = top = None  # the memo's one entry; each item until first use
 
-    def __init__(self, factors, z):
+    def __init__(self, a, factors, z):
+        _check_matrix(a, factors)
+        try:
+            self.a = weakref.ref(a)
+        except TypeError:  # a list takes no weak reference, so the entry holds it
+            self.a = lambda: a
         self.factors = weakref.ref(factors)  # never keeps the factorization alive
         self.z = z.copy()  # so that editing Z in place misses
 
     @classmethod
-    def of(cls, factors: SvdFactors, z) -> _Sample:
-        """The entry of ``(factors, Z)``, replacing the last one unless its key matches."""
+    def of(cls, a, factors: SvdFactors, z) -> _Sample:
+        """The entry of ``(A, factors, Z)``, replacing the last one unless its key matches."""
         key_z, entry = _as_matrix(z, 'Z'), cls.last  # read once: a racing thread costs a recomputation
-        if entry is None or entry.factors() is not factors or not np.array_equal(entry.z, key_z):
-            entry = cls.last = cls(factors, key_z)
+        if (entry is None or entry.a() is not a or entry.factors() is not factors
+                or not np.array_equal(entry.z, key_z)):
+            entry = cls.last = cls(a, factors, key_z)
         return entry
 
     def angles_at(self, factors, z, k):  # ``angles`` is ``(k, AngleOperators)``; every report checks ``k`` itself
@@ -138,12 +150,11 @@ def residual_gap_squared(a, factors: SvdFactors, z, k, which) -> float:
     """``||(I - pi(Z)) A||^2 - ||(I - pi(Z)) A_tail||^2`` in the requested norm.
 
     The gap is computed from ``factors``, which must be the SVD of ``a``;
-    ``a`` itself is only checked to be a finite matrix of their shape.
+    ``a`` itself is only checked to be a finite matrix of their shape, once per sample.
     """
-    _check_matrix(a, factors)
     sig_head = factors.sigma_head(k)
     _check_norm(which)
-    sample = _Sample.of(factors, z)
+    sample = _Sample.of(a, factors, z)
     b = sample.basis_product(factors, z)
     if which == 'frobenius':
         # the residual norms split over head and tail columns; the tail cancels
@@ -178,7 +189,7 @@ def _gap_report(ops, weights, which, k, lhs) -> DeterministicBoundReport:
 def sine_tangent_gap_bound(a, factors: SvdFactors, z, k, which) -> DeterministicBoundReport:
     """Deterministic bound ``min(||S||^2 ||Sigma_head||_2^2, ||T Sigma_head||^2)``
     on the squared residual gap, together with the evaluated gap itself."""
-    ops = _Sample.of(factors, z).angles_at(factors, z, k)
+    ops = _Sample.of(a, factors, z).angles_at(factors, z, k)
     return _gap_report(ops, factors.sigma_head(k), which, k, residual_gap_squared(a, factors, z, k, which))
 
 
@@ -188,8 +199,7 @@ def deflated_spectral_gap_bound(a, factors: SvdFactors, z, k) -> DeterministicBo
     Uses the deflated head spectrum ``(Sigma_head^2 - sigma_{k+1}^2 I)^{1/2}``
     in place of ``Sigma_head``; ``a`` and the gap are as in :func:`residual_gap_squared`.
     """
-    _check_matrix(a, factors)
-    sample = _Sample.of(factors, z)
+    sample = _Sample.of(a, factors, z)
     ops = sample.angles_at(factors, z, k)
     s_next = factors.next_sigma(k)
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - s_next**2, 0.0, None))

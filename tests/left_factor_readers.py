@@ -2,7 +2,10 @@
 ``U`` was built first or not.  After :meth:`SvdFactors.left` the full ``U`` takes the
 thin one's slot, and the head that ``left_head`` returns is a strided view of it, so
 the two orders feed the GEMMs different layouts of the same values; they must give
-the same bits.  The factors themselves must
+the same bits.  The readers are the three per-sample reports, ``residual_gap_squared``
+alone in both norms (whose ``B = (Q_Z^T U[:, :r]) Sigma`` reads the first ``r``
+columns of the full ``U``), the RSVD sketch covariance and the projected covariance.
+The factors themselves must
 have the bits of ``np.linalg.svd`` at one BLAS thread, and its C-ordered ``U``.
 The completion itself must give a square, C-ordered, orthogonal ``U`` whose first
 columns are the thin ``U``'s bits.  Imported by ``test_linalg.py``, and run by
@@ -40,6 +43,7 @@ def reader_bits(complete_first):
     reports = [deterministic.sine_tangent_gap_bound(a, factors(), z, k, which).as_dict()
                for which in ('frobenius', 'spectral')]
     reports.append(deterministic.deflated_spectral_gap_bound(a, factors(), z, k).as_dict())
+    reports += [deterministic.residual_gap_squared(a, factors(), z, k, which) for which in linalg.NORMS]
     covariance = sketching.rsvd_distribution(factors(), 1, z.shape[1]).covariance
     projected = expectation.project_covariance(c, factors(), k)
     return [_bits(report) for report in reports] + [_bits(covariance), _bits(vars(projected))]

@@ -1,7 +1,8 @@
 """A 60-digit reference for the closed-form bounds, written from the formulas of the
 paper's RSVD corollaries and of Halko, Martinsson and Tropp (HMT 2011, section 10),
-not from the library's code.  Imported by ``test_closed_form_oracle.py``; it holds
-no tests of its own.
+and for the per-sample residual gaps, written from their definition (:func:`lhs_gaps`),
+not from the library's code.  Imported by ``test_closed_form_oracle.py`` and
+``test_gap_oracle.py``; it holds no tests of its own.
 
 For ``Z = (A A^T)^q A G``, with ``G`` a standard Gaussian ``n x p`` matrix, the sketch
 rotated into the singular basis of ``A`` has the head block ``Sigma_head^(2q+1) G_1``
@@ -127,3 +128,31 @@ def hmt_power(sigma, k, p, q):
     with mpmath.workdps(DIGITS):
         s, lead, wishart, tail = _hmt_terms(sigma, k, p, 2 * q + 1)
         return (lead * s[k] ** (2 * q + 1) + wishart * tail) ** (mpmath.mpf(1) / (2 * q + 1))
+
+
+def lhs_gaps(a, z, k):
+    """The squared residual gaps of the per-sample reports, at 60 digits, for a float ``A``
+    and sketch ``Z`` (both at most 12 on a side), each converted exactly:
+
+        frobenius  ||(I - P_Z) A||_F^2 - ||(I - P_Z) A_tail||_F^2
+        spectral   ||(I - P_Z) A||_2^2 - ||(I - P_Z) A_tail||_2^2
+        deflated   ||(I - P_Z) A||_2^2 - sigma_{k+1}^2
+
+    ``P_Z`` projects onto ``range(Z)``, through a QR of ``Z``; the residual norms are
+    ``mp.svd_r``'s singular values of ``(I - P_Z) A`` and ``(I - P_Z) A_tail``, where
+    ``A_tail = A - U_k Sigma_k V_k^T`` comes from ``mp.svd_r`` of ``A`` and
+    ``sigma_{k+1}`` is 0 past the end of the spectrum."""
+    with mpmath.workdps(DIGITS):
+        a, z = mpmath.matrix(a.tolist()), mpmath.matrix(z.tolist())
+        q = mpmath.qr(z, mode='skinny')[0]
+        u, s, vt = mpmath.svd_r(a)  # s descending
+        head = u[:, :k] * mpmath.diag([s[j] for j in range(k)]) * vt[:k, :]
+
+        def residual(m):
+            values = mpmath.svd_r(m - q * (q.T * m), compute_uv=False)
+            return mpmath.fsum(v * v for v in values), max(values) ** 2
+        full_fro, full_two = residual(a)
+        tail_fro, tail_two = residual(a - head)
+        s_next = s[k] if k < len(s) else mpmath.mpf(0)
+        return {'frobenius': full_fro - tail_fro, 'spectral': full_two - tail_two,
+                'deflated': full_two - s_next**2}

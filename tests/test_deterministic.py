@@ -149,12 +149,18 @@ class TestResidualGap:
     lambda a, f, z: sine_tangent_gap_bound(a, f, z, 2, 'spectral'),
     lambda a, f, z: deflated_spectral_gap_bound(a, f, z, 2),
 ], ids=['gap-frobenius', 'gap-spectral', 'sine-tangent', 'deflated'])
-def test_factors_must_match_the_shape_of_a(evaluate):
+def test_a_new_invalid_a_is_refused_after_a_valid_call(evaluate):
+    """``A`` is checked once per memo entry, and a new object is a new entry."""
     a, f, z = random_instance(7)
-    evaluate(a, f, z)
+    want = evaluate(a, f, z)
+    nan = a.copy()
+    nan[3, 2] = np.nan
+    with pytest.raises(ValueError, match='A contains non-finite entries'):
+        evaluate(nan, f, z)
     for wrong in (a.T, a[:-1], a[:, :-1]):
         with pytest.raises(ValueError, match='but its factors are 24x16'):
             evaluate(wrong, f, z)
+    assert evaluate(a, f, z) == want
 
 
 class TestSineTangentBound:
@@ -252,9 +258,9 @@ class TestOrderingChain:
 
 def dense_lhs(f, z, k):
     """The spectral and deflated gaps from ``eigvalsh`` of each block's own dense
-    Gram ``Sigma^2 - B^T B``, formed as the dense branch forms it: the oracle of the Lanczos one."""
-    q = orthonormal_basis(f.left().T @ z)
-    b = q[:f.sigma.size].T * f.sigma
+    Gram ``Sigma^2 - B^T B``, formed as the dense branch forms it from the code's own
+    ``B``: the oracle of the Lanczos one, on the same Gram."""
+    b = deterministic._rotated_basis_product(f, z)
     sig_sq = f.sigma**2
 
     def top(diag_sq, block):
@@ -462,6 +468,40 @@ class TestSampleMemo:
             finally:
                 sys.setswitchinterval(interval)
         assert results == [[bits] * 20 for bits in serial]
+
+
+class TestOneCheckOfA:
+    """``A`` is keyed by identity and checked once per memo entry, not once per report;
+    it is never read, so its check is the only thing a new ``A`` costs."""
+
+    def test_the_three_reports_check_a_once(self, monkeypatch):
+        a, f, z = random_instance(11)
+        deterministic._Sample.last = None
+        checks = counting(monkeypatch, deterministic, '_check_matrix')
+        report_bits(a, f, z, 3)
+        for which in ('frobenius', 'spectral'):
+            residual_gap_squared(a, f, z, 3, which)
+        assert len(checks) == 1
+        report_bits(a.copy(), f, z, 3)  # another object is another key
+        assert len(checks) == 2
+
+    def test_an_in_place_edit_of_a_is_not_checked_again(self):
+        a, f, z = random_instance(12)
+        before = report_bits(a, f, z, 3)
+        a[0, 0] = np.nan  # A is never read: the entry of (A, factors, Z) still serves it
+        assert report_bits(a, f, z, 3) == before
+        with pytest.raises(ValueError, match='A contains non-finite entries'):
+            report_bits(a, f, z, 3, cold=True)
+
+    def test_a_list_is_keyed_by_identity_too(self, monkeypatch):
+        a, f, z = random_instance(13)
+        cold = report_bits(a, f, z, 3, cold=True)
+        checks = counting(monkeypatch, deterministic, '_check_matrix')
+        listed = a.tolist()  # takes no weak reference, so the entry holds it
+        assert report_bits(listed, f, z, 3) == report_bits(listed, f, z, 3) == cold
+        assert len(checks) == 1
+        report_bits(a.tolist(), f, z, 3)
+        assert len(checks) == 2
 
 
 COMPLEMENT_RTOL = 1e-14
