@@ -21,16 +21,16 @@ own dense Gram at or below 90 columns, and Lanczos above.
 
 The reports of one sample share a private one-entry memo, keyed by weak
 references to ``A`` (a list, which takes none, is held) and ``factors`` and a
-copy of ``Z``.  ``A`` is checked once, when the entry is made.  Until a call
-with another key replaces it, the entry holds the angle operators of the last
-``k``, ``B`` and the full Gram's top eigenvalue, each built on first use as
-without it, bit for bit.
+copy of ``Z``; it checks ``A`` and ``Z`` once, when it makes the entry.  Until
+a call with another key replaces it, the entry holds the angle operators of the
+last ``k``, ``B`` and the full Gram's top eigenvalue, each built on first use
+as without it, bit for bit.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,11 +116,12 @@ class _Sample:
 
     @classmethod
     def of(cls, a, factors: SvdFactors, z) -> _Sample:
-        """The entry of ``(A, factors, Z)``, replacing the last one unless its key matches."""
-        key_z, entry = _as_matrix(z, 'Z'), cls.last  # read once: a racing thread costs a recomputation
+        """The entry of ``(A, factors, Z)``, replacing the last one unless its key matches;
+        ``Z`` is checked only on a miss, since one equal to the entry's checked copy passes."""
+        entry = cls.last  # read once: a racing thread costs a recomputation
         if (entry is None or entry.a() is not a or entry.factors() is not factors
-                or not np.array_equal(entry.z, key_z)):
-            entry = cls.last = cls(a, factors, key_z)
+                or not np.array_equal(entry.z, z)):
+            entry = cls.last = cls(a, factors, _as_matrix(z, 'Z'))
         return entry
 
     def angles_at(self, factors, z, k):  # ``angles`` is ``(k, AngleOperators)``; every report checks ``k`` itself
@@ -174,7 +175,7 @@ class DeterministicBoundReport:
     bound: float
 
     def as_dict(self):
-        return asdict(self)
+        return dict(vars(self))  # the fields in order; each is a scalar, so no copy is deep
 
 
 def _gap_report(ops, weights, which, k, lhs) -> DeterministicBoundReport:

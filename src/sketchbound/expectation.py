@@ -7,9 +7,10 @@ block yields closed-form first and second moments of the tangent operator
 
     E[ ||(I - pi(Z)) A|| - ||(I - pi(Z)) A_tail|| ]
 
-follow in both the Frobenius and spectral norms.  All constants are exposed
-so reports can be serialized and cross-checked against the closed-form
-randomized-SVD specializations.
+follow in both the Frobenius and spectral norms.  Each bound is an
+:class:`rsvd.BoundReport`, the record of the closed-form randomized-SVD
+specializations: its constants are ``mean_term`` and then those of the
+matching closed form, bar the improved bound's ``ell``.
 
 Note: the exact Frobenius second moment of ``M^+ N`` for a centered Gaussian
 M is implemented in trace form, ``trace(N^T C^{-1} N) / (p - k - 1)``, the
@@ -19,7 +20,7 @@ quantity produced by the underlying inverse-Wishart moment.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -38,7 +39,6 @@ from .linalg import (
 from .sketching import GaussianSketch
 
 __all__ = [
-    'ExpectationBoundReport',
     'ProjectedCovariance',
     'TangentMomentConstants',
     'expect_pinv_norms',
@@ -218,22 +218,6 @@ def mean_shift_term(sketch, head_norm, p) -> float:
     return rsvd._pinv_moments(p, r)[1] * scale * head_norm
 
 
-@dataclass(frozen=True)
-class ExpectationBoundReport:
-    """Evaluated expectation bound with its intermediate constants."""
-
-    norm: str
-    variant: str
-    k: int
-    p: int
-    mean_term: float
-    constants: dict
-    bound: float
-
-    def as_dict(self):
-        return asdict(self)
-
-
 def _check_sketch_rows(factors: SvdFactors, sketch):
     """Raise ``ValueError`` unless ``sketch``, a :class:`GaussianSketch` or its mean, has a
     row per row of the ``A`` of ``factors``."""
@@ -260,13 +244,13 @@ def project_sketch(factors: SvdFactors, sketch, k, p) -> ProjectedCovariance:
     return project_covariance(sketch.covariance, factors, k)
 
 
-def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
+def expected_frobenius_gap_bound(factors, sketch, k, p, projection=None) -> rsvd.BoundReport:
     """Expectation bound on the Frobenius residual gap (unsquared metric)."""
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     return _frobenius_report(pc, factors, sketch, k, p, squared=False)
 
 
-def expected_frobenius_gap_sq_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
+def expected_frobenius_gap_sq_bound(factors, sketch, k, p, projection=None) -> rsvd.BoundReport:
     """Tighter bound on the squared Frobenius gap; centered sketches only."""
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     if np.any(sketch.mean):
@@ -282,19 +266,16 @@ def _frobenius_report(pc, factors, sketch, k, p, squared):
     b_k = tangent_norm_constants(pc, np.eye(k), p).total_frobenius_sq
     mean_term = mean_shift_term(sketch, frobenius_norm(np.diag(sig_head)), p)
     bound = mean_term + rsvd._frobenius_min(a_k, b_k, k, float(sig_head[0]), squared)
-    return ExpectationBoundReport(
-        norm='frobenius', variant='thm3_squared' if squared else 'thm3', k=k, p=p, mean_term=mean_term,
-        constants={'a_k': a_k, 'b_k': b_k}, bound=bound,
-    )
+    return rsvd.BoundReport(bound, {'mean_term': mean_term, 'a_k': a_k, 'b_k': b_k})
 
 
-def expected_spectral_gap_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
+def expected_spectral_gap_bound(factors, sketch, k, p, projection=None) -> rsvd.BoundReport:
     """Expectation bound on the spectral residual gap."""
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
-    return _spectral_report(pc, factors, sketch, k, p, factors.sigma_head(k), 'thm4', ('c_k', 'd_k'))
+    return _spectral_report(pc, factors, sketch, k, p, factors.sigma_head(k), ('c_k', 'd_k'))
 
 
-def expected_spectral_tail_bound(factors, sketch, k, p, projection=None) -> ExpectationBoundReport:
+def expected_spectral_tail_bound(factors, sketch, k, p, projection=None) -> rsvd.BoundReport:
     """Improved spectral bound on ``E||(I - pi(Z)) A||_2 - sigma_{k+1}``.
 
     Uses the deflated head spectrum; its identity-weighted constant equals
@@ -302,10 +283,10 @@ def expected_spectral_tail_bound(factors, sketch, k, p, projection=None) -> Expe
     """
     pc = project_sketch(factors, sketch, k, p) if projection is None else projection
     deflated = np.sqrt(np.clip(factors.sigma_head(k)**2 - factors.next_sigma(k)**2, 0.0, None))
-    return _spectral_report(pc, factors, sketch, k, p, deflated, 'thm5', ('c_hat_k', 'd_hat_k'))
+    return _spectral_report(pc, factors, sketch, k, p, deflated, ('c_hat_k', 'd_hat_k'))
 
 
-def _spectral_report(pc, factors, sketch, k, p, weights, variant, names):
+def _spectral_report(pc, factors, sketch, k, p, weights, names):
     """``mean_term + min(c, phi(d) w_1)`` for head weights ``w``, with ``c``
     and ``d`` the spectral tangent constants weighted by ``diag(w)`` and by
     the identity; the mean term rests on ``sigma_1`` whatever ``w`` is."""
@@ -313,7 +294,4 @@ def _spectral_report(pc, factors, sketch, k, p, weights, variant, names):
     d = tangent_norm_constants(pc, np.eye(k), p).total_spectral
     mean_term = mean_shift_term(sketch, float(factors.sigma_head(k)[0]), p)
     bound = mean_term + min(c, phi(d) * float(weights[0]))
-    return ExpectationBoundReport(
-        norm='spectral', variant=variant, k=k, p=p, mean_term=mean_term,
-        constants=dict(zip(names, (c, d))), bound=bound,
-    )
+    return rsvd.BoundReport(bound, dict(zip(('mean_term', *names), (mean_term, c, d))))

@@ -517,14 +517,14 @@ THEOREM_COROLLARIES = {'thm3': 'cor_frobenius', 'thm3_squared': 'cor_frobenius',
                        'thm5': 'cor_spectral_improved'}
 
 
-def _theorem_row(name, corollary, sigma_1):
-    """Report of theorem ``name`` on the RSVD sketch from its corollary's: no mean term and no ``ell``;
+def _theorem_row(name, corollary, k, sigma_1):
+    """Report of theorem ``name`` on the RSVD sketch from its corollary's: a zero mean term and no ``ell``;
     ``thm3_squared`` takes the squared minimum, ``rsvd._frobenius_min(..., squared=True)``."""
     constants = {key: value for key, value in corollary.constants.items() if key != 'ell'}
-    k, bound = corollary.k, corollary.bound
+    bound = corollary.bound
     if name == 'thm3_squared':
         bound = rsvd._frobenius_min(constants['a_k'], constants['b_k'], k, sigma_1, squared=True)
-    return {'bound': bound, 'mean_term': 0.0, **constants}
+    return rsvd.BoundReport(bound, {'mean_term': 0.0, **constants})
 
 
 def _check_variants(variants):
@@ -539,8 +539,8 @@ def _check_variants(variants):
 
 
 def evaluate_bounds(variants, factors, k, p, q, sketch=None):
-    """Report of each named variant, ``{name: {'bound': ..., constants...}}``;
-    a variant list that :func:`_check_variants` refuses, or a request that
+    """Report of each named variant, ``{name: {'bound': ..., constants...}}``: a
+    :class:`rsvd.BoundReport`'s ``as_dict()``, or an HMT baseline's bound; a variant list that :func:`_check_variants` refuses, or a request that
     :func:`rsvd._check_request` refuses, raises ``ValueError`` before any is
     evaluated, and a variant whose arithmetic overflows raises ``OverflowError``
     naming it and ``k, p, q``.
@@ -561,12 +561,12 @@ def evaluate_bounds(variants, factors, k, p, q, sketch=None):
             elif name in THEOREM_VARIANTS and sketch is not None:
                 if projection is None:
                     projection = expectation.project_sketch(factors, sketch, k, p)
-                result = THEOREM_VARIANTS[name](factors, sketch, k, p, projection)
-                reports[name] = {'bound': result.bound, 'mean_term': result.mean_term, **result.constants}
+                reports[name] = THEOREM_VARIANTS[name](factors, sketch, k, p, projection).as_dict()
             else:
                 result = RSVD_VARIANTS[THEOREM_COROLLARIES.get(name, name)](profile)
-                reports[name] = (_theorem_row(name, result, float(profile.sigma[0])) if name in THEOREM_VARIANTS
-                                 else {'bound': result.bound, **result.constants})
+                if name in THEOREM_VARIANTS:
+                    result = _theorem_row(name, result, k, float(profile.sigma[0]))
+                reports[name] = result.as_dict()
         except OverflowError:  # float arithmetic's own, whose text names neither
             raise OverflowError(f'bound variant {name} overflows at k={k}, p={p}, q={q}') from None
     return reports
@@ -761,7 +761,7 @@ def emit(rows, output_format='csv', path='sweep.csv'):
         lines = itertools.chain([','.join(list(_BASE_COLUMNS) + variant_names)],
                                 (','.join(_row_cells(row, variant_names)) for row in rows))
     elif output_format == 'json':
-        lines = [json.dumps([dataclasses.asdict(row) for row in rows], indent=2)]
+        lines = [json.dumps([vars(row) for row in rows], indent=2)]
     else:
         raise ValueError("output_format must be 'csv' or 'json'")
     _write_atomic(path, lambda handle: handle.writelines(f'{line}\n'.encode() for line in lines))

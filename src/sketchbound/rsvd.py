@@ -3,20 +3,21 @@
 For ``Z = (A A^T)^q A G`` every bound constant reduces to sums of powers of
 singular-value ratios, so the bounds become functions of the spectrum alone.
 The reference baselines of Halko, Martinsson and Tropp are included for
-comparison: they bound the full residual norm ``E||(I - pi(Z)) A||``.
+comparison: they bound the full residual norm ``E||(I - pi(Z)) A||``.  Each closed
+form returns a :class:`BoundReport`, the bound and its constants, as do the theorems of :mod:`expectation`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import PINV_TOL, _check_integers, _check_powers, _check_spectrum, phi
 
 __all__ = [
-    'RsvdBoundReport',
+    'BoundReport',
     'SpectrumProfile',
     'frobenius_bound',
     'hmt_frobenius',
@@ -89,19 +90,15 @@ def _check_request(sigma, k, p, q):
 
 
 @dataclass(frozen=True)
-class RsvdBoundReport:
-    """Closed-form bound value with its constants."""
+class BoundReport:
+    """An expectation bound with its intermediate constants, from a closed form here or
+    a theorem of :mod:`expectation`; :meth:`as_dict` is its ``sketchbound bounds`` row."""
 
-    norm: str
-    variant: str
-    k: int
-    p: int
-    q: int
-    constants: dict
     bound: float
+    constants: dict
 
     def as_dict(self):
-        return asdict(self)
+        return {'bound': self.bound, **self.constants}
 
 
 def _head_gamma_sums(profile: SpectrumProfile):
@@ -133,9 +130,9 @@ def _frobenius_min(a_k, b_k, k, top, squared=False):
     return min(a_k, k * sine**2 * top**2) if squared else min(math.sqrt(a_k), math.sqrt(k) * sine * top)
 
 
-def frobenius_bound(profile: SpectrumProfile) -> RsvdBoundReport:
+def frobenius_bound(profile: SpectrumProfile) -> BoundReport:
     """Frobenius-norm expectation bound for the randomized SVD."""
-    k, p, q = profile.k, profile.p, profile.q
+    k, p = profile.k, profile.p
     s = profile.sigma
     s_next = float(s[k])
     _, head_4q, head_4q2 = _head_gamma_sums(profile)
@@ -143,15 +140,12 @@ def frobenius_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     a_k = s_next**2 / (p - k - 1) * tail_sum * head_4q
     b_k = tail_sum * head_4q2 / (p - k - 1)
     bound = _frobenius_min(a_k, b_k, k, float(s[0]))
-    return RsvdBoundReport(
-        norm='frobenius', variant='frobenius', k=k, p=p, q=q,
-        constants={'a_k': a_k, 'b_k': b_k}, bound=bound,
-    )
+    return BoundReport(bound, {'a_k': a_k, 'b_k': b_k})
 
 
-def spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
+def spectral_bound(profile: SpectrumProfile) -> BoundReport:
     """Spectral-norm expectation bound for the randomized SVD."""
-    k, p, q = profile.k, profile.p, profile.q
+    k, p = profile.k, profile.p
     s = profile.sigma
     s_next = float(s[k])
     s_k = float(s[k - 1])
@@ -161,10 +155,7 @@ def spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     c_k = s_next / math.sqrt(p - k - 1) * math.sqrt(head_4q) + s_k * tail_k * wishart
     d_k = math.sqrt(head_4q2) / math.sqrt(p - k - 1) + tail_k * wishart
     bound = min(c_k, phi(d_k) * float(s[0]))
-    return RsvdBoundReport(
-        norm='spectral', variant='spectral', k=k, p=p, q=q,
-        constants={'c_k': c_k, 'd_k': d_k}, bound=bound,
-    )
+    return BoundReport(bound, {'c_k': c_k, 'd_k': d_k})
 
 
 def peak_index(profile: SpectrumProfile) -> int:
@@ -177,7 +168,7 @@ def peak_index(profile: SpectrumProfile) -> int:
     return int(np.argmax(values)) + 1
 
 
-def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
+def improved_spectral_bound(profile: SpectrumProfile) -> BoundReport:
     """Improved spectral bound on ``E||(I - pi(Z)) A||_2 - sigma_{k+1}``."""
     k, p, q = profile.k, profile.p, profile.q
     s = profile.sigma
@@ -198,10 +189,7 @@ def improved_spectral_bound(profile: SpectrumProfile) -> RsvdBoundReport:
     )
     deflated_top = math.sqrt(max(float(s[0]) ** 2 - s_next**2, 0.0))
     bound = min(c_hat_k, phi(d_hat_k) * deflated_top)
-    return RsvdBoundReport(
-        norm='spectral', variant='spectral_improved', k=k, p=p, q=q,
-        constants={'c_hat_k': c_hat_k, 'd_hat_k': d_hat_k, 'ell': ell}, bound=bound,
-    )
+    return BoundReport(bound, {'c_hat_k': c_hat_k, 'd_hat_k': d_hat_k, 'ell': ell})
 
 
 def _tail_norm_sq(sigma, k):

@@ -1,8 +1,9 @@
 """A 60-digit reference for the closed-form bounds, written from the formulas of the
 paper's RSVD corollaries and of Halko, Martinsson and Tropp (HMT 2011, section 10),
-and for the per-sample residual gaps, written from their definition (:func:`lhs_gaps`),
-not from the library's code.  Imported by ``test_closed_form_oracle.py`` and
-``test_gap_oracle.py``; it holds no tests of its own.
+and for the per-sample residual gaps and deterministic bounds, written from their
+definitions (:func:`lhs_gaps`, :func:`per_sample_bounds`), not from the library's code.
+Imported by ``test_closed_form_oracle.py`` and ``test_gap_oracle.py``; it holds no
+tests of its own.
 
 For ``Z = (A A^T)^q A G``, with ``G`` a standard Gaussian ``n x p`` matrix, the sketch
 rotated into the singular basis of ``A`` has the head block ``Sigma_head^(2q+1) G_1``
@@ -156,3 +157,46 @@ def lhs_gaps(a, z, k):
         s_next = s[k] if k < len(s) else mpmath.mpf(0)
         return {'frobenius': full_fro - tail_fro, 'spectral': full_two - tail_two,
                 'deflated': full_two - s_next**2}
+
+
+def _norm_sq(m, which):
+    """``||m||_F^2`` or ``||m||_2^2``, from ``mp.svd_r``'s singular values."""
+    values = mpmath.svd_r(m, compute_uv=False)
+    return mpmath.fsum(v * v for v in values) if which == 'frobenius' else max(values) ** 2
+
+
+def per_sample_bounds(a, z, k):
+    """``bound_sine``, ``bound_tangent`` and ``bound`` of the three per-sample reports, at
+    60 digits, for a float ``A`` and sketch ``Z`` (both at most 12 on a side), each converted
+    exactly, and a head block ``Omega_head`` of full row rank.  With ``U Sigma V^T`` the full
+    ``mp.svd_r`` of ``A`` and ``Omega = U^T Z`` split after its ``k``-th row, the paper's
+
+        T = Omega_tail Omega_head^+,   Omega_head^+ = Omega_head^T (Omega_head Omega_head^T)^-1,
+        S = (I + T T^T)^(-1/2) T,      through ``mp.eigsy`` of ``I + T T^T``,
+
+    and, for head weights ``W = diag(w)``,
+
+        bound_sine = ||S||^2 w_1^2,   bound_tangent = ||T W||^2,   bound = min of the two;
+
+    ``frobenius`` and ``spectral`` take ``w = Sigma_head`` in their norm, ``deflated`` the
+    spectral norm and ``w = (Sigma_head^2 - sigma_{k+1}^2)^(1/2)``, ``sigma_{k+1}`` 0 past
+    the end of the spectrum."""
+    with mpmath.workdps(DIGITS):
+        a, z = mpmath.matrix(a.tolist()), mpmath.matrix(z.tolist())
+        u, s = mpmath.svd_r(a, full_matrices=True)[:2]
+        omega = u.T * z
+        head, tail = omega[:k, :], omega[k:, :]
+        t = tail * (head.T * mpmath.inverse(head * head.T))
+        values, vectors = mpmath.eigsy(mpmath.eye(t.rows) + t * t.T)
+        sine = vectors * mpmath.diag([1 / mpmath.sqrt(v) for v in values]) * vectors.T * t
+        s_next = s[k] if k < len(s) else mpmath.mpf(0)
+        plain = [s[i] for i in range(k)]
+        weights = {'frobenius': plain, 'spectral': plain, 'deflated': [mpmath.sqrt(v * v - s_next**2) for v in plain]}
+        reports = {}
+        for name, w in weights.items():
+            which = 'frobenius' if name == 'frobenius' else 'spectral'
+            bound_sine = _norm_sq(sine, which) * w[0] ** 2
+            bound_tangent = _norm_sq(t * mpmath.diag(w), which)
+            reports[name] = {'bound_sine': bound_sine, 'bound_tangent': bound_tangent,
+                             'bound': min(bound_sine, bound_tangent)}
+        return reports

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import sys
 import threading
@@ -502,6 +503,56 @@ class TestOneCheckOfA:
         assert len(checks) == 1
         report_bits(a.tolist(), f, z, 3)
         assert len(checks) == 2
+
+
+class TestOneScanOfZ:
+    """A memo hit compares ``Z`` with the entry's checked copy and does not check it again;
+    ``Z`` is checked when an entry is made and once by ``angle_operators``."""
+
+    def test_the_three_reports_check_z_twice(self, monkeypatch):
+        a, f, z = random_instance(14)
+        deterministic._Sample.last = None
+        names, original = [], deterministic._as_matrix
+
+        def wrapper(m, name='matrix'):
+            names.append(name)
+            return original(m, name)
+
+        monkeypatch.setattr(deterministic, '_as_matrix', wrapper)
+        report_bits(a, f, z, 3)
+        assert names.count('Z') == 2
+
+    @pytest.mark.parametrize('report', range(3))
+    @pytest.mark.parametrize('edit, error', [
+        (lambda z: np.where(np.arange(z.shape[1]) == 0, np.nan, z), '^Z contains non-finite entries$'),
+        (lambda z: z[:, 0], r'^Z must be 2-D with at least one row and column, got shape \(24,\)$'),
+        (lambda z: z[:-1], r'^matmul: .*\(size 23 is different from 24\)$'),
+    ], ids=['nan', 'one-d', 'short'])
+    def test_an_invalid_z_after_a_valid_call_is_refused(self, report, edit, error):
+        a, f, z = random_instance(15)
+        cold = report_bits(a, f, z, 3, cold=True)
+        calls = (lambda m: sine_tangent_gap_bound(a, f, m, 3, 'frobenius'),
+                 lambda m: sine_tangent_gap_bound(a, f, m, 3, 'spectral'),
+                 lambda m: deflated_spectral_gap_bound(a, f, m, 3))
+        with pytest.raises(ValueError, match=error):
+            calls[report](edit(z))
+        assert report_bits(a, f, z, 3) == cold
+
+
+def test_as_dict_is_the_fields_without_a_deep_copy():
+    """``as_dict`` gives ``dataclasses.asdict``'s items, in order, on all 81 reports of the
+    benchmark's deterministic pool, and a new dict each time."""
+    workloads = harness_modules.load('workloads')
+    with experiments._one_blas_thread():
+        for instance_id in workloads._det_pool():
+            a, z = workloads._det_arrays(instance_id)
+            f, k = svd(a), workloads.det_k(instance_id)
+            for report in (sine_tangent_gap_bound(a, f, z, k, 'frobenius'),
+                           sine_tangent_gap_bound(a, f, z, k, 'spectral'), deflated_spectral_gap_bound(a, f, z, k)):
+                row = report.as_dict()
+                assert list(row.items()) == list(dataclasses.asdict(report).items()), instance_id
+                row['bound'] = None
+                assert report.as_dict()['bound'] == report.bound
 
 
 COMPLEMENT_RTOL = 1e-14

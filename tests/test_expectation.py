@@ -20,7 +20,7 @@ from sketchbound.expectation import (
 )
 from sketchbound.experiments import THEOREM_VARIANTS, evaluate_bounds, synthetic_matrix
 from sketchbound.linalg import RankDeficiencyError, SvdFactors, phi, svd
-from sketchbound.rsvd import SpectrumProfile, frobenius_bound, spectral_bound
+from sketchbound.rsvd import SpectrumProfile, frobenius_bound, improved_spectral_bound, spectral_bound
 from sketchbound.sketching import GaussianSketch, RsvdSketch, SeededStream, rsvd_distribution, standard_gaussian
 
 
@@ -300,7 +300,7 @@ class TestTheoremBounds:
         f = SvdFactors(qu, sigma, 8)
         sketch = rsvd_distribution(f, 0, 4)
         report = expected_spectral_tail_bound(f, sketch, 2, 4)
-        assert report.mean_term == 0.0
+        assert report.constants['mean_term'] == 0.0
         assert report.bound == 0.0
 
     def test_improved_constants_ordering(self):
@@ -339,7 +339,6 @@ class TestTheoremBounds:
         sketch = rsvd_distribution(f, 1, 6)
         report = expected_frobenius_gap_sq_bound(f, sketch, 2, 6)
         assert report.bound <= report.constants['a_k'] + 1e-15
-        assert report.variant == 'thm3_squared'
 
     def test_parameter_validation(self):
         f = random_factors(83)
@@ -397,9 +396,46 @@ class TestTheoremBounds:
         f = random_factors(84)
         sketch = rsvd_distribution(f, 0, 6)
         report = expected_spectral_tail_bound(f, sketch, 2, 6)
-        data = report.as_dict()
-        assert set(data['constants']) == {'c_hat_k', 'd_hat_k'}
-        assert {'norm', 'variant', 'k', 'p', 'mean_term', 'bound'} <= set(data)
+        assert list(report.as_dict()) == ['bound', 'mean_term', 'c_hat_k', 'd_hat_k']
+        assert report.as_dict() == {'bound': report.bound, **report.constants}
+
+
+def hex_items(row):
+    """A report row as ``(key, value)`` pairs in order, each float as its hex string."""
+    return [(key, value.hex() if isinstance(value, float) else value) for key, value in row.items()]
+
+
+class TestOneRowRule:
+    """Every row of :func:`evaluate_bounds` but the HMT baselines' is its function's
+    ``as_dict()``: the same keys in the same order, and the same float bits."""
+
+    CLOSED_FORMS = {'cor_frobenius': frobenius_bound, 'cor_spectral': spectral_bound,
+                    'cor_spectral_improved': improved_spectral_bound}
+
+    @pytest.mark.parametrize('mean_scale', [None, 0.0, 0.1], ids=['no-sketch', 'zero-mean', 'nonzero-mean'])
+    def test_each_row_is_its_report(self, mean_scale):
+        f, (k, p, q) = random_factors(95, n=60, m=40), (5, 12, 1)
+        sketch = None if mean_scale is None else GaussianSketch.from_moments(
+            np.full((60, p), mean_scale), random_psd(96, 60) + 0.05 * np.eye(60))
+        names = [*self.CLOSED_FORMS, *THEOREM_VARIANTS]
+        if mean_scale:  # the squared bound holds for zero-mean sketches only
+            names.remove('thm3_squared')
+            with pytest.raises(ValueError, match='zero-mean'):
+                evaluate_bounds(['thm3_squared'], f, k, p, q, sketch)
+        rows = evaluate_bounds(names, f, k, p, q, sketch)
+        profile = SpectrumProfile.from_spectrum(f.sigma, k, p, q)
+        for name, closed in self.CLOSED_FORMS.items():
+            assert hex_items(rows[name]) == hex_items(closed(profile).as_dict()), name
+        # with no sketch the theorems are their corollaries, which the dense route on the
+        # RSVD distribution meets at round-off: same keys in order, nearly the same values
+        given = rsvd_distribution(f, q, p) if sketch is None else sketch
+        for name in names[len(self.CLOSED_FORMS):]:
+            report = THEOREM_VARIANTS[name](f, given, k, p).as_dict()
+            if sketch is None:
+                assert list(rows[name]) == list(report), name
+                assert list(rows[name].values()) == pytest.approx(list(report.values()), rel=1e-9, abs=0), name
+            else:
+                assert hex_items(rows[name]) == hex_items(report), name
 
 
 class TestRsvdSketchTheorems:
@@ -449,9 +485,8 @@ class TestRsvdSketchTheorems:
         sketch = rsvd_distribution(f, 1, 6)
         assert mean_shift_term(sketch, 2.0, 6) == 0.0
         for theorem in THEOREM_VARIANTS.values():
-            assert theorem(f, sketch, 2, 6).mean_term == 0.0
+            assert theorem(f, sketch, 2, 6).constants['mean_term'] == 0.0
         report = expected_frobenius_gap_sq_bound(f, sketch, 2, 6)
-        assert report.variant == 'thm3_squared'
         assert report.bound <= report.constants['a_k'] + 1e-15
 
     def test_project_sketch_refuses_another_p(self):

@@ -1245,6 +1245,12 @@ class TestEmit:
         emit(rows, 'json', path)
         assert [SweepRow(**row) for row in json.loads(path.read_text())] == rows
 
+    def test_json_is_the_text_of_the_rows_fields(self, tmp_path):
+        rows = run_sweep(small_config(trials=2))
+        path = tmp_path / 'sweep.json'
+        emit(rows, 'json', path)
+        assert path.read_text() == json.dumps([dataclasses.asdict(row) for row in rows], indent=2) + '\n'
+
     def test_header_layout(self, tmp_path):
         rows = run_sweep(small_config(trials=1, oversampling_list=(4,), q_list=(0,)))
         path = tmp_path / 'sweep.csv'

@@ -140,3 +140,22 @@ def test_the_package_binds_only_its_modules_public_names():
     modules = {name: importlib.import_module(f'sketchbound.{name}') for name in MODULES if name != '__init__'}
     exported = set().union(*(vars(module).get('__all__', ()) for module in modules.values()))
     assert {name for name in vars(sketchbound) if not name.startswith('_')} - set(modules) == exported
+
+
+def test_no_module_deep_copies_through_asdict():
+    """``dataclasses.asdict`` deep-copies every field; the package's reports give their
+    fields as they are, so no module calls it or imports it."""
+    found = [f'{module}.py:{node.lineno}' for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and ast.unparse(node) == 'dataclasses.asdict'
+             or isinstance(node, ast.ImportFrom) and node.module == 'dataclasses'
+             and any(alias.name == 'asdict' for alias in node.names)]
+    assert found == []
+
+
+def test_expectation_defines_no_report_class():
+    """The theorems return ``rsvd.BoundReport``, the closed forms' record: ``expectation``
+    defines no report class of its own."""
+    classes = [node.name for node in ast.walk(MODULES['expectation']) if isinstance(node, ast.ClassDef)]
+    assert classes  # the guard is not vacuous
+    assert [name for name in classes if 'Report' in name] == []
+    assert any(isinstance(node, ast.ClassDef) and node.name == 'BoundReport' for node in MODULES['rsvd'].body)
